@@ -3,12 +3,14 @@
 //! every gossip-enabled host runs each round, and a full ring convergence
 //! sweep. The F7 figure and the chaos soak's gossip family pump these
 //! paths constantly, so the exchange must stay cheap relative to the
-//! engine's event loop; this bench is regression-tracked in
-//! `results/bench_baseline.json` alongside the engine benches.
+//! engine's event loop. The `members_256` group is the same exchange on a
+//! converged 256-member journal — the state `rdvperf`'s `gossip_256`
+//! workload spends its run in, where membership rather than holder facts
+//! sets the cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rdv_gossip::sync::ctr;
-use rdv_gossip::{GossipConfig, GossipSync};
+use rdv_gossip::{Digest, GossipConfig, GossipSync, Journal};
 use rdv_memproto::msg::Msg;
 use rdv_netsim::stats::Counters;
 use rdv_objspace::ObjId;
@@ -76,6 +78,69 @@ fn ring_converge(nodes: usize, per_node: u64) -> u64 {
     counters.get_id(ctr().entries_applied)
 }
 
+/// Two peered nodes whose journals hold the same 256 members and one
+/// holder fact per member, as after convergence; with `mismatch`, each has
+/// also seen one join the other has not, so their fingerprints differ.
+fn converged_pair(mismatch: bool) -> (GossipSync, GossipSync) {
+    const MEMBERS: usize = 256;
+    let mut full = Journal::new(0);
+    for i in 0..MEMBERS {
+        let mut j = Journal::new(i as u64 + 1);
+        j.join_member(inbox(i));
+        j.record_holder(ObjId(0xF00 + i as u128), inbox(i), 100);
+        full.apply(&j.delta_since(&Digest::default(), false));
+    }
+    let cfg = GossipConfig::default();
+    let mut a = GossipSync::new(inbox(0), 1, cfg);
+    let mut b = GossipSync::new(inbox(1), 2, cfg);
+    a.add_peer(inbox(1), None);
+    b.add_peer(inbox(0), None);
+    for (node, late_joiner) in [(&mut a, MEMBERS), (&mut b, MEMBERS + 1)] {
+        node.journal.apply(&full.delta_since(&Digest::default(), false));
+        if mismatch {
+            node.journal.join_member(inbox(late_joiner));
+        }
+    }
+    (a, b)
+}
+
+fn bench_members(c: &mut Criterion) {
+    let mut group = c.benchmark_group("members_256");
+    group.sample_size(20);
+    let mut counters = Counters::new();
+
+    let (mut a, b) = converged_pair(false);
+    group
+        .bench_function("on_round", |bench| bench.iter(|| black_box(a.on_round(0, &mut counters))));
+
+    // Digest -> empty delta -> apply: what every round costs once the
+    // fabric agrees.
+    let mut nodes = vec![a, b];
+    group.bench_function("exchange_in_sync", |bench| {
+        bench.iter(|| {
+            let first = nodes[0].on_round(0, &mut counters);
+            black_box(pump(&mut nodes, &mut counters, first))
+        })
+    });
+
+    // Digest -> full membership -> merge -> full membership back -> merge.
+    // Each iteration restarts from the diverged journals (two clones, timed).
+    let (a, b) = converged_pair(true);
+    let diverged = [a.journal.clone(), b.journal.clone()];
+    let mut nodes = [a, b];
+    group.bench_function("exchange_members_mismatch", |bench| {
+        bench.iter(|| {
+            nodes[0].journal = diverged[0].clone();
+            nodes[1].journal = diverged[1].clone();
+            let first = nodes[0].on_round(0, &mut counters);
+            let delivered = pump(&mut nodes, &mut counters, first);
+            debug_assert_eq!(nodes[0].journal.fingerprint(), nodes[1].journal.fingerprint());
+            black_box(delivered)
+        })
+    });
+    group.finish();
+}
+
 fn bench(c: &mut Criterion) {
     let entries = 1024u64;
     let mut group = c.benchmark_group("gossip_sync");
@@ -103,5 +168,5 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench);
+criterion_group!(benches, bench, bench_members);
 criterion_main!(benches);

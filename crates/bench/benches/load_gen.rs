@@ -2,8 +2,8 @@
 //! *generated*, no simulation): the open-loop Poisson/Zipf/churn schedule
 //! and the replicated-log batch fold. F6 and the chaos soak regenerate
 //! schedules constantly, so generation must stay cheap relative to the
-//! engine's event loop; this bench is regression-tracked in
-//! `results/bench_baseline.json` alongside the engine benches.
+//! engine's event loop. End to end, `rdvperf`'s `replog_blip` workload
+//! reports the same work as `load.generate_ns_per_arrival`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rdv_load::replog::batches;

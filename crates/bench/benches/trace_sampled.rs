@@ -5,8 +5,9 @@
 //! claim the baseline pins is that the sampled arm stays within noise of
 //! the disabled arm — the per-event cost of an armed-but-skipping
 //! sampler is one hash-based verdict lookup — while full recording is
-//! the expensive mode you only reach for in postmortems. Regression-
-//! tracked in `results/bench_baseline.json` alongside the engine benches.
+//! the expensive mode you only reach for in postmortems. End to end,
+//! `rdvperf --traced` reports the same ratio as
+//! `trace.sampled_overhead_share`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rdv_bench::fabric::{run_fabric, run_fabric_traced, FabricSpec};

@@ -19,6 +19,7 @@ pub mod counter;
 pub mod lww;
 pub mod orset;
 pub mod progressive;
+pub mod sorted;
 
 pub use counter::{GCounter, PnCounter};
 pub use lww::LwwRegister;

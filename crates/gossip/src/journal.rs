@@ -12,13 +12,19 @@
 //! as its final value under the winner's origin, and merging the sender's
 //! version vector records the dominated sequences as covered.
 
+use std::sync::Arc;
+
+use rdv_crdt::sorted::{decode_pairs, max_into};
 use rdv_crdt::{LwwRegister, Merge, OrSet};
 use rdv_det::DetMap;
 use rdv_objspace::ObjId;
 use rdv_wire::{Decode, Encode, WireReader, WireResult, WireWriter};
 
-/// Upper bound on decoded delta collections (corruption guard).
-const MAX_ENTRIES: u64 = 1 << 24;
+/// Smallest encoding of one delta entry: object ID, holder fact (ID +
+/// epoch), LWW stamp and origin (two varints each). Count prefixes are
+/// checked against the bytes behind them before anything is reserved, so a
+/// four-byte frame cannot ask for a 2^24-slot vector.
+const MIN_ENTRY_BYTES: usize = 16 + 17 + 2 + 2;
 
 /// One descriptor fact: "the object lives at `holder`, written in that
 /// holder's restart `epoch`". A nil `holder` is a tombstone — the previous
@@ -58,7 +64,7 @@ struct Entry {
 /// anti-entropy round.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Digest {
-    /// `(replica, max origin sequence incorporated)`, sorted by replica.
+    /// `(replica, max origin sequence incorporated)`, ascending by replica.
     pub vv: Vec<(u64, u64)>,
     /// Fingerprint of the membership OR-set (full state ships only on
     /// mismatch — membership churn is rare next to holder churn).
@@ -67,29 +73,20 @@ pub struct Digest {
 
 impl Digest {
     fn seen(&self, replica: u64) -> u64 {
-        self.vv.iter().find(|(r, _)| *r == replica).map(|(_, s)| *s).unwrap_or(0)
+        self.vv.binary_search_by_key(&replica, |e| e.0).map_or(0, |at| self.vv[at].1)
     }
 }
 
 impl Encode for Digest {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_uvarint(self.vv.len() as u64);
-        for (r, s) in &self.vv {
-            w.put_uvarint(*r);
-            w.put_uvarint(*s);
-        }
+        self.vv.encode(w);
         w.put_u64(self.members_fp);
     }
 }
 
 impl Decode for Digest {
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let n = r.get_uvarint()?.min(MAX_ENTRIES);
-        let mut vv = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            vv.push((r.get_uvarint()?, r.get_uvarint()?));
-        }
-        Ok(Digest { vv, members_fp: r.get_u64()? })
+        Ok(Digest { vv: decode_pairs(r)?, members_fp: r.get_u64()? })
     }
 }
 
@@ -102,8 +99,9 @@ pub struct Delta {
     pub vv: Vec<(u64, u64)>,
     /// `(object, fact, origin)` triples, sorted by object ID.
     pub entries: Vec<(u128, LwwRegister<HolderFact>, Origin)>,
-    /// Full membership state, present only when fingerprints differed.
-    pub members: Option<OrSet<u128>>,
+    /// Full membership state, present only when fingerprints differed
+    /// (shared with the sending journal, not copied per reply).
+    pub members: Option<Arc<OrSet<u128>>>,
     /// Whether the receiver should answer with its own delta (bounded
     /// ping-pong: a digest asks with `true`, the reply ships `false`).
     pub want_reply: bool,
@@ -111,11 +109,7 @@ pub struct Delta {
 
 impl Encode for Delta {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_uvarint(self.vv.len() as u64);
-        for (r, s) in &self.vv {
-            w.put_uvarint(*r);
-            w.put_uvarint(*s);
-        }
+        self.vv.encode(w);
         w.put_uvarint(self.entries.len() as u64);
         for (obj, fact, origin) in &self.entries {
             w.put_u128(*obj);
@@ -136,13 +130,9 @@ impl Encode for Delta {
 
 impl Decode for Delta {
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let n = r.get_uvarint()?.min(MAX_ENTRIES);
-        let mut vv = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            vv.push((r.get_uvarint()?, r.get_uvarint()?));
-        }
-        let n = r.get_uvarint()?.min(MAX_ENTRIES);
-        let mut entries = Vec::with_capacity(n as usize);
+        let vv = decode_pairs(r)?;
+        let n = r.get_count(MIN_ENTRY_BYTES)?;
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let obj = r.get_u128()?;
             let fact = LwwRegister::<HolderFact>::decode(r)?;
@@ -150,7 +140,7 @@ impl Decode for Delta {
         }
         let members = match r.get_u8()? {
             0 => None,
-            _ => Some(OrSet::<u128>::decode(r)?),
+            _ => Some(Arc::new(OrSet::<u128>::decode(r)?)),
         };
         Ok(Delta { vv, entries, members, want_reply: r.get_u8()? != 0 })
     }
@@ -165,8 +155,15 @@ pub struct Journal {
     next_seq: u64,
     last_stamp: u64,
     holders: DetMap<u128, Entry>,
-    members: OrSet<u128>,
-    vv: DetMap<u64, u64>,
+    /// Shared with the deltas that ship it; copied on the next write only
+    /// while one of those is still alive.
+    members: Arc<OrSet<u128>>,
+    /// Always `orset_fingerprint(&members)`: refreshed wherever `members`
+    /// can change (join, leave, an apply whose merge learned something), so
+    /// digests and delta decisions read it instead of re-hashing the set.
+    members_fp: u64,
+    /// `(replica, max origin sequence incorporated)`, ascending by replica.
+    vv: Vec<(u64, u64)>,
 }
 
 impl Journal {
@@ -178,8 +175,9 @@ impl Journal {
             next_seq: 0,
             last_stamp: 0,
             holders: DetMap::new(),
-            members: OrSet::new(),
-            vv: DetMap::new(),
+            members: Arc::default(),
+            members_fp: orset_fingerprint(&OrSet::new()),
+            vv: Vec::new(),
         }
     }
 
@@ -236,8 +234,7 @@ impl Journal {
                     .insert(obj.as_u128(), Entry { fact: reg, origin: (self.replica, seq) });
             }
         }
-        let seen = self.vv.entry(self.replica).or_insert(0);
-        *seen = (*seen).max(seq);
+        max_into(&mut self.vv, &[(self.replica, seq)]);
     }
 
     /// Tombstone `obj`'s location: its last known holder is dead and must
@@ -260,12 +257,14 @@ impl Journal {
 
     /// Add `inbox` to the membership OR-set.
     pub fn join_member(&mut self, inbox: ObjId) {
-        self.members.add(self.replica, inbox.as_u128());
+        Arc::make_mut(&mut self.members).add(self.replica, inbox.as_u128());
+        self.members_fp = orset_fingerprint(&self.members);
     }
 
     /// Remove `inbox` from the membership OR-set (add-wins on races).
     pub fn leave_member(&mut self, inbox: ObjId) {
-        self.members.remove(&inbox.as_u128());
+        Arc::make_mut(&mut self.members).remove(&inbox.as_u128());
+        self.members_fp = orset_fingerprint(&self.members);
     }
 
     /// Whether `inbox` is a current member.
@@ -280,21 +279,19 @@ impl Journal {
 
     /// Fingerprint of the membership OR-set alone (the digest field).
     pub fn members_fingerprint(&self) -> u64 {
-        orset_fingerprint(&self.members)
+        self.members_fp
     }
 
     /// The digest (version vector + membership fingerprint) for the first
     /// leg of an anti-entropy exchange.
     pub fn digest(&self) -> Digest {
-        let mut vv: Vec<(u64, u64)> = self.vv.iter().map(|(r, s)| (*r, *s)).collect();
-        vv.sort_unstable();
-        Digest { vv, members_fp: self.members_fingerprint() }
+        Digest { vv: self.vv.clone(), members_fp: self.members_fp }
     }
 
     /// Whether this journal holds anything `theirs` is missing.
     pub fn is_ahead_of(&self, theirs: &Digest) -> bool {
         self.holders.values().any(|e| e.origin.1 > theirs.seen(e.origin.0))
-            || self.members_fingerprint() != theirs.members_fp
+            || self.members_fp != theirs.members_fp
     }
 
     /// The entries `theirs` is missing, as a delta ready to ship.
@@ -306,11 +303,8 @@ impl Journal {
             .map(|(obj, e)| (*obj, e.fact.clone(), e.origin))
             .collect();
         entries.sort_unstable_by_key(|(obj, _, _)| *obj);
-        let members =
-            (self.members_fingerprint() != theirs.members_fp).then(|| self.members.clone());
-        let mut vv: Vec<(u64, u64)> = self.vv.iter().map(|(r, s)| (*r, *s)).collect();
-        vv.sort_unstable();
-        Delta { vv, entries, members, want_reply }
+        let members = (self.members_fp != theirs.members_fp).then(|| Arc::clone(&self.members));
+        Delta { vv: self.vv.clone(), entries, members, want_reply }
     }
 
     /// Drop nil-holder tombstones whose LWW write time is older than
@@ -349,12 +343,15 @@ impl Journal {
             }
         }
         if let Some(members) = &delta.members {
-            self.members.merge(members);
+            // `join` only reads until it finds something new and says
+            // whether it did: a redundant set costs three walks, no re-hash.
+            if !Arc::ptr_eq(&self.members, members)
+                && Arc::make_mut(&mut self.members).join(members)
+            {
+                self.members_fp = orset_fingerprint(&self.members);
+            }
         }
-        for (replica, seq) in &delta.vv {
-            let seen = self.vv.entry(*replica).or_insert(0);
-            *seen = (*seen).max(*seq);
-        }
+        max_into(&mut self.vv, &delta.vv);
         applied
     }
 
@@ -371,12 +368,10 @@ impl Journal {
             w.put_u128(k);
             e.fact.encode(&mut w);
         }
-        let mut elems: Vec<u128> = self.members.elements().into_iter().copied().collect();
-        elems.sort_unstable();
-        for m in elems {
-            w.put_u128(m);
+        for m in self.members.iter() {
+            w.put_u128(*m);
         }
-        fnv1a(&w.into_vec())
+        fnv1a(FNV_OFFSET, w.as_slice())
     }
 }
 
@@ -387,19 +382,16 @@ impl std::ops::Index<&u128> for Journal {
     }
 }
 
-/// Canonical fingerprint of an OR-set of inboxes (sorted elements).
+/// Canonical fingerprint of an OR-set of inboxes: FNV-1a over the live
+/// elements' little-endian bytes, in element order.
 pub fn orset_fingerprint(set: &OrSet<u128>) -> u64 {
-    let mut elems: Vec<u128> = set.elements().into_iter().copied().collect();
-    elems.sort_unstable();
-    let mut w = WireWriter::new();
-    for e in elems {
-        w.put_u128(e);
-    }
-    fnv1a(&w.into_vec())
+    set.iter().fold(FNV_OFFSET, |h, e| fnv1a(h, &e.to_le_bytes()))
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue the FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -485,6 +477,37 @@ mod tests {
         let delta = j.delta_since(&Digest::default(), true);
         let bytes = rdv_wire::encode_to_vec(&delta);
         assert_eq!(rdv_wire::decode_from_slice::<Delta>(&bytes).unwrap(), delta);
+    }
+
+    #[test]
+    fn truncated_max_count_frames_fail_typed_without_reserving() {
+        use rdv_wire::WireError;
+        // 2^24 - 1 as a varint: the largest count the old guard let through
+        // to `Vec::with_capacity`, here with nothing behind it.
+        let count = [0xff, 0xff, 0xff, 0x07];
+        // Rejected at the count itself (the error sizes the whole claim),
+        // not after reserving and failing on the first missing entry.
+        let eof = |r: WireResult<()>| match r {
+            Err(WireError::UnexpectedEof { needed, available: 0 }) => needed >= 1 << 24,
+            _ => false,
+        };
+        assert!(eof(rdv_wire::decode_from_slice::<Digest>(&count).map(drop)));
+        assert!(eof(rdv_wire::decode_from_slice::<Delta>(&count).map(drop)));
+        // The same count in each later position: entries, then the
+        // membership set's three tables.
+        let mut frame = vec![0x00];
+        frame.extend(count);
+        assert!(eof(rdv_wire::decode_from_slice::<Delta>(&frame).map(drop)));
+        for tables_before in 0..3 {
+            let mut frame = vec![0x00, 0x00, 0x01];
+            frame.extend(std::iter::repeat_n(0x00, tables_before));
+            frame.extend(count);
+            assert!(eof(rdv_wire::decode_from_slice::<Delta>(&frame).map(drop)));
+        }
+        // A count the bytes do cover still decodes.
+        let honest = [0x01, 0x05, 0x09, 0, 0, 0, 0, 0, 0, 0, 0];
+        let d = rdv_wire::decode_from_slice::<Digest>(&honest).unwrap();
+        assert_eq!(d.vv, [(5, 9)]);
     }
 
     #[test]

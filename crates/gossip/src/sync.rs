@@ -225,7 +225,7 @@ impl GossipSync {
                 let Ok(delta) = rdv_wire::decode_from_slice::<Delta>(data) else {
                     return Vec::new();
                 };
-                let their_members_fp = delta.members.as_ref().map(orset_fingerprint);
+                let their_members_fp = delta.members.as_deref().map(orset_fingerprint);
                 let applied = self.journal.apply(&delta);
                 counters.add_id(ctr().entries_applied, applied as u64);
                 if let Some(path) = self.peers.iter_mut().find(|p| p.peer == msg.header.src) {
@@ -239,7 +239,7 @@ impl GossipSync {
                 // set they shipped (their full state); if they shipped
                 // none, the fingerprints matched at digest time.
                 let theirs = Digest {
-                    vv: delta.vv.clone(),
+                    vv: delta.vv,
                     members_fp: their_members_fp
                         .unwrap_or_else(|| self.journal.members_fingerprint()),
                 };

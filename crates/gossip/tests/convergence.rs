@@ -7,32 +7,108 @@
 //! the network stripped away so a violation names the algebra directly.
 
 use proptest::prelude::*;
+use rdv_crdt::OrSet;
+use rdv_gossip::journal::orset_fingerprint;
 use rdv_gossip::{Digest, Journal};
 use rdv_objspace::ObjId;
 
 /// One raw op draw: `(kind, obj, holder, at)`. Kinds 0–3 record, 4
-/// retires, 5 joins — records dominate, mirroring real churn. The value
+/// retires, 5 joins, 6 leaves — records dominate, mirroring real churn. The value
 /// spaces are small so replicas collide on objects (forcing real LWW
 /// conflicts, not disjoint merges).
 type RawOp = (u8, u8, u8, u16);
 
 /// Op tapes for `n` replicas: each tape is applied to its own journal.
 fn tapes(n: usize) -> impl Strategy<Value = Vec<Vec<RawOp>>> {
-    collection::vec(collection::vec((0u8..6, 0u8..6, 0u8..5, 0u16..1000), 1..12), n)
+    collection::vec(collection::vec((0u8..7, 0u8..6, 0u8..5, 0u16..1000), 1..12), n)
+}
+
+fn step(j: &mut Journal, (kind, obj, holder, at): RawOp) {
+    match kind {
+        // Inboxes offset past the object space so a holder is never
+        // confused with an object id.
+        0..=3 => j.record_holder(ObjId(obj as u128), ObjId(0x100 + holder as u128), at as u64),
+        4 => j.retire_holder(ObjId(obj as u128), at as u64),
+        5 => j.join_member(ObjId(0x100 + holder as u128)),
+        _ => j.leave_member(ObjId(0x100 + holder as u128)),
+    }
 }
 
 fn build(replica: u64, tape: &[RawOp]) -> Journal {
     let mut j = Journal::new(replica);
-    for &(kind, obj, holder, at) in tape {
-        match kind {
-            // Inboxes offset past the object space so a holder is never
-            // confused with an object id.
-            0..=3 => j.record_holder(ObjId(obj as u128), ObjId(0x100 + holder as u128), at as u64),
-            4 => j.retire_holder(ObjId(obj as u128), at as u64),
-            _ => j.join_member(ObjId(0x100 + holder as u128)),
-        }
+    for &op in tape {
+        step(&mut j, op);
     }
     j
+}
+
+/// The fingerprint the journal keeps against one hashed from scratch over
+/// the membership set it would ship right now.
+fn kept_and_fresh_fingerprint(j: &Journal) -> (u64, u64) {
+    let kept = j.members_fingerprint();
+    let disagree = Digest { vv: Vec::new(), members_fp: !kept };
+    let shipped = j.delta_since(&disagree, false).members.expect("a mismatch ships the set");
+    (kept, orset_fingerprint(&shipped))
+}
+
+/// A journal with two writers' facts, an overwritten fact, a tombstone, a
+/// member that left and a merge behind it; the golden bytes below were
+/// captured from it on the commit before the journal went flat.
+fn fixed_journal() -> Journal {
+    let mut a = Journal::new(7);
+    a.join_member(ObjId(0x107));
+    a.record_holder(ObjId(1), ObjId(0x107), 100);
+    a.record_holder(ObjId(2), ObjId(0x107), 150);
+    let mut b = Journal::new(3);
+    b.join_member(ObjId(0x103));
+    b.join_member(ObjId(0x1FF));
+    b.leave_member(ObjId(0x1FF));
+    b.record_holder(ObjId(2), ObjId(0x103), 200);
+    b.retire_holder(ObjId(9), 250);
+    a.apply(&b.delta_since(&a.digest(), false));
+    a.record_holder(ObjId(5), ObjId(0x107), 300);
+    a
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn fingerprints_are_pinned() {
+    let mut three: OrSet<u128> = OrSet::new();
+    three.add(1, 0x100);
+    three.add(2, 0x101);
+    three.add(3, 0x102);
+    assert_eq!(orset_fingerprint(&three), 0x335c_bd15_ea28_576d);
+    assert_eq!(orset_fingerprint(&OrSet::new()), 0xcbf2_9ce4_8422_2325, "FNV-1a offset basis");
+    let j = fixed_journal();
+    assert_eq!(j.members_fingerprint(), 0x72e9_c6af_4a73_3ea1);
+    assert_eq!(j.fingerprint(), 0x5b94_50ba_8467_d07e);
+}
+
+#[test]
+fn digest_and_delta_bytes_are_pinned() {
+    let j = fixed_journal();
+    assert_eq!(hex(&rdv_wire::encode_to_vec(&j.digest())), "0203020703a13e734aafc6e972");
+    // Everything, to a peer that knows nothing.
+    assert_eq!(
+        hex(&rdv_wire::encode_to_vec(&j.delta_since(&Digest::default(), true))),
+        "0203020703040100000000000000000000000000000007010000000000000000000000000000\
+         0064070701020000000000000000000000000000000301000000000000000000000000000000\
+         c801030301050000000000000000000000000000000701000000000000000000000000000000\
+         ac02070703090000000000000000000000000000000000000000000000000000000000000000\
+         fa01030302010203010000000000000000000000000000010300070100000000000000000000\
+         0000000001070001ff010000000000000000000000000000010301020302070101"
+    );
+    // Two facts, to a peer that is two origins behind and agrees on members.
+    let behind = Digest { vv: vec![(3, 1), (7, 2)], members_fp: j.members_fingerprint() };
+    assert_eq!(
+        hex(&rdv_wire::encode_to_vec(&j.delta_since(&behind, false))),
+        "0203020703020500000000000000000000000000000007010000000000000000000000000000\
+         00ac020707030900000000000000000000000000000000000000000000000000000000000000\
+         00fa010303020000"
+    );
 }
 
 /// Ship everything `from` knows that `to`'s digest lacks.
@@ -156,6 +232,36 @@ proptest! {
                 prop_assert!(!a.is_ahead_of(&b.digest()));
                 let d = a.delta_since(&b.digest(), false);
                 prop_assert!(d.entries.is_empty() && d.members.is_none());
+            }
+        }
+    }
+
+    /// Cache coherence: the membership fingerprint a journal keeps equals
+    /// one hashed from scratch after every local write and every merge —
+    /// merges that teach it something, merges that teach it nothing, and a
+    /// merge of its own state.
+    #[test]
+    fn kept_members_fingerprint_is_never_stale(tapes in tapes(3)) {
+        let mut nodes: Vec<Journal> = (1..=3).map(Journal::new).collect();
+        let fresh = |j: &Journal| {
+            let (kept, hashed) = kept_and_fresh_fingerprint(j);
+            prop_assert_eq!(kept, hashed, "kept fingerprint went stale");
+            Ok(())
+        };
+        for at in 0..tapes.iter().map(Vec::len).max().unwrap_or(0) {
+            for i in 0..nodes.len() {
+                if let Some(&op) = tapes[i].get(at) {
+                    step(&mut nodes[i], op);
+                    fresh(&nodes[i])?;
+                }
+                let everything = full(&nodes[i]);
+                let to = (i + 1) % nodes.len();
+                for _ in 0..2 {
+                    nodes[to].apply(&everything);
+                    fresh(&nodes[to])?;
+                }
+                nodes[i].apply(&everything);
+                fresh(&nodes[i])?;
             }
         }
     }

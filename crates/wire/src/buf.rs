@@ -209,6 +209,20 @@ impl<'a> WireReader<'a> {
         }
         self.take(len as usize)
     }
+
+    /// Read a varint element count for a collection whose elements each
+    /// take at least `min_entry_bytes` on the wire. A count the remaining
+    /// bytes cannot hold is rejected here, before anything is reserved for
+    /// it, so a hostile prefix never sizes an allocation.
+    pub fn get_count(&mut self, min_entry_bytes: usize) -> WireResult<usize> {
+        let n = self.get_uvarint()?;
+        let available = self.remaining();
+        if n > (available / min_entry_bytes.max(1)) as u64 {
+            let needed = usize::try_from(n).unwrap_or(usize::MAX).saturating_mul(min_entry_bytes);
+            return Err(WireError::UnexpectedEof { needed, available });
+        }
+        Ok(n as usize)
+    }
 }
 
 #[cfg(test)]
@@ -247,6 +261,27 @@ mod tests {
         assert!(matches!(
             r.get_len_prefixed(4),
             Err(WireError::LengthOverflow { len: 11, max: 4 })
+        ));
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_behind_it() {
+        let mut w = WireWriter::new();
+        w.put_uvarint(3);
+        w.put_bytes(&[0; 6]);
+        let buf = w.into_vec();
+        assert_eq!(WireReader::new(&buf).get_count(2).unwrap(), 3);
+        assert!(matches!(
+            WireReader::new(&buf).get_count(3),
+            Err(WireError::UnexpectedEof { needed: 9, available: 6 })
+        ));
+        // A maximal count over an empty tail must not overflow the report.
+        let mut w = WireWriter::new();
+        w.put_uvarint(u64::MAX);
+        let buf = w.into_vec();
+        assert!(matches!(
+            WireReader::new(&buf).get_count(16),
+            Err(WireError::UnexpectedEof { needed: usize::MAX, available: 0 })
         ));
     }
 
