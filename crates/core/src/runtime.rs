@@ -226,12 +226,8 @@ impl Default for GasHostConfig {
 }
 
 #[derive(Debug)]
-#[allow(dead_code)] // retained for debugging and future retry logic
 struct FetchState {
     target: ObjId,
-    demand: bool,
-    issued: SimTime,
-    script: Option<usize>,
     /// The `core.fetch` span-begin, when tracing was enabled.
     span: Option<EventId>,
 }
@@ -404,7 +400,7 @@ impl GasHostNode {
         self.next_req += 1;
         self.inflight.insert(target);
         let span = ctx.trace.span_begin("core.fetch", target.lo());
-        self.fetches.insert(req, FetchState { target, demand, issued: ctx.now, script, span });
+        self.fetches.insert(req, FetchState { target, span });
         if demand {
             self.counters.inc_id(ctr().fetch_demand);
             if let Some(s) = script {

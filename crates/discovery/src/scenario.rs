@@ -140,8 +140,6 @@ struct Testbed {
     sim: Sim,
     driver: NodeId,
     responders: [NodeId; 2],
-    #[allow(dead_code)] // future scenarios address hosts directly
-    inboxes: [ObjId; 3],
 }
 
 /// Well-known inbox IDs for the testbed hosts (reserved low range, like
@@ -226,7 +224,7 @@ fn build_testbed(cfg: &ScenarioConfig, hosts: [HostNode; 3]) -> Testbed {
         }
     }
 
-    Testbed { sim, driver: d, responders: [r1, r2], inboxes: [H0_INBOX, H1_INBOX, H2_INBOX] }
+    Testbed { sim, driver: d, responders: [r1, r2] }
 }
 
 /// Run one scenario point. Deterministic in `cfg.seed`.
@@ -408,7 +406,6 @@ pub fn run_discovery(cfg: &ScenarioConfig) -> DiscoveryOutcome {
         trace,
         metrics,
     }
-    // `tb.inboxes` kept for future scenarios.
 }
 
 #[cfg(test)]

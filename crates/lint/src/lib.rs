@@ -27,13 +27,13 @@
 //! - **D4 `wire-parity`** — every variant of the wire-message enums must be
 //!   handled by both the encode and decode functions.
 //! - **D5 `shard-interference`** — outside the engine's own barrier
-//!   internals (`engine.rs`, `queue.rs`, `audit.rs`), sim code may not name
+//!   internals (`engine/*.rs`, `queue.rs`, `audit.rs`), sim code may not name
 //!   the event-ordering types (`CalendarQueue`, `EventKey`) or reach into
 //!   shard/coordinator state; cross-shard effects flow through the outbox
 //!   API at the window barrier, nothing else.
 //! - **D6 `rng-stream`** — randomness flows through the per-node `NodeCtx`
 //!   stream the engine seeds; `from_entropy`, RNG cloning, and stream
-//!   construction outside `engine.rs` are flagged (pre-sim generator streams
+//!   construction outside `engine/` are flagged (pre-sim generator streams
 //!   carry an `allow(rng-stream)` with the salt-split justification).
 //! - **D7 `handler-parity`** — every node dispatch must handle or explicitly
 //!   ignore every variant of the wire enums it demuxes; wildcard arms that

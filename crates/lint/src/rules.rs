@@ -23,12 +23,18 @@ pub const ALLOW_CATEGORIES: &[&str] = &[
 ];
 
 /// Files that *are* the sharded engine's barrier internals: the window
-/// coordinator, the calendar queue, and the shard-audit instrumentation.
-/// D5 exempts them (they implement the protocol the rule protects) and the
-/// D6 stream-construction check exempts them too (`engine.rs` is the one
-/// sanctioned node-stream seeding site).
-const ENGINE_INTERNAL_FILES: &[&str] =
-    &["crates/netsim/src/engine.rs", "crates/netsim/src/queue.rs", "crates/netsim/src/audit.rs"];
+/// coordinator (`engine/mod.rs`), per-shard execution (`engine/shard.rs`),
+/// their unit tests, the calendar queue, and the shard-audit
+/// instrumentation. D5 exempts them (they implement the protocol the rule
+/// protects) and the D6 stream-construction check exempts them too
+/// (`engine/mod.rs` is the one sanctioned node-stream seeding site).
+const ENGINE_INTERNAL_FILES: &[&str] = &[
+    "crates/netsim/src/engine/mod.rs",
+    "crates/netsim/src/engine/shard.rs",
+    "crates/netsim/src/engine/tests.rs",
+    "crates/netsim/src/queue.rs",
+    "crates/netsim/src/audit.rs",
+];
 
 /// Engine-internal types that node/scenario code must never name: holding a
 /// `CalendarQueue` or forging an `EventKey` outside the engine bypasses the
@@ -355,7 +361,7 @@ pub fn lint_source(file: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
                 "rng-stream",
                 "constructing an RNG stream outside the engine risks sharing it across \
                  nodes or shards; node randomness comes from the per-node `NodeCtx` \
-                 stream (seeded once in engine.rs). Pre-sim generator streams need \
+                 stream (seeded once in engine/mod.rs). Pre-sim generator streams need \
                  `// rdv-lint: allow(rng-stream) -- <why>`"
                     .to_string(),
             );

@@ -1,21 +1,23 @@
 //! Crash flight recorder: ring namespaces, counter names, and the
 //! postmortem rendering helpers.
 //!
-//! The storage half lives in `rdv-trace` ([`FlightRing`]): a bounded,
-//! always-recording, zero-alloc-steady-state event ring whose ids carry a
-//! namespace in their high bits. This module owns the engine-facing half:
-//! which namespace each ring gets (one per shard, plus a coordinator ring
-//! for fault events and external schedules), and how a dump is rendered
-//! when a run dies — the causal ancestry of the failing event walked
-//! *across* rings, resolved purely by id namespace.
+//! The storage half lives in `rdv-trace` ([`EventRing`]): a bounded,
+//! zero-alloc-steady-state event ring whose ids carry a namespace in their
+//! high bits — the same type the tracer records into at namespace 0. This
+//! module owns the engine-facing half: which namespace each flight ring
+//! gets (one per shard, plus a coordinator ring for fault events and
+//! external schedules), and how a dump is rendered when a run dies — the
+//! causal ancestry of the failing event walked *across* rings (the
+//! tracer's included, when it was the one recording), resolved purely by
+//! id namespace.
 //!
 //! Everything rendered here is integer-formatted from sim state, so a dump
 //! for a given seed and shard count is byte-deterministic.
 
 use std::fmt::Write as _;
 
-use rdv_trace::flight::{SEQ_BITS, SEQ_MASK};
-use rdv_trace::{EventId, EventKind, FlightRing, TraceEvent, ENGINE_NODE};
+use rdv_trace::ring::{SEQ_BITS, SEQ_MASK};
+use rdv_trace::{EventId, EventKind, EventRing, TraceEvent, ENGINE_NODE};
 
 /// Counter names the flight recorder owns. `flight.dumps` counts rendered
 /// postmortems; `flight.events` sums the events the rings had captured at
@@ -33,13 +35,13 @@ pub(crate) fn shard_base(idx: usize) -> u64 {
     ((idx as u64) + 1) << SEQ_BITS
 }
 
-/// Human label of the ring that minted `id`: `s<n>` or `coord`.
+/// Human label of the ring that minted `id`: `s<n>`, `coord`, or `trace`
+/// (namespace 0, the tracer's ring).
 pub(crate) fn ring_label(id: EventId) -> String {
-    let ns = id.0 >> SEQ_BITS;
-    if ns == COORD_BASE >> SEQ_BITS {
-        "coord".to_string()
-    } else {
-        format!("s{}", ns.saturating_sub(1))
+    match id.0 >> SEQ_BITS {
+        0 => "trace".to_string(),
+        ns if ns == COORD_BASE >> SEQ_BITS => "coord".to_string(),
+        ns => format!("s{}", ns - 1),
     }
 }
 
@@ -48,9 +50,9 @@ pub(crate) fn seq_of(id: EventId) -> u64 {
     id.0 & SEQ_MASK
 }
 
-/// Resolve `id` against whichever ring owns its namespace.
-pub(crate) fn resolve<'a>(rings: &[&'a FlightRing], id: EventId) -> Option<&'a TraceEvent> {
-    rings.iter().find(|r| r.owns(id)).and_then(|r| r.get(id))
+/// How much a ring has seen and still holds, as a postmortem prints it.
+pub(crate) fn ring_state(ring: &EventRing) -> String {
+    format!("recorded={} retained={}", ring.count(), ring.count() - ring.first_retained())
 }
 
 /// One-line rendering of a flight event: ring-qualified id, sim time,
@@ -100,11 +102,12 @@ const MAX_ANCESTRY: usize = 64;
 /// Append the causal ancestry of `anchor` (most recent first) to `out`,
 /// resolving each hop against whichever ring minted it. The walk stops at
 /// a root, the eviction horizon, or the depth bound.
-pub(crate) fn render_ancestry(rings: &[&FlightRing], anchor: EventId, out: &mut String) {
+pub(crate) fn render_ancestry(rings: &[&EventRing], anchor: EventId, out: &mut String) {
     let mut cur = Some(anchor);
     for _ in 0..MAX_ANCESTRY {
         let Some(id) = cur else { return };
-        match resolve(rings, id) {
+        // `get` answers only for ids its own ring minted.
+        match rings.iter().find_map(|r| r.get(id)) {
             Some(ev) => {
                 out.push_str("  ");
                 out.push_str(&fmt_event(id, ev));
@@ -138,13 +141,14 @@ mod tests {
         assert_eq!(ring_label(EventId(shard_base(0) | 7)), "s0");
         assert_eq!(ring_label(EventId(shard_base(3) | 1)), "s3");
         assert_eq!(ring_label(EventId(COORD_BASE | 2)), "coord");
+        assert_eq!(ring_label(EventId(5)), "trace");
         assert_eq!(seq_of(EventId(shard_base(2) | 99)), 99);
     }
 
     #[test]
     fn ancestry_walks_across_ring_namespaces() {
-        let mut a = FlightRing::new(shard_base(0), 8);
-        let mut b = FlightRing::new(shard_base(1), 8);
+        let mut a = EventRing::new(shard_base(0), 8);
+        let mut b = EventRing::new(shard_base(1), 8);
         let root = a.record(0, 0, EventKind::PacketEnqueue { port: 0, bytes: 64 }, None, None);
         let tx = a.record(5, 0, EventKind::PacketTransmit, Some(root), None);
         let dlv = b.record(10, 1, EventKind::PacketDeliver { port: 0 }, Some(tx), None);
@@ -159,7 +163,7 @@ mod tests {
 
     #[test]
     fn evicted_ancestors_degrade_gracefully() {
-        let mut r = FlightRing::new(shard_base(0), 2);
+        let mut r = EventRing::new(shard_base(0), 2);
         let a = r.record(0, 0, EventKind::PacketTransmit, None, None);
         let b = r.record(1, 0, EventKind::PacketTransmit, Some(a), None);
         let c = r.record(2, 0, EventKind::PacketTransmit, Some(b), None);

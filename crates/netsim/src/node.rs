@@ -107,18 +107,6 @@ pub struct NodeCtx<'a> {
 }
 
 impl<'a> NodeCtx<'a> {
-    pub(crate) fn new(
-        id: NodeId,
-        now: SimTime,
-        port_count: usize,
-        rng: &'a mut StdRng,
-        trace: TraceCtx<'a>,
-        sends: &'a mut Vec<(PortId, Packet, Option<EventId>)>,
-        timers: &'a mut Vec<(SimTime, u64, Option<EventId>)>,
-    ) -> Self {
-        NodeCtx { id, now, port_count, rng, trace, sends, timers }
-    }
-
     /// Transmit `packet` out of `port`.
     pub fn send(&mut self, port: PortId, packet: Packet) {
         debug_assert!(port.0 < self.port_count, "send on unattached port");
@@ -154,15 +142,15 @@ mod tests {
     fn ctx_buffers_actions() {
         let mut rng = StdRng::seed_from_u64(1); // rdv-lint: allow(rng-stream) -- test-local stream with a fixed seed; never crosses a node or shard boundary
         let (mut sends, mut timers) = (Vec::new(), Vec::new());
-        let mut ctx = NodeCtx::new(
-            NodeId(0),
-            SimTime::from_micros(5),
-            3,
-            &mut rng,
-            TraceCtx::inert(),
-            &mut sends,
-            &mut timers,
-        );
+        let mut ctx = NodeCtx {
+            id: NodeId(0),
+            now: SimTime::from_micros(5),
+            port_count: 3,
+            rng: &mut rng,
+            trace: TraceCtx::inert(),
+            sends: &mut sends,
+            timers: &mut timers,
+        };
         ctx.send(PortId(1), Packet::new(vec![1], 0));
         ctx.set_timer(SimTime::from_micros(10), 77);
         assert_eq!(sends.len(), 1);
@@ -173,15 +161,15 @@ mod tests {
     fn flood_skips_ingress() {
         let mut rng = StdRng::seed_from_u64(1); // rdv-lint: allow(rng-stream) -- test-local stream with a fixed seed; never crosses a node or shard boundary
         let (mut sends, mut timers) = (Vec::new(), Vec::new());
-        let mut ctx = NodeCtx::new(
-            NodeId(0),
-            SimTime::ZERO,
-            4,
-            &mut rng,
-            TraceCtx::inert(),
-            &mut sends,
-            &mut timers,
-        );
+        let mut ctx = NodeCtx {
+            id: NodeId(0),
+            now: SimTime::ZERO,
+            port_count: 4,
+            rng: &mut rng,
+            trace: TraceCtx::inert(),
+            sends: &mut sends,
+            timers: &mut timers,
+        };
         ctx.flood(&Packet::new(vec![9], 1), Some(PortId(2)));
         let ports: Vec<usize> = sends.iter().map(|(p, _, _)| p.0).collect();
         assert_eq!(ports, vec![0, 1, 3]);
@@ -191,15 +179,15 @@ mod tests {
     fn flood_all_when_no_ingress() {
         let mut rng = StdRng::seed_from_u64(1); // rdv-lint: allow(rng-stream) -- test-local stream with a fixed seed; never crosses a node or shard boundary
         let (mut sends, mut timers) = (Vec::new(), Vec::new());
-        let mut ctx = NodeCtx::new(
-            NodeId(0),
-            SimTime::ZERO,
-            2,
-            &mut rng,
-            TraceCtx::inert(),
-            &mut sends,
-            &mut timers,
-        );
+        let mut ctx = NodeCtx {
+            id: NodeId(0),
+            now: SimTime::ZERO,
+            port_count: 2,
+            rng: &mut rng,
+            trace: TraceCtx::inert(),
+            sends: &mut sends,
+            timers: &mut timers,
+        };
         ctx.flood(&Packet::new(vec![9], 1), None);
         assert_eq!(sends.len(), 2);
     }

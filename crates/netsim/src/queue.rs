@@ -12,7 +12,7 @@
 //! Every item carries an [`EventKey`] `(at, src, seq)`; pops are globally
 //! ordered by that key. The key is execution-order-independent — `src`
 //! identifies the event's source stream and `seq` is per-source — which is
-//! what lets the sharded engine (see `engine.rs`) produce identical pop
+//! what lets the sharded engine (see `engine/`) produce identical pop
 //! orders regardless of how events were interleaved when pushed.
 //!
 //! The module is public so `rdv-bench` can micro-benchmark it against the

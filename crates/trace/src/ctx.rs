@@ -7,35 +7,30 @@
 //! bookkeeping — and everything they record is automatically stitched into
 //! the causal graph via that dispatch cause.
 //!
-//! Two optional back-ends hang off the same handle:
+//! The handle records into whatever [`Recorder`] the engine built for the
+//! dispatch. Over a tracer in *selective mode* (see
+//! [`crate::Tracer::sampled`]) it tracks an **anchor** — initially the
+//! dispatch cause, advanced to the last event recorded through this
+//! handle — and only records while anchored or rooted by a winning
+//! [`TraceCtx::sample`] verdict. Engine actions snapshot
+//! [`TraceCtx::provenance`] per action, so packets and timers issued
+//! after a span chain to that span, not to the whole dispatch.
 //!
-//! - a [`Tracer`], possibly in *selective mode* (see [`Tracer::sampled`]).
-//!   In selective mode the handle tracks an **anchor** — initially the
-//!   dispatch cause, advanced to the last event recorded through this
-//!   handle — and only records while anchored or rooted by a winning
-//!   [`TraceCtx::sample`] verdict. Engine actions snapshot
-//!   [`TraceCtx::provenance`] per action, so packets and timers issued
-//!   after a span chain to that span, not to the whole dispatch.
-//! - a [`FlightRing`], the crash flight recorder. It only records when no
-//!   tracer is active (the two are mutually exclusive back-ends by
-//!   construction in the engine) and always keeps everything.
-//!
-//! In full-recording mode the anchor machinery is inert: `provenance()`
-//! returns the dispatch cause unconditionally, so full traces are
-//! byte-for-byte what they were before selective mode existed.
+//! Everywhere else (full tracing, the flight recorder) the anchor
+//! machinery is inert: `provenance()` returns the dispatch cause
+//! unconditionally, so full traces are byte-for-byte what they were before
+//! selective mode existed.
 
 use crate::event::{EventId, EventKind};
-use crate::flight::FlightRing;
-use crate::tracer::Tracer;
+use crate::tracer::Recorder;
 
 /// A borrowed recording handle scoped to one node callback.
 ///
-/// When tracing is disabled the engine passes `None` for the tracer and
-/// every method is a branch-and-return — zero allocation, zero recording.
+/// Over [`Recorder::Off`] every method is a branch-and-return — zero
+/// allocation, zero recording.
 #[derive(Debug)]
 pub struct TraceCtx<'a> {
-    tracer: Option<&'a mut Tracer>,
-    flight: Option<&'a mut FlightRing>,
+    rec: Recorder<'a>,
     now: u64,
     node: u32,
     cause: Option<EventId>,
@@ -51,51 +46,14 @@ pub struct TraceCtx<'a> {
 impl<'a> TraceCtx<'a> {
     /// Build a handle for one dispatch. `cause` is the event id of the
     /// delivery / timer-fire / fault being handled, if any.
-    pub fn new(
-        tracer: Option<&'a mut Tracer>,
-        now: u64,
-        node: u32,
-        cause: Option<EventId>,
-    ) -> TraceCtx<'a> {
-        TraceCtx { tracer, flight: None, now, node, cause, anchor: cause, root_ok: false }
-    }
-
-    /// Attach a flight-recorder ring. The ring records only when no
-    /// enabled tracer is attached.
-    pub fn with_flight(mut self, flight: Option<&'a mut FlightRing>) -> TraceCtx<'a> {
-        self.flight = flight;
-        self
+    pub fn new(rec: Recorder<'a>, now: u64, node: u32, cause: Option<EventId>) -> TraceCtx<'a> {
+        TraceCtx { rec, now, node, cause, anchor: cause, root_ok: false }
     }
 
     /// A permanently inert handle — for tests that build node contexts by
     /// hand.
     pub fn inert() -> TraceCtx<'static> {
-        TraceCtx {
-            tracer: None,
-            flight: None,
-            now: 0,
-            node: 0,
-            cause: None,
-            anchor: None,
-            root_ok: false,
-        }
-    }
-
-    /// Whether anything recorded here is actually kept (by the tracer or
-    /// the flight recorder).
-    pub fn is_enabled(&self) -> bool {
-        self.tracer.as_ref().is_some_and(|t| t.is_enabled()) || self.flight.is_some()
-    }
-
-    /// The event this dispatch is handling (the causal parent of anything
-    /// recorded through this handle).
-    pub fn cause(&self) -> Option<EventId> {
-        self.cause
-    }
-
-    /// Whether the active tracer is in selective (sampled) mode.
-    pub fn is_selective(&self) -> bool {
-        self.tracer.as_ref().is_some_and(|t| t.is_selective())
+        TraceCtx::new(Recorder::Off, 0, 0, None)
     }
 
     /// The causal edge an engine action issued *now* should carry: the
@@ -103,7 +61,7 @@ impl<'a> TraceCtx<'a> {
     /// The engine snapshots this per buffered action (send / flood /
     /// timer-set) so actions issued after a span chain to the span.
     pub fn provenance(&self) -> Option<EventId> {
-        if self.is_selective() {
+        if self.rec.is_selective() {
             self.anchor
         } else {
             self.cause
@@ -116,16 +74,9 @@ impl<'a> TraceCtx<'a> {
     /// back-end the verdict is `false` (recording is a no-op anyway); the
     /// flight recorder keeps everything it sees (`true`).
     pub fn sample(&mut self, class: &'static str, origin: u64) -> bool {
-        if let Some(t) = self.tracer.as_mut() {
-            if t.is_enabled() {
-                let keep = t.sample(class, origin).unwrap_or(true);
-                if keep {
-                    self.root_ok = true;
-                }
-                return keep;
-            }
-        }
-        self.flight.is_some()
+        let keep = self.rec.sample(class, origin);
+        self.root_ok |= keep;
+        keep
     }
 
     /// Detach from the current chain: subsequent records and actions no
@@ -138,25 +89,14 @@ impl<'a> TraceCtx<'a> {
     }
 
     fn record(&mut self, kind: EventKind, aux: Option<EventId>) -> Option<EventId> {
-        let (now, node) = (self.now, self.node);
-        if let Some(t) = self.tracer.as_mut() {
-            if t.is_enabled() {
-                if t.is_selective() {
-                    if self.anchor.is_none() && !self.root_ok {
-                        return None;
-                    }
-                    let cause = self.anchor;
-                    let id = t.record(now, node, kind, cause, aux);
-                    if id.is_some() {
-                        self.anchor = id;
-                    }
-                    return id;
-                }
-                return t.record(now, node, kind, self.cause, aux);
-            }
+        if !self.rec.is_selective() {
+            return self.rec.record(self.now, self.node, kind, self.cause, aux);
         }
-        let cause = self.cause;
-        self.flight.as_mut().map(|f| f.record(now, node, kind, cause, aux))
+        if self.anchor.is_none() && !self.root_ok {
+            return None;
+        }
+        self.anchor = self.rec.record(self.now, self.node, kind, self.anchor, aux);
+        self.anchor
     }
 
     /// Open a protocol span (e.g. `discovery.access`). Keep the returned
@@ -193,12 +133,13 @@ impl<'a> TraceCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::{EventRing, SEQ_BITS};
     use crate::sample::SampleSpec;
+    use crate::tracer::Tracer;
 
     #[test]
-    fn inert_ctx_is_disabled_and_records_nothing() {
+    fn inert_ctx_records_nothing() {
         let mut ctx = TraceCtx::inert();
-        assert!(!ctx.is_enabled());
         assert_eq!(ctx.span_begin("a.b", 1), None);
         assert_eq!(ctx.mark("a.b", 1), None);
         assert!(!ctx.sample("a.b", 1), "no back-end, nothing to root");
@@ -208,7 +149,7 @@ mod tests {
     fn spans_and_marks_inherit_the_dispatch_cause() {
         let mut t = Tracer::enabled(16);
         let dispatch = t.record(5, 1, EventKind::PacketDeliver { port: 0 }, None, None).unwrap();
-        let mut ctx = TraceCtx::new(Some(&mut t), 5, 1, Some(dispatch));
+        let mut ctx = TraceCtx::new(Recorder::Trace(&mut t), 5, 1, Some(dispatch));
         assert!(ctx.sample("proto.op", 9), "full recording keeps everything");
         let begin = ctx.span_begin("proto.op", 42);
         let mark = ctx.mark("proto.step", 7);
@@ -229,7 +170,7 @@ mod tests {
         let mut t = Tracer::enabled(16);
         let orig =
             t.record(0, 0, EventKind::PacketEnqueue { port: 0, bytes: 32 }, None, None).unwrap();
-        let mut ctx = TraceCtx::new(Some(&mut t), 9, 0, None);
+        let mut ctx = TraceCtx::new(Recorder::Trace(&mut t), 9, 0, None);
         let m = ctx.mark_linked("transport.retransmit", 1, Some(orig)).unwrap();
         assert_eq!(t.get(m).unwrap().aux, Some(orig));
     }
@@ -238,7 +179,7 @@ mod tests {
     fn selective_mode_blocks_unrooted_records() {
         let mut t =
             Tracer::sampled(16, SampleSpec { seed: 1, default_permille: 0, classes: vec![] });
-        let mut ctx = TraceCtx::new(Some(&mut t), 0, 0, None);
+        let mut ctx = TraceCtx::new(Recorder::Trace(&mut t), 0, 0, None);
         assert!(!ctx.sample("proto.op", 5), "0‰ never keeps");
         assert_eq!(ctx.span_begin("proto.op", 5), None, "unrooted record is dropped");
         assert_eq!(ctx.provenance(), None);
@@ -248,7 +189,7 @@ mod tests {
     #[test]
     fn selective_mode_chains_through_the_anchor() {
         let mut t = Tracer::sampled(16, SampleSpec::keep_all(1));
-        let mut ctx = TraceCtx::new(Some(&mut t), 0, 3, None);
+        let mut ctx = TraceCtx::new(Recorder::Trace(&mut t), 0, 3, None);
         assert!(ctx.sample("proto.op", 5));
         let begin = ctx.span_begin("proto.op", 5);
         assert_eq!(ctx.provenance(), begin, "actions after the span chain to it");
@@ -264,17 +205,16 @@ mod tests {
     fn selective_anchor_starts_at_the_dispatch_cause() {
         let mut t = Tracer::sampled(16, SampleSpec::keep_all(1));
         let dispatch = t.record(0, 0, EventKind::PacketDeliver { port: 0 }, None, None).unwrap();
-        let mut ctx = TraceCtx::new(Some(&mut t), 1, 0, Some(dispatch));
+        let mut ctx = TraceCtx::new(Recorder::Trace(&mut t), 1, 0, Some(dispatch));
         assert_eq!(ctx.provenance(), Some(dispatch), "anchored by the dispatch event");
         let m = ctx.mark("proto.step", 0);
         assert_eq!(t.get(m.unwrap()).unwrap().cause, Some(dispatch));
     }
 
     #[test]
-    fn flight_ring_records_when_no_tracer_is_active() {
-        let mut ring = FlightRing::new(5 << crate::flight::SEQ_BITS, 8);
-        let mut ctx = TraceCtx::new(None, 7, 2, None).with_flight(Some(&mut ring));
-        assert!(ctx.is_enabled());
+    fn flight_ring_keeps_everything_under_its_own_namespace() {
+        let mut ring = EventRing::new(5 << SEQ_BITS, 8);
+        let mut ctx = TraceCtx::new(Recorder::Flight(&mut ring), 7, 2, None);
         assert!(ctx.sample("proto.op", 1), "flight keeps everything");
         let begin = ctx.span_begin("proto.op", 1).expect("flight records");
         assert!(ring.owns(begin));

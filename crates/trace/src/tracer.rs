@@ -1,28 +1,22 @@
-//! The recorder: a bounded ring buffer of [`TraceEvent`]s plus the
-//! ancestry-query API.
-//!
-//! Ids are absolute sequence numbers; the ring retains the most recent
-//! `capacity` events. Looking up an evicted id returns `None`, and an
-//! ancestry walk stops at the eviction horizon — old history degrades
-//! gracefully instead of corrupting causality.
-//!
-//! Determinism contract: recording order is the simulation's event-
-//! processing order and timestamps are sim time, so for a fixed seed the
-//! full event sequence — ids included — is identical across processes,
-//! machines, and worker counts.
+//! The causal tracer — the namespace-0 [`EventRing`] plus an optional
+//! [`Sampler`] — and [`Recorder`], the one handle the engine records
+//! through.
 
-use crate::event::{EventId, EventKind, TraceEvent};
+use std::ops::Deref;
+
+use crate::event::{EventId, EventKind};
+use crate::ring::EventRing;
 use crate::sample::{SampleSpec, Sampler};
 
 /// Default ring capacity used by integrations that enable tracing without
 /// an explicit size (2^20 events ≈ 48 MiB).
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
-/// A deterministic, sim-time-stamped event recorder.
+/// A deterministic, sim-time-stamped event recorder. Derefs to its
+/// [`EventRing`], which carries the lookup and ancestry-query API.
 ///
-/// A disabled tracer ([`Tracer::disabled`]) allocates nothing and turns
-/// every [`Tracer::record`] into a single branch, so the sim engine can
-/// thread one through unconditionally at zero cost.
+/// A disabled tracer ([`Tracer::disabled`]) allocates nothing and records
+/// nothing; the engine never builds a [`Recorder`] over one.
 ///
 /// A tracer built with [`Tracer::sampled`] carries a [`Sampler`] and is
 /// in *selective mode*: only operations rooted by a winning
@@ -34,26 +28,29 @@ pub const DEFAULT_CAPACITY: usize = 1 << 20;
 #[derive(Debug, Clone)]
 pub struct Tracer {
     enabled: bool,
-    cap: usize,
-    /// Id of the next event to be recorded; ids `next - buf.len() .. next`
-    /// are retained.
-    next: u64,
-    /// Circular storage: absolute id `i` lives at `i % cap` once full.
-    buf: Vec<TraceEvent>,
+    ring: EventRing,
     /// Present in selective mode only.
     sampler: Option<Sampler>,
+}
+
+impl Deref for Tracer {
+    type Target = EventRing;
+
+    fn deref(&self) -> &EventRing {
+        &self.ring
+    }
 }
 
 impl Tracer {
     /// A recorder that drops everything. This is the engine default.
     pub fn disabled() -> Tracer {
-        Tracer { enabled: false, cap: 0, next: 0, buf: Vec::new(), sampler: None }
+        Tracer { enabled: false, ring: EventRing::new(0, 1), sampler: None }
     }
 
     /// An enabled recorder retaining the most recent `capacity` events
     /// (minimum 1).
     pub fn enabled(capacity: usize) -> Tracer {
-        Tracer { enabled: true, cap: capacity.max(1), next: 0, buf: Vec::new(), sampler: None }
+        Tracer { enabled: true, ring: EventRing::new(0, capacity), sampler: None }
     }
 
     /// A selective recorder: keeps only op chains rooted by a winning
@@ -61,9 +58,7 @@ impl Tracer {
     pub fn sampled(capacity: usize, spec: SampleSpec) -> Tracer {
         Tracer {
             enabled: true,
-            cap: capacity.max(1),
-            next: 0,
-            buf: Vec::new(),
+            ring: EventRing::new(0, capacity),
             sampler: Some(Sampler::new(spec)),
         }
     }
@@ -75,16 +70,7 @@ impl Tracer {
 
     /// Whether this tracer records selectively (a sampler is installed).
     pub fn is_selective(&self) -> bool {
-        self.enabled && self.sampler.is_some()
-    }
-
-    /// Ask the sampler for a verdict on `(class, origin)`. `None` when
-    /// this tracer is not selective (full recording keeps everything).
-    pub fn sample(&mut self, class: &'static str, origin: u64) -> Option<bool> {
-        if !self.enabled {
-            return None;
-        }
-        self.sampler.as_mut().map(|s| s.decide(class, origin))
+        self.sampler.is_some()
     }
 
     /// The sampler's running tallies as `(sampled, skipped)`, if selective.
@@ -101,102 +87,97 @@ impl Tracer {
         cause: Option<EventId>,
         aux: Option<EventId>,
     ) -> Option<EventId> {
-        if !self.enabled {
+        self.enabled.then(|| self.ring.record(at, node, kind, cause, aux))
+    }
+}
+
+/// Where one dispatch's events go. The engine builds one per dispatch or
+/// coordinator action — deciding there, once, whether the tracer or a
+/// flight-recorder ring is live — and hands it to every recording site
+/// and to the [`crate::TraceCtx`] protocol code records through.
+#[derive(Debug)]
+pub enum Recorder<'a> {
+    /// Nothing is armed: every call is one branch.
+    Off,
+    /// An *enabled* tracer (full or selective).
+    Trace(&'a mut Tracer),
+    /// A flight-recorder ring: keeps everything it is shown.
+    Flight(&'a mut EventRing),
+}
+
+// `#[inline]` throughout: the engine calls these per event from another
+// crate, and only inlined does `Off` cost one branch at the call site
+// (without it `storm_100k` runs ~3 % slower).
+impl Recorder<'_> {
+    /// The same back-end under a shorter borrow.
+    #[inline]
+    pub fn reborrow(&mut self) -> Recorder<'_> {
+        match self {
+            Recorder::Off => Recorder::Off,
+            Recorder::Trace(t) => Recorder::Trace(t),
+            Recorder::Flight(f) => Recorder::Flight(f),
+        }
+    }
+
+    /// Whether the back-end is a tracer in selective (sampled) mode.
+    #[inline]
+    pub fn is_selective(&self) -> bool {
+        matches!(self, Recorder::Trace(t) if t.is_selective())
+    }
+
+    /// Whether the operation `(class, origin)` is kept: the sampler's
+    /// verdict in selective mode, `true` for full tracing and the flight
+    /// recorder (both keep everything), `false` when off.
+    #[inline]
+    pub fn sample(&mut self, class: &'static str, origin: u64) -> bool {
+        match self {
+            Recorder::Off => false,
+            Recorder::Trace(t) => t.sampler.as_mut().is_none_or(|s| s.decide(class, origin)),
+            Recorder::Flight(_) => true,
+        }
+    }
+
+    /// Record an event unconditionally (chain roots, faults, anything the
+    /// caller has already decided to keep).
+    #[inline]
+    pub fn record(
+        &mut self,
+        at: u64,
+        node: u32,
+        kind: EventKind,
+        cause: Option<EventId>,
+        aux: Option<EventId>,
+    ) -> Option<EventId> {
+        match self {
+            Recorder::Off => None,
+            Recorder::Trace(t) => t.record(at, node, kind, cause, aux),
+            Recorder::Flight(f) => Some(f.record(at, node, kind, cause, aux)),
+        }
+    }
+
+    /// Record an engine event that exists only as a link of some chain: in
+    /// selective mode a causeless one belongs to no sampled operation and
+    /// is dropped — that single branch is what keeps off-chain traffic
+    /// free.
+    #[inline]
+    pub fn record_caused(
+        &mut self,
+        at: u64,
+        node: u32,
+        kind: EventKind,
+        cause: Option<EventId>,
+        aux: Option<EventId>,
+    ) -> Option<EventId> {
+        if cause.is_none() && self.is_selective() {
             return None;
         }
-        let id = EventId(self.next);
-        self.next += 1;
-        let ev = TraceEvent { at, node, kind, cause, aux };
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            let idx = (id.0 % self.cap as u64) as usize;
-            self.buf[idx] = ev;
-        }
-        Some(id)
-    }
-
-    /// Total number of events ever recorded (ids run `0..count`).
-    pub fn count(&self) -> u64 {
-        self.next
-    }
-
-    /// The oldest id still retained by the ring.
-    pub fn first_retained(&self) -> u64 {
-        self.next - self.buf.len() as u64
-    }
-
-    /// Look up a retained event; `None` if it was evicted or never
-    /// recorded.
-    pub fn get(&self, id: EventId) -> Option<&TraceEvent> {
-        if id.0 >= self.next || id.0 < self.first_retained() {
-            return None;
-        }
-        Some(&self.buf[(id.0 % self.cap as u64) as usize])
-    }
-
-    /// Iterate retained events in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (EventId, &TraceEvent)> {
-        (self.first_retained()..self.next).map(move |i| {
-            let id = EventId(i);
-            (id, self.get(id).expect("retained id"))
-        })
-    }
-
-    /// Walk the primary-cause chain from `id` back to a root (or the
-    /// eviction horizon). The result starts with `id` itself and ends at
-    /// the oldest reachable ancestor.
-    pub fn ancestry(&self, id: EventId) -> Vec<EventId> {
-        let mut chain = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let Some(ev) = self.get(c) else { break };
-            chain.push(c);
-            cur = ev.cause;
-        }
-        chain
-    }
-
-    /// The ancestry of `id` as `(node, kind name)` pairs, oldest first —
-    /// the shape causal-chain tests assert against.
-    pub fn chain_names(&self, id: EventId) -> Vec<(u32, &'static str)> {
-        let mut chain: Vec<(u32, &'static str)> = self
-            .ancestry(id)
-            .into_iter()
-            .filter_map(|eid| self.get(eid).map(|ev| (ev.node, ev.kind.name())))
-            .collect();
-        chain.reverse();
-        chain
-    }
-
-    /// Retained events caused (primarily) by `id`, in id order. Linear
-    /// scan — a debugging/test aid, not a hot path.
-    pub fn children(&self, id: EventId) -> Vec<EventId> {
-        self.iter().filter(|(_, ev)| ev.cause == Some(id)).map(|(eid, _)| eid).collect()
-    }
-
-    /// Assert that the ancestry of `id`, oldest first and restricted to
-    /// `node`, matches `expected` kind names exactly. Panics with a
-    /// readable diff otherwise — for use in causal-chain tests.
-    pub fn assert_chain(&self, id: EventId, node: u32, expected: &[&str]) {
-        let got: Vec<&'static str> = self
-            .chain_names(id)
-            .into_iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, name)| name)
-            .collect();
-        assert_eq!(
-            got, expected,
-            "causal chain on node {node} diverges (oldest first; walked from #{})",
-            id.0
-        );
+        self.record(at, node, kind, cause, aux)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DropReason, ENGINE_NODE};
 
     fn mark(name: &'static str) -> EventKind {
         EventKind::Mark { name, detail: 0 }
@@ -208,97 +189,33 @@ mod tests {
         assert_eq!(t.record(1, 0, mark("a.b"), None, None), None);
         assert_eq!(t.count(), 0);
         assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn ids_are_dense_and_lookup_works() {
-        let mut t = Tracer::enabled(8);
-        let a = t.record(10, 0, mark("a.a"), None, None).unwrap();
-        let b = t.record(20, 1, mark("a.b"), Some(a), None).unwrap();
-        assert_eq!((a.0, b.0), (0, 1));
-        assert_eq!(t.get(b).unwrap().cause, Some(a));
-        assert_eq!(t.get(EventId(99)), None);
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_lookups_degrade() {
-        let mut t = Tracer::enabled(4);
-        let ids: Vec<EventId> =
-            (0..6).map(|i| t.record(i, 0, mark("a.a"), None, None).unwrap()).collect();
-        assert_eq!(t.count(), 6);
-        assert_eq!(t.first_retained(), 2);
-        assert_eq!(t.get(ids[0]), None, "evicted");
-        assert_eq!(t.get(ids[1]), None, "evicted");
-        assert_eq!(t.get(ids[2]).unwrap().at, 2);
-        assert_eq!(t.get(ids[5]).unwrap().at, 5);
-        assert_eq!(t.iter().count(), 4);
-    }
-
-    #[test]
-    fn ancestry_walks_to_root() {
-        let mut t = Tracer::enabled(16);
-        let root = t.record(0, 0, EventKind::TimerSet { tag: 1 }, None, None).unwrap();
-        let fire = t.record(5, 0, EventKind::TimerFire { tag: 1 }, Some(root), None).unwrap();
-        let enq = t
-            .record(5, 0, EventKind::PacketEnqueue { port: 0, bytes: 64 }, Some(fire), None)
-            .unwrap();
-        let tx = t.record(6, 0, EventKind::PacketTransmit, Some(enq), None).unwrap();
-        let dlv = t.record(11, 1, EventKind::PacketDeliver { port: 0 }, Some(tx), None).unwrap();
-        assert_eq!(t.ancestry(dlv), vec![dlv, tx, enq, fire, root]);
-        assert_eq!(
-            t.chain_names(dlv),
-            vec![
-                (0, "timer.set"),
-                (0, "timer.fire"),
-                (0, "packet.enqueue"),
-                (0, "packet.transmit"),
-                (1, "packet.deliver"),
-            ]
-        );
-        t.assert_chain(dlv, 0, &["timer.set", "timer.fire", "packet.enqueue", "packet.transmit"]);
-    }
-
-    #[test]
-    fn ancestry_stops_at_eviction_horizon() {
-        let mut t = Tracer::enabled(2);
-        let a = t.record(0, 0, mark("a.a"), None, None).unwrap();
-        let b = t.record(1, 0, mark("a.b"), Some(a), None).unwrap();
-        let c = t.record(2, 0, mark("a.c"), Some(b), None).unwrap();
-        // `a` has been evicted: the walk returns only the retained suffix.
-        assert_eq!(t.ancestry(c), vec![c, b]);
-    }
-
-    #[test]
-    fn children_finds_direct_successors() {
-        let mut t = Tracer::enabled(16);
-        let a = t.record(0, 0, mark("a.a"), None, None).unwrap();
-        let b = t.record(1, 0, mark("a.b"), Some(a), None).unwrap();
-        let c = t.record(2, 0, mark("a.c"), Some(a), None).unwrap();
-        let _d = t.record(3, 0, mark("a.d"), Some(b), None).unwrap();
-        assert_eq!(t.children(a), vec![b, c]);
+        assert_eq!(t.latest(), None);
     }
 
     #[test]
     fn sampled_tracer_reports_selective_and_tallies() {
-        use crate::sample::SampleSpec;
         let mut t = Tracer::sampled(8, SampleSpec::keep_all(7));
         assert!(t.is_enabled() && t.is_selective());
-        assert_eq!(t.sample("x.y", 1), Some(true), "keep_all keeps everything");
+        assert!(Recorder::Trace(&mut t).sample("x.y", 1), "keep_all keeps everything");
         assert_eq!(t.sample_tallies(), Some((1, 0)));
         let mut full = Tracer::enabled(8);
         assert!(!full.is_selective());
-        assert_eq!(full.sample("x.y", 1), None, "full recording has no verdicts");
-        assert_eq!(Tracer::disabled().sample_tallies(), None);
+        assert!(Recorder::Trace(&mut full).sample("x.y", 1), "full recording keeps everything");
+        assert_eq!(full.sample_tallies(), None, "and has no verdicts to tally");
     }
 
     #[test]
-    fn aux_edges_are_preserved() {
-        let mut t = Tracer::enabled(8);
-        let fault = t
-            .record(0, ENGINE_NODE, EventKind::Fault(crate::FaultKind::Crash), None, None)
-            .unwrap();
-        let drop =
-            t.record(5, 2, EventKind::PacketDrop(DropReason::Crash), None, Some(fault)).unwrap();
-        assert_eq!(t.get(drop).unwrap().aux, Some(fault));
+    fn recorder_drops_causeless_engine_events_only_in_selective_mode() {
+        let mut sel = Tracer::sampled(8, SampleSpec::keep_all(1));
+        let mut rec = Recorder::Trace(&mut sel);
+        assert_eq!(rec.record_caused(0, 0, mark("a.a"), None, None), None, "off every chain");
+        let root = rec.record(0, 0, mark("a.a"), None, None).expect("roots are the caller's call");
+        assert!(rec.record_caused(1, 0, mark("a.b"), Some(root), None).is_some());
+
+        let mut full = Tracer::enabled(8);
+        assert!(Recorder::Trace(&mut full).record_caused(0, 0, mark("a.a"), None, None).is_some());
+        let mut ring = EventRing::new(2 << crate::ring::SEQ_BITS, 8);
+        assert!(Recorder::Flight(&mut ring).record_caused(0, 0, mark("a.a"), None, None).is_some());
+        assert_eq!(Recorder::Off.record(0, 0, mark("a.a"), None, None), None);
     }
 }

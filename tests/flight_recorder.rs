@@ -66,12 +66,33 @@ fn build_fabric(seed: u64, shards: usize) -> (Sim, Vec<NodeId>, usize) {
 // Seeded invariant violation → postmortem with fabric ancestry
 // ---------------------------------------------------------------------------
 
+/// With a tracer armed beside the recorder, the tracer does the recording
+/// (one ring, namespace 0) and the flight rings stay empty — the
+/// postmortem must then walk the tracer's ring, labelled `trace#<seq>`,
+/// instead of printing `(no events recorded)`.
+fn ring_edge(traced: bool) -> &'static str {
+    if traced {
+        "cause=trace#"
+    } else {
+        "cause=s"
+    }
+}
+
 #[test]
 fn invariant_violation_dump_walks_the_fabric_ancestry() {
+    for traced in [false, true] {
+        invariant_violation_dump(traced);
+    }
+}
+
+fn invariant_violation_dump(traced: bool) {
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let (mut sim, _, _) = build_fabric(7, 2);
         sim.enable_metrics(MetricsConfig::default());
         sim.enable_flight_recorder(512);
+        if traced {
+            sim.enable_trace(1 << 16);
+        }
         // Let real access traffic flow first, so the rings hold fabric
         // history, then unbalance the packet account mid-run: the
         // invariant monitor must abort at its next audit tick.
@@ -89,7 +110,7 @@ fn invariant_violation_dump_walks_the_fabric_ancestry() {
     assert!(msg.contains("causal ancestry (most recent first):"), "{msg}");
     // The ancestry is fabric history: ring-qualified ids with causal
     // edges, not just the failing event alone.
-    assert!(msg.contains("cause=s"), "ancestry must carry ring-qualified edges: {msg}");
+    assert!(msg.contains(ring_edge(traced)), "ancestry must carry ring-qualified edges: {msg}");
     assert!(msg.contains("packet."), "ancestry must name packet lifecycle events: {msg}");
     assert!(msg.contains("gauge snapshot:"), "{msg}");
     assert!(msg.contains("engine.inflight_packets"), "snapshot carries the failing gauge: {msg}");
@@ -101,9 +122,18 @@ fn invariant_violation_dump_walks_the_fabric_ancestry() {
 
 #[test]
 fn shard_audit_violation_carries_a_postmortem() {
+    for traced in [false, true] {
+        shard_audit_violation_postmortem(traced);
+    }
+}
+
+fn shard_audit_violation_postmortem(traced: bool) {
     let (mut sim, _, _) = build_fabric(9, 2);
     sim.enable_shard_audit();
     sim.enable_flight_recorder(512);
+    if traced {
+        sim.enable_trace(1 << 16);
+    }
     sim.run_until(SimTime::from_micros(55));
     sim.debug_audit_bypass_outbox();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until_idle()))
@@ -112,12 +142,13 @@ fn shard_audit_violation_carries_a_postmortem() {
     let pm = v.postmortem.as_deref().expect("armed recorder must attach a postmortem");
     assert!(pm.starts_with("==== flight-recorder postmortem ===="), "{pm}");
     assert!(pm.contains("causal ancestry (most recent first):"), "{pm}");
+    assert!(pm.contains(ring_edge(traced)), "ancestry must walk recorded history: {pm}");
     assert!(pm.contains("shard state:"), "{pm}");
     // The violation's own rendering embeds the dump after the located
     // diagnostic, so a bare panic log is a complete crash report.
     let rendered = v.to_string();
     assert!(rendered.contains("shard-audit[outbox-bypass]"), "{rendered}");
-    assert!(rendered.contains("engine.rs:"), "{rendered}");
+    assert!(rendered.contains("engine/shard.rs:"), "{rendered}");
     assert!(rendered.contains("==== flight-recorder postmortem ===="), "{rendered}");
 }
 

@@ -119,21 +119,21 @@ fn outbox_bypass_is_caught_with_a_located_diagnostic() {
     assert_eq!(v.kind, ShardAuditKind::OutboxBypass);
     // The diagnostic points at the engine access site, stamped with the
     // sim time and the canonical key of the event being executed.
-    assert!(v.file.ends_with("engine.rs"), "file was {}", v.file);
+    assert!(v.file.ends_with("engine/shard.rs"), "file was {}", v.file);
     assert!(v.line > 0);
     assert!(v.at_ns >= SimTime::from_micros(55).as_nanos());
     assert!(v.event.is_some(), "a queue event was in flight");
     assert_ne!(v.shard, v.owner, "the push crossed an ownership boundary");
     let msg = v.to_string();
     assert!(msg.contains("shard-audit[outbox-bypass]"), "rendered: {msg}");
-    assert!(msg.contains("engine.rs:"), "rendered: {msg}");
+    assert!(msg.contains("engine/shard.rs:"), "rendered: {msg}");
 }
 
 #[test]
 fn lookahead_violation_is_caught_inside_the_window() {
     let v = run_seeded(2, SimTime::from_micros(55), |sim| sim.debug_audit_violate_lookahead());
     assert_eq!(v.kind, ShardAuditKind::LookaheadViolation);
-    assert!(v.file.ends_with("engine.rs"), "file was {}", v.file);
+    assert!(v.file.ends_with("engine/shard.rs"), "file was {}", v.file);
     // The lookahead bound only binds inside a parallel window, so the
     // violation must carry the window it was checked against — and the
     // offending due time must fall short of that window's end.
@@ -157,7 +157,7 @@ fn shared_rng_stream_is_caught_at_dispatch() {
         .expect_err("the shared stream must abort the run");
     let v = *err.downcast::<ShardAuditViolation>().expect("typed violation");
     assert_eq!(v.kind, ShardAuditKind::RngStreamShared);
-    assert!(v.file.ends_with("engine.rs"), "file was {}", v.file);
+    assert!(v.file.ends_with("engine/shard.rs"), "file was {}", v.file);
     let msg = v.to_string();
     assert!(msg.contains("shard-audit[rng-stream-shared]"), "rendered: {msg}");
     assert!(msg.contains(&format!("node {}", b.0)), "names the offender: {msg}");
