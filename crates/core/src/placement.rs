@@ -140,17 +140,31 @@ impl PlacementEngine {
         &self.hosts
     }
 
-    /// Estimate completion time if `host` executes `code` over `args`,
-    /// invoked from `invoker` with `result_bytes` coming back.
-    pub fn estimate(
+    /// Look up `(holder, size)` of every argument and then of the code
+    /// object — the part of an estimate that no candidate changes. `group`
+    /// of an entry is the index of the first entry with the same holder,
+    /// where that holder's transfer time is summed.
+    fn resolve(&self, code_obj: ObjId, args: &[ObjId]) -> CoreResult<Vec<Operand>> {
+        let mut ops: Vec<Operand> = Vec::with_capacity(args.len() + 1);
+        for &obj in args.iter().chain(std::iter::once(&code_obj)) {
+            let &(holder, size) =
+                self.objects.get(&obj).ok_or(CoreError::ObjectUnavailable(obj))?;
+            let group = ops.iter().position(|o| o.holder == holder).unwrap_or(ops.len());
+            ops.push(Operand { holder, size, is_code: obj == code_obj, group, transfer_ns: 0 });
+        }
+        Ok(ops)
+    }
+
+    /// One candidate's estimate over resolved operands (`transfer_ns` of
+    /// each is scratch, overwritten here).
+    fn estimate_resolved(
         &self,
         host: &HostProfile,
         invoker: ObjId,
         code: &CodeDesc,
-        code_obj: ObjId,
-        args: &[ObjId],
+        ops: &mut [Operand],
         result_bytes: u64,
-    ) -> CoreResult<PlacementEstimate> {
+    ) -> PlacementEstimate {
         let mut total = 0u64;
         let mut moved = 0u64;
         let mut touched = 0u64;
@@ -162,29 +176,47 @@ impl PlacementEngine {
         // same-source transfers — approximated here as the dominant source
         // sum, which is exact for the single-remote-source cases the
         // experiments exercise.
-        let mut per_source: DetMap<ObjId, u64> = DetMap::new();
-        for &obj in args.iter().chain(std::iter::once(&code_obj)) {
-            let &(holder, size) =
-                self.objects.get(&obj).ok_or(CoreError::ObjectUnavailable(obj))?;
-            if obj != code_obj {
+        for op in ops.iter_mut() {
+            op.transfer_ns = 0;
+        }
+        for i in 0..ops.len() {
+            let Operand { holder, size, is_code, group, .. } = ops[i];
+            if !is_code {
                 touched += size;
             }
             if holder != host.inbox {
                 moved += size;
-                let ns = self.link(holder, host.inbox).transfer_ns(size);
-                *per_source.entry(holder).or_insert(0) += ns;
+                ops[group].transfer_ns += self.link(holder, host.inbox).transfer_ns(size);
             }
         }
-        total += per_source.values().copied().max().unwrap_or(0);
+        total += ops.iter().map(|o| o.transfer_ns).max().unwrap_or(0);
         // Execution under load/speed.
         total += execution_ns(code, touched, host.load, host.speed);
         // Result back to the invoker.
         total += self.link(host.inbox, invoker).transfer_ns(result_bytes);
-        Ok(PlacementEstimate { host: host.inbox, total_ns: total, bytes_moved: moved })
+        PlacementEstimate { host: host.inbox, total_ns: total, bytes_moved: moved }
+    }
+
+    /// Estimate completion time if `host` executes `code` over `args`,
+    /// invoked from `invoker` with `result_bytes` coming back.
+    pub fn estimate(
+        &self,
+        host: &HostProfile,
+        invoker: ObjId,
+        code: &CodeDesc,
+        code_obj: ObjId,
+        args: &[ObjId],
+        result_bytes: u64,
+    ) -> CoreResult<PlacementEstimate> {
+        let mut ops = self.resolve(code_obj, args)?;
+        Ok(self.estimate_resolved(host, invoker, code, &mut ops, result_bytes))
     }
 
     /// Choose the host minimizing estimated completion time (ties broken by
-    /// lower inbox ID for determinism).
+    /// lower inbox ID for determinism). With no hosts registered there is
+    /// nothing to place on, whatever the objects; otherwise the first
+    /// unknown object (arguments in order, then the code object) is the
+    /// error.
     pub fn choose(
         &self,
         invoker: ObjId,
@@ -193,21 +225,34 @@ impl PlacementEngine {
         args: &[ObjId],
         result_bytes: u64,
     ) -> CoreResult<PlacementEstimate> {
-        let mut best: Option<PlacementEstimate> = None;
-        for host in &self.hosts {
-            let est = self.estimate(host, invoker, code, code_obj, args, result_bytes)?;
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    est.total_ns < b.total_ns || (est.total_ns == b.total_ns && est.host < b.host)
-                }
-            };
-            if better {
-                best = Some(est);
+        let mut hosts = self.hosts.iter();
+        let first = hosts.next().ok_or(CoreError::NoPlacement)?;
+        // Resolved once; every candidate is costed over the same operands.
+        let mut ops = self.resolve(code_obj, args)?;
+        let mut best = self.estimate_resolved(first, invoker, code, &mut ops, result_bytes);
+        for host in hosts {
+            let est = self.estimate_resolved(host, invoker, code, &mut ops, result_bytes);
+            if est.total_ns < best.total_ns
+                || (est.total_ns == best.total_ns && est.host < best.host)
+            {
+                best = est;
             }
         }
-        best.ok_or(CoreError::NoPlacement)
+        Ok(best)
     }
+}
+
+/// One argument (or the code object) of an invoke, as the engine knows it.
+#[derive(Debug, Clone, Copy)]
+struct Operand {
+    holder: ObjId,
+    size: u64,
+    is_code: bool,
+    /// Index of the first operand on the same holder.
+    group: usize,
+    /// Per-candidate scratch: at a group's first operand, the summed
+    /// transfer time from that holder.
+    transfer_ns: u64,
 }
 
 #[cfg(test)]
@@ -298,5 +343,116 @@ mod tests {
         let eng = PlacementEngine::new();
         let l = eng.link(ALICE, ALICE);
         assert_eq!(l.transfer_ns(1 << 30), 0);
+    }
+
+    #[test]
+    fn no_hosts_is_no_placement_even_for_unknown_objects() {
+        let mut eng = PlacementEngine::new();
+        eng.set_object(CODE, BOB, 256);
+        let code = CodeDesc { fn_id: 1, base_ns: 1, ps_per_byte: 1 };
+        assert_eq!(
+            eng.choose(ALICE, &code, CODE, &[ObjId(0xFFFF)], 0),
+            Err(CoreError::NoPlacement)
+        );
+    }
+
+    #[test]
+    fn first_unknown_object_in_args_then_code_order_is_the_error() {
+        let (eng, code) = paper_engine(1 << 20);
+        let (x, y, no_code) = (ObjId(0xF1), ObjId(0xF2), ObjId(0xF3));
+        assert_eq!(
+            eng.choose(ALICE, &code, no_code, &[MODEL, y, x], 0),
+            Err(CoreError::ObjectUnavailable(y))
+        );
+        assert_eq!(
+            eng.choose(ALICE, &code, no_code, &[MODEL, ACT], 0),
+            Err(CoreError::ObjectUnavailable(no_code))
+        );
+    }
+
+    /// The estimate spelled out the slow way: a fresh ordered map of
+    /// per-source transfer sums for this one candidate.
+    fn reference_estimate(
+        eng: &PlacementEngine,
+        host: &HostProfile,
+        invoker: ObjId,
+        code: &CodeDesc,
+        code_obj: ObjId,
+        args: &[ObjId],
+        result_bytes: u64,
+    ) -> PlacementEstimate {
+        let (mut moved, mut touched) = (0u64, 0u64);
+        let mut per_source = std::collections::BTreeMap::new();
+        for &obj in args.iter().chain(std::iter::once(&code_obj)) {
+            let (holder, size) = eng.objects[&obj];
+            if obj != code_obj {
+                touched += size;
+            }
+            if holder != host.inbox {
+                moved += size;
+                *per_source.entry(holder).or_insert(0u64) +=
+                    eng.link(holder, host.inbox).transfer_ns(size);
+            }
+        }
+        let total_ns = eng.link(invoker, host.inbox).latency_ns
+            + per_source.values().copied().max().unwrap_or(0)
+            + execution_ns(code, touched, host.load, host.speed)
+            + eng.link(host.inbox, invoker).transfer_ns(result_bytes);
+        PlacementEstimate { host: host.inbox, total_ns, bytes_moved: moved }
+    }
+
+    proptest::proptest! {
+        /// Random engines: 1–6 hosts of mixed speed and load, some pairs
+        /// with their own link, 2–6 objects homed anywhere, and argument
+        /// lists that repeat an object and put several arguments on one
+        /// remote holder. `estimate` must equal the per-candidate
+        /// reference, and `choose` the lowest-inbox argmin over `hosts()`.
+        #[test]
+        fn prop_choose_is_the_lowest_inbox_argmin_of_estimate(
+            hosts in proptest::collection::vec((1u64..5, 1u64..5), 1..7),
+            links in proptest::collection::vec((0usize..6, 0usize..6, 0u64..300_000, 0u64..4), 0..8),
+            homes in proptest::collection::vec((0usize..6, 0u64..5), 2..7),
+            picks in proptest::collection::vec(0usize..6, 0..6),
+            invoker in 0usize..6,
+            result_bytes in 0u64..100_000,
+        ) {
+            let inbox = |i: usize| ObjId(0xA0 + (i % hosts.len()) as u128);
+            let mut eng = PlacementEngine::new();
+            // Registered in descending inbox order, so a first-wins scan
+            // would break ties the wrong way.
+            for (i, &(speed, load)) in hosts.iter().enumerate().rev() {
+                eng.add_host(HostProfile {
+                    inbox: inbox(i),
+                    speed: speed as f64 / 2.0,
+                    load: load as f64,
+                });
+            }
+            for &(a, b, latency_ns, gbps) in &links {
+                let cost = LinkCost { latency_ns, bandwidth_bps: gbps * 1_000_000_000 };
+                eng.set_link(inbox(a), inbox(b), cost);
+            }
+            // Sizes from a handful of values: equal estimates are common.
+            for (i, &(holder, kib)) in homes.iter().enumerate() {
+                eng.set_object(ObjId(0x1_0000 + i as u128), inbox(holder), kib * 48 * 1024);
+            }
+            let obj = |i: usize| ObjId(0x1_0000 + (i % homes.len()) as u128);
+            let code_obj = obj(0);
+            let args: Vec<ObjId> = picks.iter().map(|&i| obj(i)).collect();
+            let code = CodeDesc { fn_id: 1, base_ns: 1_000, ps_per_byte: 100 };
+            let invoker = inbox(invoker);
+
+            let mut want: Option<PlacementEstimate> = None;
+            for host in eng.hosts() {
+                let est = eng.estimate(host, invoker, &code, code_obj, &args, result_bytes).unwrap();
+                let reference =
+                    reference_estimate(&eng, host, invoker, &code, code_obj, &args, result_bytes);
+                proptest::prop_assert_eq!(est, reference);
+                if want.is_none_or(|w| (est.total_ns, est.host) < (w.total_ns, w.host)) {
+                    want = Some(est);
+                }
+            }
+            let got = eng.choose(invoker, &code, code_obj, &args, result_bytes).unwrap();
+            proptest::prop_assert_eq!(Some(got), want);
+        }
     }
 }

@@ -19,6 +19,7 @@
 //! holder. Replies are addressed to the requester's inbox object.
 
 use rdv_det::{DetMap, DetSet};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use rdv_memproto::cache::{CacheState, ObjectCache};
@@ -310,7 +311,11 @@ pub struct GasHostNode {
     reasm: DetMap<ObjId, Reassembler>,
     /// Coherence directory for objects homed here.
     pub directory: Directory,
-    tasks: Vec<Option<TaskState>>,
+    /// Invocations waiting for their objects, by task id (ids only grow, so
+    /// ascending id is arrival order). A task leaves when it runs or is
+    /// abandoned, so the table is bounded by what is in flight.
+    tasks: BTreeMap<u64, TaskState>,
+    next_task: u64,
     served_invokes: DetMap<(u128, u64), Vec<u8>>,
     task_results: DetMap<u64, (usize, Vec<u8>)>,
     traversals: Vec<TraversalState>,
@@ -342,7 +347,8 @@ impl GasHostNode {
             inflight: DetSet::new(),
             reasm: DetMap::new(),
             directory: Directory::new(),
-            tasks: Vec::new(),
+            tasks: BTreeMap::new(),
+            next_task: 0,
             served_invokes: DetMap::new(),
             task_results: DetMap::new(),
             traversals: Vec::new(),
@@ -647,8 +653,8 @@ impl GasHostNode {
         }
     }
 
-    /// Re-examine every blocked script, task, and traversal (cheap: the
-    /// experiment workloads keep these counts small).
+    /// Re-examine every blocked script, task, and traversal (cheap: each
+    /// table holds only what is in flight right now).
     fn poll_blocked(&mut self, ctx: &mut NodeCtx<'_>) {
         self.drive_traversals(ctx);
         self.try_run_tasks(ctx);
@@ -687,12 +693,8 @@ impl GasHostNode {
             if p.waiting_push.is_some() || p.waiting_invoke.is_some() {
                 return; // blocked on an ack/result
             }
-            let step_idx = p.step;
-            let steps = match self.scripts.get(idx) {
-                Some(s) => s.clone(),
-                None => return,
-            };
-            if step_idx >= steps.len() {
+            let Some(steps) = self.scripts.get(idx) else { return };
+            let Some(step) = steps.get(p.step).cloned() else {
                 // Script complete.
                 let p = self.progress.remove(&idx).expect("present");
                 ctx.trace.span_end("core.script", p.script_span);
@@ -706,10 +708,9 @@ impl GasHostNode {
                     failed: false,
                 });
                 return;
-            }
-            match &steps[step_idx] {
+            };
+            match step {
                 ScriptStep::Fetch(obj) => {
-                    let obj = *obj;
                     if self.store.contains(obj) || self.cache.get(obj).is_some() {
                         let p = self.progress.get_mut(&idx).expect("present");
                         p.step += 1;
@@ -721,7 +722,6 @@ impl GasHostNode {
                     return;
                 }
                 ScriptStep::PushTo { obj, dest } => {
-                    let (obj, dest) = (*obj, *dest);
                     let image = if let Ok(o) = self.store.get(obj) {
                         Some(o.to_image())
                     } else {
@@ -749,14 +749,12 @@ impl GasHostNode {
                     return;
                 }
                 ScriptStep::Invoke { executor, code, args, result_bytes } => {
-                    let (code, args) = (*code, args.clone());
                     let executor = match executor {
-                        Some(e) => *e,
+                        Some(e) => e,
                         None => {
                             // Placement decides (Figure 1 (3)). The
                             // decision needs the code descriptor: fetch the
                             // code object first if it is not yet here.
-                            let result_bytes = *result_bytes;
                             let Ok(desc) = self.read_code_anywhere(code) else {
                                 self.ensure_fetch(ctx, code, true, Some(idx));
                                 return;
@@ -776,14 +774,6 @@ impl GasHostNode {
                     };
                     if executor == self.inbox {
                         // Local execution.
-                        let task_id = self.tasks.len();
-                        self.tasks.push(Some(TaskState {
-                            reply: Reply::Script { script: idx },
-                            code,
-                            args: args.clone(),
-                            retries: 0,
-                        }));
-                        let _ = task_id;
                         let ispan = ctx.trace.span_begin("core.invoke", code.lo());
                         {
                             let p = self.progress.get_mut(&idx).expect("present");
@@ -793,6 +783,12 @@ impl GasHostNode {
                         for obj in std::iter::once(code).chain(args.iter().copied()) {
                             self.ensure_fetch(ctx, obj, true, Some(idx));
                         }
+                        self.add_task(TaskState {
+                            reply: Reply::Script { script: idx },
+                            code,
+                            args,
+                            retries: 0,
+                        });
                         self.arm_watchdog(ctx, idx);
                         self.try_run_tasks(ctx);
                     } else {
@@ -813,7 +809,6 @@ impl GasHostNode {
                     return;
                 }
                 ScriptStep::Write { target, offset, data } => {
-                    let (target, offset, data) = (*target, *offset, data.clone());
                     let req = self.next_req;
                     self.next_req += 1;
                     let wspan = ctx.trace.span_begin("core.write", target.lo());
@@ -834,9 +829,9 @@ impl GasHostNode {
                 ScriptStep::Traverse { obj, offset, max_steps } => {
                     let t = TraversalState {
                         script: idx,
-                        cur: (*obj, *offset),
+                        cur: (obj, offset),
                         values: Vec::new(),
-                        max_steps: *max_steps,
+                        max_steps,
                         done: false,
                     };
                     self.traversals.push(t);
@@ -862,37 +857,41 @@ impl GasHostNode {
         Err(())
     }
 
+    /// Queue an invocation; returns its task id.
+    fn add_task(&mut self, task: TaskState) -> u64 {
+        let id = self.next_task;
+        self.next_task += 1;
+        self.tasks.insert(id, task);
+        id
+    }
+
+    /// Run every waiting task whose objects are all here, oldest first.
     fn try_run_tasks(&mut self, ctx: &mut NodeCtx<'_>) {
-        for task_id in 0..self.tasks.len() {
-            let ready = match &self.tasks[task_id] {
-                Some(t) => {
-                    let mut all = true;
-                    for obj in std::iter::once(t.code).chain(t.args.iter().copied()) {
-                        if !(self.store.contains(obj) || self.cache.get(obj).is_some()) {
-                            all = false;
-                        }
-                    }
-                    all
+        let mut next = 0;
+        while let Some((&id, task)) = self.tasks.range(next..).next() {
+            next = id + 1;
+            // Probe every object, not just up to the first miss: a cache
+            // probe counts a hit or miss and refreshes the entry's age.
+            let mut ready = true;
+            for obj in std::iter::once(task.code).chain(task.args.iter().copied()) {
+                if !(self.store.contains(obj) || self.cache.get(obj).is_some()) {
+                    ready = false;
                 }
-                None => false,
-            };
-            if !ready {
-                // Make sure fetches are out for whatever is missing.
-                if let Some(t) = &self.tasks[task_id] {
-                    let wanted: Vec<ObjId> =
-                        std::iter::once(t.code).chain(t.args.iter().copied()).collect();
-                    for obj in wanted {
-                        if !(self.store.contains(obj) || self.cache.get(obj).is_some()) {
-                            self.ensure_fetch(ctx, obj, true, None);
-                        }
-                    }
-                }
+            }
+            if ready {
+                let task = self.tasks.remove(&id).expect("just seen");
+                self.execute_task(ctx, task);
                 continue;
             }
-            let task = self.tasks[task_id].take().expect("checked");
-            self.execute_task(ctx, task);
+            // Make sure fetches are out for whatever is missing.
+            let wanted: Vec<ObjId> =
+                std::iter::once(task.code).chain(task.args.iter().copied()).collect();
+            for obj in wanted {
+                if !(self.store.contains(obj) || self.cache.get(obj).is_some()) {
+                    self.ensure_fetch(ctx, obj, true, None);
+                }
+            }
         }
-        // Slots are left as None: task ids stay stable for watchdogs.
     }
 
     fn execute_task(&mut self, ctx: &mut NodeCtx<'_>, task: TaskState) {
@@ -949,11 +948,12 @@ impl GasHostNode {
 
     /// Task watchdog: an executor-side invocation is still waiting for
     /// objects; re-chase the missing ones (lost fetches) until it runs.
-    fn handle_task_watch(&mut self, ctx: &mut NodeCtx<'_>, task_id: usize) {
-        let Some(Some(task)) = self.tasks.get_mut(task_id) else { return };
+    fn handle_task_watch(&mut self, ctx: &mut NodeCtx<'_>, task_id: u64) {
+        // A task that already ran (or was abandoned) is gone: stale timer.
+        let Some(task) = self.tasks.get_mut(&task_id) else { return };
         if task.retries >= self.cfg.max_retries {
             self.counters.inc_id(ctr().tasks_abandoned);
-            self.tasks[task_id] = None;
+            self.tasks.remove(&task_id);
             return;
         }
         task.retries += 1;
@@ -964,7 +964,7 @@ impl GasHostNode {
                 self.retry_fetch(ctx, obj);
             }
         }
-        ctx.set_timer(self.cfg.retry_timeout, tags::TASK_WATCH | task_id as u64);
+        ctx.set_timer(self.cfg.retry_timeout, tags::TASK_WATCH | task_id);
         self.try_run_tasks(ctx);
     }
 
@@ -1147,20 +1147,19 @@ impl Node for GasHostNode {
                     self.transmit_after(ctx, delay, out);
                     return;
                 }
-                let duplicate = self.tasks.iter().flatten().any(|t| {
+                let duplicate = self.tasks.values().any(|t| {
                     matches!(t.reply, Reply::Remote { to, req: r } if to == src && r == req)
                 });
                 if duplicate {
                     return;
                 }
-                let task_id = self.tasks.len();
-                self.tasks.push(Some(TaskState {
+                let task_id = self.add_task(TaskState {
                     reply: Reply::Remote { to: src, req },
                     code,
                     args,
                     retries: 0,
-                }));
-                ctx.set_timer(self.cfg.retry_timeout, tags::TASK_WATCH | task_id as u64);
+                });
+                ctx.set_timer(self.cfg.retry_timeout, tags::TASK_WATCH | task_id);
                 self.try_run_tasks(ctx);
             }
             MsgBody::InvokeResult { req, result } => {
@@ -1249,7 +1248,7 @@ impl Node for GasHostNode {
         } else if tag & tags::WATCHDOG != 0 {
             self.handle_watchdog(ctx, (tag & !tags::WATCHDOG) as usize);
         } else if tag & tags::TASK_WATCH != 0 {
-            self.handle_task_watch(ctx, (tag & !tags::TASK_WATCH) as usize);
+            self.handle_task_watch(ctx, tag & !tags::TASK_WATCH);
         } else if tag & tags::TASK_DONE != 0 {
             if let Some((script, result)) = self.task_results.remove(&(tag & !tags::TASK_DONE)) {
                 if let Some(p) = self.progress.get_mut(&script) {
@@ -1297,7 +1296,9 @@ impl Node for GasHostNode {
 mod tests {
     use super::*;
     use crate::code::{make_code_object, CodeDesc};
-    use crate::scenarios::{build_star_fabric, host_link_rack, standard_registry, FN_NOOP};
+    use crate::scenarios::{
+        build_star_fabric, host_link_edge, host_link_rack, standard_registry, FN_NOOP,
+    };
     use rdv_objspace::ObjectKind;
 
     const CLIENT_A: ObjId = ObjId(0x1111);
@@ -1306,7 +1307,11 @@ mod tests {
     const OBJ: ObjId = ObjId(0xBEEF);
 
     fn home_with_obj() -> GasHostNode {
-        let mut home = GasHostNode::new("home", HOME, GasHostConfig::default());
+        host_with_obj(HOME)
+    }
+
+    fn host_with_obj(inbox: ObjId) -> GasHostNode {
+        let mut home = GasHostNode::new("home", inbox, GasHostConfig::default());
         let mut obj = rdv_objspace::Object::with_capacity(OBJ, ObjectKind::Data, 1 << 16);
         let off = obj.alloc(8).unwrap();
         obj.write_u64(off, 1).unwrap();
@@ -1473,46 +1478,122 @@ mod tests {
         assert_eq!(a.cache.get(OBJ).unwrap().read_u64(8).unwrap(), 7);
     }
 
+    /// Sends one canned packet per timer and keeps every `InvokeResult`
+    /// that comes back: a client that retransmits the *same* invoke at
+    /// will, where a script only does so when its watchdog fires.
+    struct Replayer {
+        packet: Vec<u8>,
+        results: Vec<(u64, Vec<u8>)>,
+    }
+
+    impl Node for Replayer {
+        fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
+            if let Ok(Msg { body: MsgBody::InvokeResult { req, result }, .. }) =
+                Msg::decode(&packet.payload)
+            {
+                self.results.push((req, result));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
+            ctx.send(PortId(0), Packet::new(self.packet.clone(), tag));
+        }
+    }
+
+    fn noop_code(id: ObjId) -> Object {
+        make_code_object(id, CodeDesc { fn_id: FN_NOOP, base_ns: 10, ps_per_byte: 0 })
+    }
+
     #[test]
     fn duplicate_invokes_execute_once() {
-        // Direct wire-level check of at-most-once execution.
-        let registry = standard_registry();
+        // Wire-level at-most-once: one `Invoke { req }` packet delivered
+        // twice while its task waits for an argument (the second must be
+        // ignored) and once more after it ran (the cached result must be
+        // replayed, not recomputed).
+        const CODE: ObjId = ObjId(0xC0);
+        const FAR: ObjId = ObjId(0x4444);
         let mut server = GasHostNode::new("s", HOME, GasHostConfig::default());
-        server.registry = registry;
-        server
-            .store
-            .insert(make_code_object(
-                ObjId(0xC0),
-                CodeDesc { fn_id: FN_NOOP, base_ns: 10, ps_per_byte: 0 },
-            ))
-            .unwrap();
-        let mut client = GasHostNode::new("c", CLIENT_A, GasHostConfig::default());
-        client.scripts = vec![vec![ScriptStep::Invoke {
-            executor: Some(HOME),
-            code: ObjId(0xC0),
-            args: vec![],
-            result_bytes: 8,
-        }]];
+        server.registry = standard_registry();
+        server.store.insert(noop_code(CODE)).unwrap();
+        let far = host_with_obj(FAR);
+        let invoke =
+            Msg::new(HOME, CLIENT_A, MsgBody::Invoke { req: 77, code: CODE, args: vec![OBJ] });
+        let client = Replayer { packet: invoke.encode(), results: Vec::new() };
         let (mut sim, ids) = build_star_fabric(
             2,
             vec![
                 (Box::new(client), CLIENT_A, host_link_rack()),
                 (Box::new(server), HOME, host_link_rack()),
+                // 200 us each way: the argument fetch outlasts the retransmit.
+                (Box::new(far), FAR, host_link_edge()),
             ],
-            &[(ObjId(0xC0), 1)],
+            &[(OBJ, 2)],
         );
-        sim.schedule(SimTime::from_millis(1), ids[0], 0);
+        sim.schedule(SimTime::from_micros(1_000), ids[0], 0);
+        sim.schedule(SimTime::from_micros(1_100), ids[0], 0);
+        sim.run_until(SimTime::from_micros(1_200));
+        {
+            let server = sim.node_as::<GasHostNode>(ids[1]).unwrap();
+            assert_eq!(server.tasks.len(), 1, "both copies arrived; one task waits on OBJ");
+            assert_eq!(server.counters.get("invokes_executed"), 0);
+        }
+        sim.schedule(SimTime::from_millis(10), ids[0], 0);
         sim.run_until_idle();
-        // Now replay the exact invoke by scheduling the same script again:
-        // the server must serve the cached result, not re-execute...
-        // (the client allocates a fresh req, so instead check the counter
-        // after the normal run and after a watchdog-style repeat below).
-        let before = sim.node_as::<GasHostNode>(ids[1]).unwrap().counters.get("invokes_executed");
-        assert_eq!(before, 1);
-        assert_eq!(
-            sim.node_as::<GasHostNode>(ids[1]).unwrap().served_invokes.len(),
-            1,
-            "result cached for replay"
+
+        let server = sim.node_as::<GasHostNode>(ids[1]).unwrap();
+        assert_eq!(server.counters.get("invokes_executed"), 1);
+        assert_eq!(server.counters.get("fetch.demand"), 1);
+        assert_eq!(server.served_invokes.len(), 1, "result cached for replay");
+        assert!(server.tasks.is_empty());
+        let client = sim.node_as::<Replayer>(ids[0]).unwrap();
+        // One answer to the execution, one replay; none for the duplicate.
+        assert_eq!(client.results, vec![(77, vec![1]), (77, vec![1])]);
+    }
+
+    #[test]
+    fn task_table_is_empty_at_quiescence() {
+        // Two hosts each run 600 invokes on themselves and 600 on the
+        // other. The task table holds waiting invocations only, so however
+        // many a host has executed, none is left behind.
+        const N: usize = 1_200;
+        let code_of = |inbox: ObjId| ObjId(inbox.0 + 0xC000);
+        let host = |label: &str, inbox: ObjId, peer: ObjId| {
+            let mut h = GasHostNode::new(label, inbox, GasHostConfig::default());
+            h.registry = standard_registry();
+            h.store.insert(noop_code(code_of(inbox))).unwrap();
+            h.scripts = (0..N)
+                .map(|i| {
+                    let executor = if i % 2 == 0 { inbox } else { peer };
+                    vec![ScriptStep::Invoke {
+                        executor: Some(executor),
+                        code: code_of(executor),
+                        args: vec![],
+                        result_bytes: 8,
+                    }]
+                })
+                .collect();
+            h
+        };
+        let (mut sim, ids) = build_star_fabric(
+            3,
+            vec![
+                (Box::new(host("a", CLIENT_A, CLIENT_B)), CLIENT_A, host_link_rack()),
+                (Box::new(host("b", CLIENT_B, CLIENT_A)), CLIENT_B, host_link_rack()),
+            ],
+            &[],
         );
+        for i in 0..N {
+            for &id in &ids {
+                sim.schedule(SimTime::from_micros(10 * (i as u64 + 1)), id, i as u64);
+            }
+        }
+        sim.run_until_idle();
+        for &id in &ids {
+            let h = sim.node_as::<GasHostNode>(id).unwrap();
+            assert_eq!(h.records.len(), N);
+            assert!(h.records.iter().all(|r| !r.failed && r.invoke_result == [1]));
+            assert_eq!(h.counters.get("invokes_executed"), N as u64);
+            assert!(h.tasks.is_empty(), "{} tasks left after {N} invokes", h.tasks.len());
+        }
     }
 }

@@ -12,64 +12,179 @@
 //!
 //! * Iteration yields entries in the order their keys were first inserted.
 //! * Re-inserting a live key updates the value **in place** (position kept).
-//! * Removing a key shifts later entries down (order of survivors kept);
-//!   re-inserting a removed key appends at the end like a fresh key.
+//! * Removing a key keeps the order of the survivors; re-inserting a
+//!   removed key appends at the end like a fresh key.
 //! * [`DetMap::retain`] preserves the order of surviving entries.
 //!
-//! The internal index map is never iterated, so its hasher seed cannot leak
-//! into observable behavior. Workspace code in the deterministic crates must
-//! use these types instead of the std hash collections; `rdv-lint` rule D1
-//! enforces that.
+//! # What a table costs
+//!
+//! | `get` / `contains_key` | `insert` / `entry` | `remove` | `iter` |
+//! |---|---|---|---|
+//! | O(1) expected | O(1) amortised | O(1) amortised | O(live), at most 2 × live slots walked |
+//!
+//! Entries live in slots in insertion order (`keys` beside `vals`, so the
+//! liveness tag of a slot costs what `Option<V>` costs over `V`: one byte
+//! in a [`DetSet`], nothing when `V` has a niche). `remove` tombstones the
+//! slot instead of shifting every later entry: trailing tombstones are
+//! popped at once, and when dead slots outnumber live ones the live
+//! entries are packed down and their index positions rewritten. Each
+//! compaction is paid for by the removals that caused it, and *when* it
+//! runs depends only on the operation sequence, so it cannot perturb a
+//! run.
+//!
+//! # The hasher
+//!
+//! The private key → slot index is a std `HashMap` that is never
+//! iterated, so its hash function cannot leak into observable behavior;
+//! it only has to be fast and spread well. It is `FixedHasher`, a
+//! multiply-rotate hasher with a constant key: no per-process random
+//! state. What SipHash's random key buys — resistance to colliding keys
+//! chosen by an adversary — buys nothing here: every key in these tables
+//! is minted by the simulation itself (object ids, request counters,
+//! script indices), never read from outside the process.
+//!
+//! Workspace code in the deterministic crates must use these types
+//! instead of the std hash collections; `rdv-lint` rule D1 enforces that.
 
 // This crate is the one sanctioned home for std's hash containers: the
-// internal index is never iterated, so hasher-seed order cannot escape.
+// internal index is never iterated, so bucket order cannot escape.
 #![allow(clippy::disallowed_types)]
+#![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Multiply-rotate hasher with a constant key (see the module docs).
+///
+/// Each word is folded in Fx-style (`rotate ^ word`, then one multiply).
+/// A bare multiply only carries input bits *upwards*, and hashbrown picks
+/// the bucket from the low bits, so [`Hasher::finish`] folds the 128-bit
+/// product of a second multiply: keys that differ only in high bits
+/// (`inbox << 20 ^ n` trace ids, `ObjId(0x1_0000 + i)`) still spread over
+/// the low-bit bucket mask.
+#[derive(Clone, Copy, Default)]
+struct FixedHasher(u64);
+
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+const FOLD: u64 = 0xD6E8_FEB8_6659_FD93;
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(tail));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(MUL);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.write_u64(n as u64);
+        self.write_u64((n >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = u128::from(self.0) * u128::from(FOLD);
+        (wide as u64) ^ (wide >> 64) as u64
+    }
+}
+
+type Index<K> = HashMap<K, usize, BuildHasherDefault<FixedHasher>>;
 
 /// A hash map with deterministic (first-insertion-order) iteration.
 ///
-/// Lookup, insert, and membership tests are O(1) expected, backed by an
-/// internal `HashMap<K, usize>` into a dense entry vector. Removal is O(n)
-/// (survivor order is preserved); all iteration is over the dense vector.
+/// Lookup, insert, and removal are O(1) expected (removal amortised: see
+/// the module docs), backed by a private key → slot index; all iteration
+/// is over the slot vectors.
 #[derive(Clone)]
 pub struct DetMap<K, V> {
-    index: HashMap<K, usize>,
-    entries: Vec<(K, V)>,
+    index: Index<K>,
+    /// Slot keys, in first-insertion order. `keys[i]` of a dead slot is
+    /// the removed key, kept until the slot is trimmed or compacted away.
+    keys: Vec<K>,
+    /// Slot values; `None` marks a dead (removed) slot.
+    vals: Vec<Option<V>>,
+    /// Number of live slots (`Some` values) — the map's length.
+    live: usize,
 }
 
 impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     /// Empty map.
     pub fn new() -> DetMap<K, V> {
-        DetMap { index: HashMap::new(), entries: Vec::new() }
+        DetMap { index: Index::default(), keys: Vec::new(), vals: Vec::new(), live: 0 }
     }
 
     /// Empty map with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> DetMap<K, V> {
-        DetMap { index: HashMap::with_capacity(cap), entries: Vec::with_capacity(cap) }
+        DetMap {
+            index: Index::with_capacity_and_hasher(cap, BuildHasherDefault::default()),
+            keys: Vec::with_capacity(cap),
+            vals: Vec::with_capacity(cap),
+            live: 0,
+        }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// True when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
+    }
+
+    fn val(&self, pos: usize) -> &V {
+        self.vals[pos].as_ref().expect("indexed slot is live")
+    }
+
+    fn val_mut(&mut self, pos: usize) -> &mut V {
+        self.vals[pos].as_mut().expect("indexed slot is live")
+    }
+
+    /// Append a fresh key in a new last slot; returns the slot.
+    fn push(&mut self, key: K, value: V) -> usize {
+        let pos = self.keys.len();
+        self.index.insert(key.clone(), pos);
+        self.keys.push(key);
+        self.vals.push(Some(value));
+        self.live += 1;
+        pos
     }
 
     /// Insert `key → value`. Returns the previous value if the key was live
     /// (the key keeps its original iteration position in that case).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.index.get(&key) {
-            Some(&pos) => Some(std::mem::replace(&mut self.entries[pos].1, value)),
+            Some(&pos) => Some(std::mem::replace(self.val_mut(pos), value)),
             None => {
-                self.index.insert(key.clone(), self.entries.len());
-                self.entries.push((key, value));
+                self.push(key, value);
                 None
             }
         }
@@ -81,7 +196,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.index.get(key).map(|&pos| &self.entries[pos].1)
+        self.index.get(key).map(|&pos| self.val(pos))
     }
 
     /// Mutable reference to the value for `key`.
@@ -91,7 +206,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         Q: Hash + Eq + ?Sized,
     {
         match self.index.get(key) {
-            Some(&pos) => Some(&mut self.entries[pos].1),
+            Some(&pos) => Some(self.val_mut(pos)),
             None => None,
         }
     }
@@ -105,36 +220,67 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         self.index.contains_key(key)
     }
 
-    /// Remove `key`, returning its value. Later entries shift down one slot,
-    /// so survivor iteration order is unchanged (O(n) worst case).
+    /// Remove `key`, returning its value. Survivor iteration order is
+    /// unchanged; O(1) amortised (the slot is tombstoned, not shifted out).
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
         let pos = self.index.remove(key)?;
-        let (_, value) = self.entries.remove(pos);
-        for idx in self.index.values_mut() {
-            if *idx > pos {
-                *idx -= 1;
-            }
-        }
-        Some(value)
+        let value = self.vals[pos].take();
+        self.live -= 1;
+        self.reclaim();
+        value
     }
 
     /// Keep only entries for which `f` returns true, preserving order.
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        self.entries.retain_mut(|(k, v)| f(k, v));
-        self.index.clear();
-        for (pos, (k, _)) in self.entries.iter().enumerate() {
-            self.index.insert(k.clone(), pos);
+        for (key, slot) in self.keys.iter().zip(self.vals.iter_mut()) {
+            if let Some(value) = slot {
+                if !f(key, value) {
+                    *slot = None;
+                    self.index.remove(key);
+                    self.live -= 1;
+                }
+            }
         }
+        self.reclaim();
+    }
+
+    /// Give back dead slots after a removal: pop trailing tombstones, and
+    /// once dead slots outnumber live ones, pack the live entries down (in
+    /// order) and point the index at their new slots.
+    fn reclaim(&mut self) {
+        while let Some(None) = self.vals.last() {
+            self.vals.pop();
+            self.keys.pop();
+        }
+        if self.keys.len() - self.live <= self.live {
+            return;
+        }
+        let mut to = 0;
+        for from in 0..self.keys.len() {
+            if self.vals[from].is_none() {
+                continue;
+            }
+            if from != to {
+                self.keys.swap(to, from);
+                self.vals.swap(to, from);
+                *self.index.get_mut(&self.keys[to]).expect("live key is indexed") = to;
+            }
+            to += 1;
+        }
+        self.keys.truncate(to);
+        self.vals.truncate(to);
     }
 
     /// Drop every entry.
     pub fn clear(&mut self) {
         self.index.clear();
-        self.entries.clear();
+        self.keys.clear();
+        self.vals.clear();
+        self.live = 0;
     }
 
     /// In-place access to the entry for `key` (insert-if-absent patterns).
@@ -144,28 +290,28 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     }
 
     /// Iterate `(key, value)` in first-insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+    pub fn iter(&self) -> Iter<'_, K, V> {
+        Iter { keys: self.keys.iter(), vals: self.vals.iter(), left: self.live }
     }
 
     /// Iterate `(key, mutable value)` in first-insertion order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    pub fn iter_mut(&mut self) -> IterMut<'_, K, V> {
+        IterMut { keys: self.keys.iter(), vals: self.vals.iter_mut(), left: self.live }
     }
 
     /// Iterate keys in first-insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.iter().map(|(k, _)| k)
+        self.iter().map(|(k, _)| k)
     }
 
     /// Iterate values in first-insertion order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.iter().map(|(_, v)| v)
+        self.iter().map(|(_, v)| v)
     }
 
     /// Iterate mutable values in first-insertion order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
+        self.iter_mut().map(|(_, v)| v)
     }
 }
 
@@ -221,9 +367,9 @@ impl<K: Eq + Hash + Clone, V> Extend<(K, V)> for DetMap<K, V> {
 
 impl<K: Eq + Hash + Clone, V> IntoIterator for DetMap<K, V> {
     type Item = (K, V);
-    type IntoIter = std::vec::IntoIter<(K, V)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+    type IntoIter = IntoIter<K, V>;
+    fn into_iter(self) -> IntoIter<K, V> {
+        IntoIter { keys: self.keys.into_iter(), vals: self.vals.into_iter(), left: self.live }
     }
 }
 
@@ -231,7 +377,7 @@ impl<'a, K: Eq + Hash + Clone, V> IntoIterator for &'a DetMap<K, V> {
     type Item = (&'a K, &'a V);
     type IntoIter = Iter<'a, K, V>;
     fn into_iter(self) -> Iter<'a, K, V> {
-        Iter { inner: self.entries.iter() }
+        self.iter()
     }
 }
 
@@ -239,31 +385,78 @@ impl<'a, K: Eq + Hash + Clone, V> IntoIterator for &'a mut DetMap<K, V> {
     type Item = (&'a K, &'a mut V);
     type IntoIter = IterMut<'a, K, V>;
     fn into_iter(self) -> IterMut<'a, K, V> {
-        IterMut { inner: self.entries.iter_mut() }
+        self.iter_mut()
+    }
+}
+
+/// One step of a slot walk: advance both slot vectors together, skip dead
+/// slots, and count down the live entries left (so `size_hint` is exact
+/// and `collect` allocates once).
+fn next_live<K, V>(
+    keys: &mut impl Iterator<Item = K>,
+    mut vals: impl Iterator<Item = Option<V>>,
+    left: &mut usize,
+) -> Option<(K, V)> {
+    loop {
+        let key = keys.next()?;
+        if let Some(value) = vals.next()? {
+            *left -= 1;
+            return Some((key, value));
+        }
     }
 }
 
 /// Borrowing iterator over a [`DetMap`] in first-insertion order.
 pub struct Iter<'a, K, V> {
-    inner: std::slice::Iter<'a, (K, V)>,
+    keys: std::slice::Iter<'a, K>,
+    vals: std::slice::Iter<'a, Option<V>>,
+    left: usize,
 }
 
 impl<'a, K, V> Iterator for Iter<'a, K, V> {
     type Item = (&'a K, &'a V);
     fn next(&mut self) -> Option<(&'a K, &'a V)> {
-        self.inner.next().map(|(k, v)| (k, v))
+        next_live(&mut self.keys, self.vals.by_ref().map(Option::as_ref), &mut self.left)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
 /// Mutably borrowing iterator over a [`DetMap`] in first-insertion order.
 pub struct IterMut<'a, K, V> {
-    inner: std::slice::IterMut<'a, (K, V)>,
+    keys: std::slice::Iter<'a, K>,
+    vals: std::slice::IterMut<'a, Option<V>>,
+    left: usize,
 }
 
 impl<'a, K, V> Iterator for IterMut<'a, K, V> {
     type Item = (&'a K, &'a mut V);
     fn next(&mut self) -> Option<(&'a K, &'a mut V)> {
-        self.inner.next().map(|(k, v)| (&*k, v))
+        next_live(&mut self.keys, self.vals.by_ref().map(Option::as_mut), &mut self.left)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Owning iterator over a [`DetMap`] in first-insertion order.
+pub struct IntoIter<K, V> {
+    keys: std::vec::IntoIter<K>,
+    vals: std::vec::IntoIter<Option<V>>,
+    left: usize,
+}
+
+impl<K, V> Iterator for IntoIter<K, V> {
+    type Item = (K, V);
+    fn next(&mut self) -> Option<(K, V)> {
+        next_live(&mut self.keys, self.vals.by_ref(), &mut self.left)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -284,14 +477,9 @@ impl<'a, K: Eq + Hash + Clone, V> Entry<'a, K, V> {
     pub fn or_insert_with(self, default: impl FnOnce() -> V) -> &'a mut V {
         let pos = match self.pos {
             Some(pos) => pos,
-            None => {
-                let pos = self.map.entries.len();
-                self.map.index.insert(self.key.clone(), pos);
-                self.map.entries.push((self.key, default()));
-                pos
-            }
+            None => self.map.push(self.key, default()),
         };
-        &mut self.map.entries[pos].1
+        self.map.val_mut(pos)
     }
 
     /// The value, inserting `V::default()` when the key was absent.
@@ -305,12 +493,11 @@ impl<'a, K: Eq + Hash + Clone, V> Entry<'a, K, V> {
     /// Mutate the value in place when present, then continue the builder.
     pub fn and_modify(self, f: impl FnOnce(&mut V)) -> Entry<'a, K, V> {
         if let Some(pos) = self.pos {
-            f(&mut self.map.entries[pos].1);
+            f(self.map.val_mut(pos));
         }
         self
     }
 }
-
 /// A hash set with deterministic (first-insertion-order) iteration.
 ///
 /// Thin wrapper over [`DetMap<T, ()>`]; see the module docs for the
@@ -423,27 +610,31 @@ impl<'a, T: Eq + Hash + Clone> IntoIterator for &'a DetSet<T> {
     type Item = &'a T;
     type IntoIter = SetIter<'a, T>;
     fn into_iter(self) -> SetIter<'a, T> {
-        SetIter { inner: self.map.entries.iter() }
+        SetIter { inner: self.map.iter() }
     }
 }
 
 impl<T: Eq + Hash + Clone> IntoIterator for DetSet<T> {
     type Item = T;
-    type IntoIter = std::iter::Map<std::vec::IntoIter<(T, ())>, fn((T, ())) -> T>;
+    type IntoIter = std::iter::Map<IntoIter<T, ()>, fn((T, ())) -> T>;
     fn into_iter(self) -> Self::IntoIter {
-        self.map.entries.into_iter().map(|(t, ())| t)
+        self.map.into_iter().map(|(t, ())| t)
     }
 }
 
 /// Borrowing iterator over a [`DetSet`] in first-insertion order.
 pub struct SetIter<'a, T> {
-    inner: std::slice::Iter<'a, (T, ())>,
+    inner: Iter<'a, T, ()>,
 }
 
 impl<'a, T> Iterator for SetIter<'a, T> {
     type Item = &'a T;
     fn next(&mut self) -> Option<&'a T> {
         self.inner.next().map(|(t, ())| t)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.inner.size_hint()
     }
 }
 
@@ -565,5 +756,57 @@ mod tests {
             m.keys().copied().collect::<Vec<u64>>()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn dead_slots_never_outnumber_live_ones() {
+        // FIFO churn (the `deferred` / `pending` pattern) leaves only
+        // leading tombstones, which the trailing trim cannot reach: the
+        // slot vectors must still stay within 2 x live, or iteration and
+        // memory would grow with history.
+        let mut m = DetMap::new();
+        for n in 0..10_000u64 {
+            m.insert(n, n);
+            if n >= 8 {
+                assert_eq!(m.remove(&(n - 8)), Some(n - 8));
+            }
+            assert!(m.keys.len() <= 2 * m.len(), "{} slots for {} live", m.keys.len(), m.len());
+            assert_eq!(m.keys.len(), m.vals.len());
+        }
+        assert_eq!(m.keys().copied().collect::<Vec<_>>(), (9_992..10_000).collect::<Vec<_>>());
+    }
+
+    fn hash_of<T: Hash>(key: T) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<FixedHasher>::default().hash_one(key)
+    }
+
+    #[test]
+    fn hasher_has_no_per_process_seed() {
+        // Pinned values: a seeded hasher could not reproduce them in every
+        // process. Integers take the `write_u64` path on any platform.
+        assert_eq!(hash_of(1u64), 0xC9D8_74CA_57D9_E055);
+        assert_eq!(hash_of(0xBEEFu64), 0xC520_7DEB_46C0_B97A);
+        assert_eq!(hash_of(u64::MAX), 0xE0E3_4B05_C9A3_E2C9);
+        assert_eq!(hash_of(0x1_0000u128), 0x9EAF_477B_59D2_241C);
+        assert_eq!(hash_of(u128::MAX), 0x5674_EAC4_FE12_0618);
+        assert_eq!(hash_of((0x1111u128, 7u64)), 0x4A75_55DE_9F13_8D5D);
+        assert_eq!(hash_of((1u128 << 64, 0u64)), 0x051A_6AE3_FA6E_C02E);
+    }
+
+    /// Distinct low-12-bit buckets (hashbrown's bucket mask at 4 096
+    /// buckets) hit by `keys`.
+    fn buckets_hit(keys: impl Iterator<Item = u64>) -> usize {
+        keys.map(|k| hash_of(k) & 0xFFF).collect::<std::collections::BTreeSet<u64>>().len()
+    }
+
+    #[test]
+    fn keys_that_differ_only_in_high_bits_still_spread() {
+        // A bare multiply maps both tapes onto a handful of low-bit
+        // buckets; the finishing fold must bring the high bits down.
+        for shift in [20, 40] {
+            let hit = buckets_hit((0..4096u64).map(|i| i << shift));
+            assert!(hit >= 2048, "stride 1 << {shift}: only {hit} of 4096 buckets hit");
+        }
     }
 }

@@ -1,0 +1,142 @@
+#!/usr/bin/env bash
+# Paired rdvperf runs: a parent commit against this checkout.
+#
+#   scripts/paired_rdvperf.sh [--record N] <parent-ref> <workload|all> [pairs=10] [seed=1]
+#
+# Builds the parent's `benchmark/` (from `git archive` of <parent-ref>) and
+# this working tree's `benchmark/` into separate CARGO_TARGET_DIRs, then
+# runs BENCHMARK.json's command on both, `pairs` times, alternating which
+# side goes first. Per end-to-end metric it prints each side's median and
+# quartiles, how many pairs the change won (ties count for neither), and
+# whether the medians are further apart than the parent's own
+# inter-quartile range — the rule a claimed gain is judged by (>= 9/10
+# wins and beyond the IQR), and the bound a metric may not worsen by.
+#
+# --record N also writes BENCH_<N>.json at the repo root (medians,
+# quartiles, box note); it refuses to overwrite: the trajectory is
+# append-only. Everything else is left under target/paired/ (ignored),
+# where builds are reused by the next invocation.
+set -euo pipefail
+
+record=""
+if [ "${1:-}" = "--record" ]; then
+  record="$2"
+  shift 2
+fi
+if [ $# -lt 2 ]; then
+  sed -n '2,5p' "$0" >&2
+  exit 2
+fi
+ref="$1" workload="$2" pairs="${3:-10}" seed="${4:-1}"
+
+root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
+sha="$(git -C "$root" rev-parse --verify "$ref^{commit}")"
+if [ -n "$record" ] && [ -e "$root/BENCH_$record.json" ]; then
+  echo "paired_rdvperf: BENCH_$record.json exists; the trajectory is append-only" >&2
+  exit 1
+fi
+
+work="$root/target/paired"
+parent_src="$work/$sha/src"
+if [ ! -d "$parent_src" ]; then
+  mkdir -p "$parent_src"
+  git -C "$root" archive "$sha" | tar -x -C "$parent_src"
+fi
+declare -A src=([parent]="$parent_src" [change]="$root")
+declare -A tgt=([parent]="$work/$sha/target" [change]="$work/change/target")
+for side in parent change; do
+  CARGO_TARGET_DIR="${tgt[$side]}" cargo build --release --offline \
+    --manifest-path "${src[$side]}/benchmark/Cargo.toml" >&2
+done
+
+seconds="$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")"
+if [ "$workload" = all ]; then
+  workloads="$("${tgt[change]}/release/rdvperf" list | cut -f 1)"
+else
+  workloads="$workload"
+fi
+
+runs="$work/runs.$$"
+mkdir -p "$runs"
+trap 'rm -rf "$runs"' EXIT
+for w in $workloads; do
+  for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+      out="$(CARGO_TARGET_DIR="${tgt[$side]}" bash "${src[$side]}/benchmark/run.sh" \
+        --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 2>"$runs/stderr")" || {
+        cat "$runs/stderr" >&2
+        echo "paired_rdvperf: $side run of $w failed (pair $i)" >&2
+        exit 1
+      }
+      # The last line of a single-workload run is its JSON result.
+      tail -n 1 <<<"$out" >>"$runs/$w.$side.jsonl"
+    done
+    echo "# $w pair $i/$pairs done" >&2
+  done
+done
+
+box="$(nproc) vCPU, $(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1), $(rustc -V)"
+change="$(git -C "$root" describe --always --dirty)"
+python3 - "$root" "$runs" "$record" "$sha" "$change" "$seed" "$pairs" "$seconds" "$box" $workloads <<'PY'
+import json, statistics, sys
+
+root, runs, record, parent, change, seed, pairs, seconds, box, *workloads = sys.argv[1:]
+contract = json.load(open(f"{root}/BENCHMARK.json"))
+
+
+def side_stats(values):
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+out = {}
+for w in workloads:
+    rows = {
+        side: [json.loads(line) for line in open(f"{runs}/{w}.{side}.jsonl")]
+        for side in ("parent", "change")
+    }
+    share = {s: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs)) for s, rs in rows.items()}
+    out[w] = {"failed_share": share, "metrics": {}}
+    print(f"\n{w}  (seed {seed}, {pairs} pairs, failed share parent {share['parent']:.4g} change {share['change']:.4g})")
+    print(f"{'metric':<20}{'parent median [q1, q3]':>40}{'change median [q1, q3]':>40}{'change':>9}{'wins':>7}  >IQR  verdict")
+    for m in contract["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        p = [r["metrics"][name]["value"] for r in rows["parent"]]
+        c = [r["metrics"][name]["value"] for r in rows["change"]]
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        ties = sum(a == b for a, b in zip(p, c))
+        ps, cs = side_stats(p), side_stats(c)
+        apart = abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"]
+        delta = (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else 0.0
+        worse = delta if lower else -delta
+        spread = max((s["q3"] - s["q1"]) / s["median"] if s["median"] else 0.0 for s in (ps, cs))
+        if worse < 0 and apart and wins * 10 >= 9 * len(p):
+            verdict = "better"
+        elif worse > m["bound"]:
+            verdict = "WORSE than bound"
+        elif spread > m["bound"]:
+            verdict = "unresolved (spread > bound)"
+        else:
+            verdict = "within bound"
+        out[w]["metrics"][name] = {
+            "unit": m["unit"], "parent": ps, "change": cs,
+            "wins": wins, "ties": ties, "beyond_parent_iqr": apart, "verdict": verdict,
+        }
+        fmt = lambda s: f"{s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}]"
+        print(f"{name:<20}{fmt(ps):>40}{fmt(cs):>40}{delta:>+9.1%}{wins:>4}/{len(p):<2}  {'yes' if apart else 'no':<4}  {verdict}")
+
+if record:
+    doc = {
+        "pr": int(record), "parent": parent, "change": change, "box": box,
+        "command": contract["command"], "run_seconds": int(seconds),
+        "seed": int(seed), "pairs": int(pairs),
+        "note": "paired alternating runs (scripts/paired_rdvperf.sh); quartiles as statistics.quantiles(n=4); "
+                "wins = pairs where the change beat the parent, ties for neither",
+        "workloads": out,
+    }
+    with open(f"{root}/BENCH_{record}.json", "x") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    print(f"\n# wrote BENCH_{record}.json")
+PY
