@@ -24,7 +24,7 @@ use std::sync::OnceLock;
 
 use rdv_memproto::cache::{CacheState, ObjectCache};
 use rdv_memproto::coherence::{DirAction, Directory};
-use rdv_memproto::frag::{fragment, Fragment, Reassembler, DEFAULT_MTU};
+use rdv_memproto::frag::{fragment_bytes, Reassembler, DEFAULT_MTU};
 use rdv_memproto::msg::{Msg, MsgBody, NackCode};
 use rdv_netsim::metrics::{AuditScope, MetricSample};
 use rdv_netsim::trace::EventId;
@@ -450,23 +450,36 @@ impl GasHostNode {
         }
     }
 
+    /// The image of `obj`, if it is here (stored or cached).
+    fn local_image(&mut self, obj: ObjId) -> Option<Vec<u8>> {
+        match self.store.get(obj) {
+            Ok(o) => Some(o.to_image()),
+            Err(_) => self.cache.get(obj).map(Object::to_image),
+        }
+    }
+
+    /// Send `image` to `to` as fragments, each a view of the one image
+    /// until [`Msg::encode`] writes it into its packet.
+    fn send_image(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        to: ObjId,
+        req: u64,
+        version: u64,
+        image: Vec<u8>,
+        delay: SimTime,
+    ) {
+        for frag in fragment_bytes(req, &image.into(), self.cfg.mtu) {
+            let msg = Msg::new(to, self.inbox, MsgBody::ObjImageFrag { req, version, frag });
+            self.transmit_after(ctx, delay, msg);
+        }
+    }
+
     /// Re-send a push's fragments with its original req.
     fn reissue_push(&mut self, ctx: &mut NodeCtx<'_>, obj: ObjId, dest: ObjId, req: u64) {
-        let image = if let Ok(o) = self.store.get(obj) {
-            Some(o.to_image())
-        } else {
-            self.cache.get(obj).map(Object::to_image)
-        };
-        let Some(image) = image else { return };
+        let Some(image) = self.local_image(obj) else { return };
         self.counters.inc_id(ctr().retries_push);
-        for f in fragment(req, &image, self.cfg.mtu) {
-            let msg = Msg::new(
-                dest,
-                self.inbox,
-                MsgBody::ObjImageFrag { req, version: 0, frag: f.encode() },
-            );
-            self.transmit(ctx, msg);
-        }
+        self.send_image(ctx, dest, req, 0, image, SimTime::ZERO);
     }
 
     /// Watchdog fired for a blocked script: re-issue whatever it waits on,
@@ -570,16 +583,7 @@ impl GasHostNode {
         // exclusive owner is recalled.
         let actions = self.directory.request_shared(target, reply_to);
         self.apply_dir_actions(ctx, target, version, actions);
-        let frags = fragment(req, &image, self.cfg.mtu);
-        let serve_delay = self.cfg.serve_delay;
-        for f in frags {
-            let msg = Msg::new(
-                reply_to,
-                self.inbox,
-                MsgBody::ObjImageFrag { req, version, frag: f.encode() },
-            );
-            self.transmit_after(ctx, serve_delay, msg);
-        }
+        self.send_image(ctx, reply_to, req, version, image, self.cfg.serve_delay);
     }
 
     /// Turn directory actions into directed invalidations (grants are
@@ -602,14 +606,16 @@ impl GasHostNode {
     }
 
     fn on_image_complete(&mut self, ctx: &mut NodeCtx<'_>, src: ObjId, req: u64, image: Vec<u8>) {
-        let Ok(object) = Object::from_image(&image) else {
+        let image_len = image.len();
+        // The landing buffer becomes the object's heap.
+        let Ok(object) = Object::from_image_owned(image) else {
             self.counters.inc_id(ctr().corrupt_images);
             return;
         };
         let obj_id = object.id();
         self.inflight.remove(&obj_id);
         self.cache.insert(object, CacheState::Shared);
-        self.counters.add_id(ctr().rx_bytes, image.len() as u64);
+        self.counters.add_id(ctr().rx_bytes, image_len as u64);
         match self.fetches.remove(&req) {
             Some(fetch) => {
                 self.counters.inc_id(ctr().fetch_completed);
@@ -722,12 +728,7 @@ impl GasHostNode {
                     return;
                 }
                 ScriptStep::PushTo { obj, dest } => {
-                    let image = if let Ok(o) = self.store.get(obj) {
-                        Some(o.to_image())
-                    } else {
-                        self.cache.get(obj).map(Object::to_image)
-                    };
-                    let Some(image) = image else {
+                    let Some(image) = self.local_image(obj) else {
                         // Object not here: fetch it first (implicit).
                         self.ensure_fetch(ctx, obj, true, Some(idx));
                         return;
@@ -735,15 +736,7 @@ impl GasHostNode {
                     let req = self.next_req;
                     self.next_req += 1;
                     self.counters.inc_id(ctr().pushes);
-                    let frags = fragment(req, &image, self.cfg.mtu);
-                    for f in frags {
-                        let msg = Msg::new(
-                            dest,
-                            self.inbox,
-                            MsgBody::ObjImageFrag { req, version: 0, frag: f.encode() },
-                        );
-                        self.transmit(ctx, msg);
-                    }
+                    self.send_image(ctx, dest, req, 0, image, SimTime::ZERO);
                     self.progress.get_mut(&idx).expect("present").waiting_push = Some(req);
                     self.arm_watchdog(ctx, idx);
                     return;
@@ -1082,7 +1075,14 @@ impl GasHostNode {
 
 impl Node for GasHostNode {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
-        let Ok(msg) = Msg::decode(&packet.payload) else { return };
+        let Ok(msg) = Msg::decode_bytes(&packet.payload) else {
+            // Not a message. Say so when it claimed to be an image fragment:
+            // a fetch is waiting on it.
+            if packet.payload.first() == Some(&MsgBody::OBJ_IMAGE_FRAG) {
+                self.counters.inc_id(ctr().corrupt_fragments);
+            }
+            return;
+        };
         let src = msg.header.src;
         match msg.body {
             MsgBody::ObjImageReq { req, target }
@@ -1096,10 +1096,6 @@ impl Node for GasHostNode {
                     self.serve_image(ctx, src, req, target);
                 }
             MsgBody::ObjImageFrag { req, frag, .. } => {
-                let Ok(frag) = Fragment::decode(&frag) else {
-                    self.counters.inc_id(ctr().corrupt_fragments);
-                    return;
-                };
                 let reasm = self.reasm.entry(src).or_default();
                 match reasm.accept(frag) {
                     Ok(Some(image)) => self.on_image_complete(ctx, src, req, image),
@@ -1478,11 +1474,12 @@ mod tests {
         assert_eq!(a.cache.get(OBJ).unwrap().read_u64(8).unwrap(), 7);
     }
 
-    /// Sends one canned packet per timer and keeps every `InvokeResult`
-    /// that comes back: a client that retransmits the *same* invoke at
-    /// will, where a script only does so when its watchdog fires.
+    /// Sends canned packet `tag` on timer `tag` and keeps every
+    /// `InvokeResult` that comes back: a client that retransmits the *same*
+    /// invoke at will (where a script only does so when its watchdog
+    /// fires), or says things no script would.
     struct Replayer {
-        packet: Vec<u8>,
+        packets: Vec<Vec<u8>>,
         results: Vec<(u64, Vec<u8>)>,
     }
 
@@ -1496,7 +1493,7 @@ mod tests {
         }
 
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-            ctx.send(PortId(0), Packet::new(self.packet.clone(), tag));
+            ctx.send(PortId(0), Packet::new(self.packets[tag as usize].clone(), tag));
         }
     }
 
@@ -1518,7 +1515,7 @@ mod tests {
         let far = host_with_obj(FAR);
         let invoke =
             Msg::new(HOME, CLIENT_A, MsgBody::Invoke { req: 77, code: CODE, args: vec![OBJ] });
-        let client = Replayer { packet: invoke.encode(), results: Vec::new() };
+        let client = Replayer { packets: vec![invoke.encode()], results: Vec::new() };
         let (mut sim, ids) = build_star_fabric(
             2,
             vec![
@@ -1595,5 +1592,153 @@ mod tests {
             assert_eq!(h.counters.get("invokes_executed"), N as u64);
             assert!(h.tasks.is_empty(), "{} tasks left after {N} invokes", h.tasks.len());
         }
+    }
+
+    #[test]
+    fn hostile_fragments_are_counted_and_change_nothing() {
+        // A three-fragment push with eight malformed fragment packets sent
+        // between its first and second piece. Each is counted, none opens
+        // or disturbs a reassembly, none sizes anything from its `count`,
+        // and the push still lands.
+        use rdv_memproto::frag::{fragment, Fragment, MAX_FRAGMENTS};
+        use rdv_wire::WireWriter;
+        const REQ: u64 = 50;
+        let mut obj = Object::with_capacity(OBJ, ObjectKind::Data, 1 << 16);
+        obj.alloc(9_000).unwrap();
+        let frag_msg = |frag: Fragment| {
+            Msg::new(HOME, CLIENT_A, MsgBody::ObjImageFrag { req: REQ, version: 0, frag }).encode()
+        };
+        let good: Vec<Vec<u8>> =
+            fragment(REQ, &obj.to_image(), DEFAULT_MTU).into_iter().map(frag_msg).collect();
+        assert_eq!(good.len(), 3);
+        // A well-formed message around whatever claims to be its fragment.
+        let around = |frag: &[u8]| {
+            let mut w = WireWriter::new();
+            w.put_u8(MsgBody::OBJ_IMAGE_FRAG);
+            w.put_u128(HOME.as_u128());
+            w.put_u128(CLIENT_A.as_u128());
+            w.put_uvarint(REQ);
+            w.put_uvarint(0);
+            w.put_len_prefixed(frag);
+            w.into_vec()
+        };
+        let header = |index: u32, count: u32, body_len: u64| {
+            let mut w = WireWriter::new();
+            w.put_uvarint(REQ);
+            w.put_u32(index);
+            w.put_u32(count);
+            w.put_uvarint(body_len);
+            w.into_vec()
+        };
+        let hostile = [
+            ("count 2^32 - 1", around(&header(0, u32::MAX, 0))),
+            ("count past the bound", around(&header(0, MAX_FRAGMENTS + 1, 0))),
+            ("count 0", around(&header(0, 0, 0))),
+            ("index == count", around(&header(3, 3, 0))),
+            ("body shorter than its prefix", around(&header(1, 3, 100))),
+            ("bytes after the body", around(&[header(1, 3, 0), vec![0]].concat())),
+            (
+                "count differs from the live message's",
+                frag_msg(Fragment { msg_id: REQ, index: 1, count: 4, data: vec![1].into() }),
+            ),
+            ("packet cut inside the fragment", good[1][..60].to_vec()),
+        ];
+        assert!(hostile[0].1.len() < 60, "tens of GiB were one small packet away");
+
+        let first_good_after = 1 + hostile.len();
+        let packets: Vec<Vec<u8>> = std::iter::once(good[0].clone())
+            .chain(hostile.iter().map(|(_, p)| p.clone()))
+            .chain(good[1..].iter().cloned())
+            .collect();
+        let client = Replayer { packets, results: Vec::new() };
+        let home = GasHostNode::new("home", HOME, GasHostConfig::default());
+        let (mut sim, ids) = build_star_fabric(
+            1,
+            vec![
+                (Box::new(client), CLIENT_A, host_link_rack()),
+                (Box::new(home), HOME, host_link_rack()),
+            ],
+            &[],
+        );
+        let send = |sim: &mut rdv_netsim::Sim, k: usize| {
+            sim.schedule(SimTime::from_millis(k as u64 + 1), ids[0], k as u64);
+            sim.run_until_idle();
+        };
+        send(&mut sim, 0);
+        for (k, (what, _)) in hostile.iter().enumerate() {
+            send(&mut sim, k + 1);
+            let home = sim.node_as::<GasHostNode>(ids[1]).unwrap();
+            assert_eq!(home.counters.get("corrupt_fragments"), k as u64 + 1, "{what}");
+            assert_eq!(home.reasm.len(), 1, "{what}");
+            assert_eq!(home.reasm.get(&CLIENT_A).unwrap().pending(), 1, "{what}");
+        }
+        send(&mut sim, first_good_after);
+        send(&mut sim, first_good_after + 1);
+        let home = sim.node_as_mut::<GasHostNode>(ids[1]).unwrap();
+        assert_eq!(home.counters.get("corrupt_fragments"), hostile.len() as u64);
+        assert_eq!(home.counters.get("pushes_received"), 1);
+        assert_eq!(home.reasm.get(&CLIENT_A).unwrap().pending(), 0);
+        assert_eq!(home.cache.get(OBJ), Some(&obj));
+    }
+
+    #[test]
+    fn reassemblers_are_empty_at_quiescence() {
+        // Two hosts, 600 scripts each: fetch one of the peer's 9 KiB
+        // objects (three fragments; the cache holds one, so every fetch
+        // moves an image) or push one of their own to the peer. Whatever
+        // was reassembled, nothing is left half-built.
+        const N: usize = 600;
+        let objs_of = |inbox: ObjId| [0, 1, 2, 3].map(|k| ObjId(inbox.0 * 0x100 + k));
+        let host = |label: &str, inbox: ObjId, peer: ObjId| {
+            let cfg = GasHostConfig { cache_bytes: 12_000, ..Default::default() };
+            let mut h = GasHostNode::new(label, inbox, cfg);
+            for id in objs_of(inbox) {
+                let mut obj = Object::with_capacity(id, ObjectKind::Data, 1 << 16);
+                obj.alloc(9_000).unwrap();
+                h.store.insert(obj).unwrap();
+            }
+            h.scripts = (0..N)
+                .map(|i| {
+                    vec![if i % 2 == 0 {
+                        ScriptStep::Fetch(objs_of(peer)[i / 2 % 2])
+                    } else {
+                        ScriptStep::PushTo { obj: objs_of(inbox)[2 + i / 2 % 2], dest: peer }
+                    }]
+                })
+                .collect();
+            h
+        };
+        let routes: Vec<(ObjId, usize)> = [CLIENT_A, CLIENT_B]
+            .iter()
+            .enumerate()
+            .flat_map(|(node, &inbox)| objs_of(inbox).map(|o| (o, node)))
+            .collect();
+        let (mut sim, ids) = build_star_fabric(
+            4,
+            vec![
+                (Box::new(host("a", CLIENT_A, CLIENT_B)), CLIENT_A, host_link_rack()),
+                (Box::new(host("b", CLIENT_B, CLIENT_A)), CLIENT_B, host_link_rack()),
+            ],
+            &routes,
+        );
+        for i in 0..N {
+            for &id in &ids {
+                sim.schedule(SimTime::from_micros(20 * (i as u64 + 1)), id, i as u64);
+            }
+        }
+        sim.run_until_idle();
+        let mut images_moved = 0;
+        for &id in &ids {
+            let h = sim.node_as::<GasHostNode>(id).unwrap();
+            assert_eq!(h.records.len(), N);
+            assert!(h.records.iter().all(|r| !r.failed));
+            assert_eq!(h.counters.get("corrupt_fragments"), 0);
+            images_moved += h.counters.get("fetch.completed") + h.counters.get("pushes_received");
+            for (src, reasm) in h.reasm.iter() {
+                assert_eq!(reasm.pending(), 0, "{} holds pieces from {src:?}", h.label);
+            }
+            assert!(h.fetches.is_empty() && h.inflight.is_empty());
+        }
+        assert!(images_moved >= 1_000, "only {images_moved} images were reassembled");
     }
 }

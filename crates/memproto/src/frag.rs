@@ -1,18 +1,36 @@
 //! Fragmentation and reassembly.
 //!
-//! Whole-object images routinely exceed the fabric MTU. A large bare
-//! message is split into [`Fragment`]s, each of which fits one packet; the
-//! receiver's [`Reassembler`] accepts fragments in any order, tolerates
-//! duplicates, and yields the original bytes when complete.
+//! Whole-object images routinely exceed the fabric MTU. A large image is
+//! split into [`Fragment`]s, each of which fits one packet; the receiver's
+//! [`Reassembler`] accepts fragments in any order, tolerates duplicates
+//! while a message is incomplete, and yields the original bytes when the
+//! last piece arrives.
+//!
+//! No stage owns a private copy of the body. A fragment's `data` is a
+//! [`Bytes`] *slice*: on the sender, of the image being served
+//! ([`fragment_bytes`] — thirteen fragments of a 48 KiB image are thirteen
+//! views of one allocation); on the receiver, of the packet it arrived in
+//! (`Msg::decode_bytes`). The reassembler keeps those views and, when the
+//! message completes, writes each once into a single buffer sized from
+//! their summed lengths — the receiver's landing buffer, which the object
+//! then adopts as its heap. The wire format is what it always was.
 
+use std::ops::Range;
+
+use bytes::Bytes;
 use rdv_det::DetMap;
-
+use rdv_wire::varint::uvarint_len;
 use rdv_wire::{WireError, WireReader, WireResult, WireWriter};
 
 /// Default fabric MTU in bytes (payload budget per fragment). The fabric is
 /// not Ethernet (§3.2 argues even Ethernet is too much overhead), so we use
 /// a 4 KiB datagram typical of memory-fabric cells rather than 1500.
 pub const DEFAULT_MTU: usize = 4096;
+
+/// Most fragments one message may have: 256 MiB at the default MTU, well
+/// above any object's capacity. `count` arrives off the wire and sizes the
+/// reassembly table, so it is bounded before anything is allocated for it.
+pub const MAX_FRAGMENTS: u32 = 1 << 16;
 
 /// One fragment of a larger message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,46 +41,96 @@ pub struct Fragment {
     pub index: u32,
     /// Total fragments in the message.
     pub count: u32,
-    /// The bytes.
-    pub data: Vec<u8>,
+    /// The bytes: a view of the image (sender) or of the packet (receiver).
+    pub data: Bytes,
+}
+
+/// `count` must be in `1..=MAX_FRAGMENTS` and `index` below it.
+fn check_bounds(index: u32, count: u32) -> WireResult<()> {
+    if count == 0 || index >= count {
+        return Err(WireError::InvalidTag { tag: index, ty: "Fragment index/count" });
+    }
+    if count > MAX_FRAGMENTS {
+        return Err(WireError::LengthOverflow {
+            len: u64::from(count),
+            max: u64::from(MAX_FRAGMENTS),
+        });
+    }
+    Ok(())
 }
 
 impl Fragment {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.data.len() + 16);
+    /// Bytes [`Fragment::encode_into`] writes.
+    pub fn encoded_len(&self) -> usize {
+        uvarint_len(self.msg_id) + 8 + uvarint_len(self.data.len() as u64) + self.data.len()
+    }
+
+    /// Append the wire form: `msg_id`, `index`, `count`, length-prefixed body.
+    pub fn encode_into(&self, w: &mut WireWriter) {
         w.put_uvarint(self.msg_id);
         w.put_u32(self.index);
         w.put_u32(self.count);
         w.put_len_prefixed(&self.data);
+    }
+
+    /// Serialize.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(self.encoded_len());
+        self.encode_into(&mut w);
         w.into_vec()
     }
 
-    /// Parse.
-    pub fn decode(data: &[u8]) -> WireResult<Fragment> {
-        let mut r = WireReader::new(data);
+    /// Parse one fragment from `r`, which must hold exactly one. `body`
+    /// turns the body's byte range *within `r`* into the fragment's data
+    /// — a copy, or a share of the buffer `r` reads. Nothing is allocated
+    /// until the header has passed its checks.
+    pub(crate) fn read(
+        r: &mut WireReader<'_>,
+        body: impl FnOnce(Range<usize>) -> Bytes,
+    ) -> WireResult<Fragment> {
         let msg_id = r.get_uvarint()?;
         let index = r.get_u32()?;
         let count = r.get_u32()?;
-        let data = r.get_len_prefixed(1 << 30)?.to_vec();
-        if count == 0 || index >= count {
-            return Err(WireError::InvalidTag { tag: index, ty: "Fragment index/count" });
+        check_bounds(index, count)?;
+        let len = r.get_len_prefixed(1 << 30)?.len();
+        if !r.is_exhausted() {
+            return Err(WireError::TrailingBytes(r.remaining()));
         }
-        Ok(Fragment { msg_id, index, count, data })
+        Ok(Fragment { msg_id, index, count, data: body(r.position() - len..r.position()) })
+    }
+
+    /// Parse, copying the body out of `data`.
+    pub fn decode(data: &[u8]) -> WireResult<Fragment> {
+        Fragment::read(&mut WireReader::new(data), |body| Bytes::from(&data[body]))
+    }
+
+    /// Parse, sharing the body with `data`.
+    pub fn decode_bytes(data: &Bytes) -> WireResult<Fragment> {
+        Fragment::read(&mut WireReader::new(data), |body| data.slice(body))
     }
 }
 
-/// Split `payload` into fragments of at most `mtu` data bytes each.
-pub fn fragment(msg_id: u64, payload: &[u8], mtu: usize) -> Vec<Fragment> {
+/// Split `image` into fragments of at most `mtu` data bytes each, every
+/// one a view of `image`'s allocation.
+pub fn fragment_bytes(
+    msg_id: u64,
+    image: &Bytes,
+    mtu: usize,
+) -> impl Iterator<Item = Fragment> + '_ {
     assert!(mtu > 0, "mtu must be positive");
-    let count = payload.len().div_ceil(mtu).max(1) as u32;
-    (0..count)
-        .map(|i| {
-            let start = i as usize * mtu;
-            let end = (start + mtu).min(payload.len());
-            Fragment { msg_id, index: i, count, data: payload[start..end].to_vec() }
-        })
-        .collect()
+    let count = image.len().div_ceil(mtu).max(1);
+    assert!(count <= MAX_FRAGMENTS as usize, "{count} fragments exceed MAX_FRAGMENTS");
+    (0..count).map(move |i| {
+        let start = i * mtu;
+        let end = (start + mtu).min(image.len());
+        Fragment { msg_id, index: i as u32, count: count as u32, data: image.slice(start..end) }
+    })
+}
+
+/// Split a borrowed `payload` into fragments: copies it once, then
+/// [`fragment_bytes`].
+pub fn fragment(msg_id: u64, payload: &[u8], mtu: usize) -> Vec<Fragment> {
+    fragment_bytes(msg_id, &Bytes::from(payload), mtu).collect()
 }
 
 /// Reassembles fragments into complete messages, per `msg_id`.
@@ -73,9 +141,10 @@ pub struct Reassembler {
 
 #[derive(Debug)]
 struct PartialMsg {
-    count: u32,
-    received: Vec<Option<Vec<u8>>>,
+    received: Vec<Option<Bytes>>,
     have: u32,
+    /// Summed length of the pieces held: the size of the finished message.
+    bytes: usize,
 }
 
 impl Reassembler {
@@ -89,31 +158,42 @@ impl Reassembler {
         self.partial.len()
     }
 
-    /// Accept one fragment. Returns the full payload when the message
-    /// completes; duplicates and stragglers after completion are ignored.
+    /// Accept one fragment. Returns the full payload — in a buffer of
+    /// exactly its length — when the message completes; a duplicate of a
+    /// piece already held is ignored. A fragment that cannot belong (bad
+    /// index or count, or a count that differs from the message's first
+    /// fragment) is an error and changes nothing.
+    ///
+    /// Completion *forgets* the message, so nothing here recognises what
+    /// arrives afterwards: a straggling duplicate opens a fresh partial
+    /// message that can never complete (and pins the packet it is a view
+    /// of), and a full second set of fragments completes a second time.
+    /// Bounding that is the caller's job today — see ROADMAP item 7c.
     pub fn accept(&mut self, frag: Fragment) -> WireResult<Option<Vec<u8>>> {
+        check_bounds(frag.index, frag.count)?;
         let entry = self.partial.entry(frag.msg_id).or_insert_with(|| PartialMsg {
-            count: frag.count,
             received: vec![None; frag.count as usize],
             have: 0,
+            bytes: 0,
         });
-        if entry.count != frag.count || frag.index >= entry.count {
+        if entry.received.len() != frag.count as usize {
             return Err(WireError::InvalidTag { tag: frag.index, ty: "Fragment (inconsistent)" });
         }
         let slot = &mut entry.received[frag.index as usize];
         if slot.is_none() {
-            *slot = Some(frag.data);
+            entry.bytes += frag.data.len();
             entry.have += 1;
+            *slot = Some(frag.data);
         }
-        if entry.have == entry.count {
-            let entry = self.partial.remove(&frag.msg_id).expect("present");
-            let mut out = Vec::new();
-            for piece in entry.received {
-                out.extend(piece.expect("all pieces present"));
-            }
-            return Ok(Some(out));
+        if entry.have < frag.count {
+            return Ok(None);
         }
-        Ok(None)
+        let entry = self.partial.remove(&frag.msg_id).expect("present");
+        let mut out = Vec::with_capacity(entry.bytes);
+        for piece in entry.received {
+            out.extend_from_slice(&piece.expect("all pieces present"));
+        }
+        Ok(Some(out))
     }
 
     /// Drop the in-flight state for `msg_id` (e.g. on flow reset).
@@ -123,7 +203,7 @@ impl Reassembler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -235,16 +315,130 @@ mod tests {
     #[test]
     fn inconsistent_count_rejected() {
         let mut r = Reassembler::new();
-        r.accept(Fragment { msg_id: 1, index: 0, count: 3, data: vec![] }).unwrap();
-        assert!(r.accept(Fragment { msg_id: 1, index: 1, count: 4, data: vec![] }).is_err());
+        r.accept(Fragment { msg_id: 1, index: 0, count: 3, data: Bytes::new() }).unwrap();
+        assert!(r.accept(Fragment { msg_id: 1, index: 1, count: 4, data: Bytes::new() }).is_err());
+        assert_eq!(r.pending(), 1, "the live message is untouched");
+        // It still completes with the count it started with.
+        r.accept(Fragment { msg_id: 1, index: 1, count: 3, data: Bytes::new() }).unwrap();
+        let done = r.accept(Fragment { msg_id: 1, index: 2, count: 3, data: Bytes::new() });
+        assert_eq!(done.unwrap(), Some(vec![]));
+    }
+
+    /// Header of a fragment as it appears on the wire, body cut off.
+    fn wire_header(msg_id: u64, index: u32, count: u32, body_len: u64) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_uvarint(msg_id);
+        w.put_u32(index);
+        w.put_u32(count);
+        w.put_uvarint(body_len);
+        w.into_vec()
+    }
+
+    #[test]
+    fn hostile_count_is_rejected_before_anything_is_sized_from_it() {
+        // Ten bytes asking for a 4-billion-slot table (64 GiB of `Option`s).
+        let wire = wire_header(1, 0, u32::MAX, 0);
+        let over = WireError::LengthOverflow { len: u64::from(u32::MAX), max: 1 << 16 };
+        assert_eq!(Fragment::decode(&wire), Err(over.clone()));
+        assert_eq!(Fragment::decode_bytes(&wire.into()), Err(over.clone()));
+        // One past the bound is out; the bound itself is in.
+        assert!(Fragment::decode(&wire_header(1, 0, MAX_FRAGMENTS + 1, 0)).is_err());
+        assert!(Fragment::decode(&wire_header(1, 0, MAX_FRAGMENTS, 0)).is_ok());
+        // `Fragment`'s fields are public: the reassembler holds the same line.
+        let mut r = Reassembler::new();
+        let big = Fragment { msg_id: 1, index: 0, count: u32::MAX, data: Bytes::new() };
+        assert_eq!(r.accept(big), Err(over));
+        assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn malformed_fragments_are_typed_errors_and_open_nothing() {
+        let invalid = |r: WireResult<Fragment>| matches!(r, Err(WireError::InvalidTag { .. }));
+        assert!(invalid(Fragment::decode(&wire_header(1, 0, 0, 0))), "count 0");
+        assert!(invalid(Fragment::decode(&wire_header(1, 3, 3, 0))), "index == count");
+        // Body shorter than its prefix says, at every cut.
+        let whole = Fragment { msg_id: 7, index: 1, count: 2, data: vec![5u8; 40].into() }.encode();
+        for cut in 0..whole.len() {
+            let got = Fragment::decode(&whole[..cut]);
+            assert!(matches!(got, Err(WireError::UnexpectedEof { .. })), "cut {cut}: {got:?}");
+            assert_eq!(Fragment::decode_bytes(&whole[..cut].into()), got);
+        }
+        // Bytes after the body.
+        let mut long = whole.clone();
+        long.push(0);
+        assert_eq!(Fragment::decode(&long), Err(WireError::TrailingBytes(1)));
+        // The reassembler refuses the same index/count shapes, and a
+        // refused first fragment leaves no half-open message behind.
+        let mut r = Reassembler::new();
+        for (index, count) in [(0, 0), (3, 3), (9, 2)] {
+            let bad = Fragment { msg_id: 4, index, count, data: Bytes::new() };
+            assert!(r.accept(bad).is_err());
+            assert_eq!(r.pending(), 0);
+        }
+    }
+
+    #[test]
+    fn completion_forgets_the_message_so_late_fragments_start_over() {
+        // What `accept` does today with fragments that arrive after their
+        // message completed (ROADMAP 7c is the fix; this pins the behaviour
+        // it will change).
+        let payload = vec![3u8; 2500];
+        let frags = fragment(9, &payload, 1000);
+        let mut r = Reassembler::new();
+        for f in &frags[..2] {
+            assert_eq!(r.accept(f.clone()).unwrap(), None);
+        }
+        assert_eq!(r.accept(frags[2].clone()).unwrap(), Some(payload.clone()));
+        assert_eq!(r.pending(), 0);
+        // A straggler is not recognised: it opens a new partial message
+        // that nothing will ever finish, holding the bytes it views.
+        assert_eq!(r.accept(frags[1].clone()).unwrap(), None);
+        assert_eq!(r.pending(), 1);
+        // A full duplicate set (a retried fetch racing the slow reply)
+        // completes a second time.
+        assert_eq!(r.accept(frags[0].clone()).unwrap(), None);
+        assert_eq!(r.accept(frags[2].clone()).unwrap(), Some(payload));
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// True when `inner` lies wholly inside `outer`'s memory.
+    pub(crate) fn within(inner: &[u8], outer: &[u8]) -> bool {
+        let (i, o) = (inner.as_ptr_range(), outer.as_ptr_range());
+        o.start <= i.start && i.end <= o.end
+    }
+
+    #[test]
+    fn fragments_are_views_and_reassembly_allocates_the_image_once() {
+        let image = Bytes::from((0..=255u8).cycle().take(10_000).collect::<Vec<u8>>());
+        let mut r = Reassembler::new();
+        let mut done = None;
+        for f in fragment_bytes(5, &image, DEFAULT_MTU) {
+            // Sender: the fragment's body is the image's own memory.
+            assert!(within(&f.data, &image));
+            assert_eq!(f.data.as_ptr(), image[f.index as usize * DEFAULT_MTU..].as_ptr());
+            // Receiver: the decoded body is the packet's own memory.
+            let packet = Bytes::from(f.encode());
+            assert_eq!(packet.len(), f.encoded_len());
+            let got = Fragment::decode_bytes(&packet).unwrap();
+            assert_eq!(got, f);
+            assert!(within(&got.data, &packet) && !within(&got.data, &image));
+            // The slice-taking decoder copies instead, to the same value.
+            let copied = Fragment::decode(&packet).unwrap();
+            assert_eq!(copied, f);
+            assert!(!within(&copied.data, &packet));
+            done = r.accept(got).unwrap().or(done);
+        }
+        let out = done.expect("complete");
+        assert_eq!(image, out);
+        assert_eq!(out.capacity(), image.len(), "sized once, from the pieces");
     }
 
     #[test]
     fn fragment_wire_roundtrip() {
-        let f = Fragment { msg_id: 99, index: 2, count: 5, data: vec![1, 2, 3] };
+        let f = Fragment { msg_id: 99, index: 2, count: 5, data: vec![1, 2, 3].into() };
         assert_eq!(Fragment::decode(&f.encode()).unwrap(), f);
         // Invalid index >= count rejected on decode.
-        let bad = Fragment { msg_id: 1, index: 5, count: 5, data: vec![] };
+        let bad = Fragment { msg_id: 1, index: 5, count: 5, data: Bytes::new() };
         assert!(Fragment::decode(&bad.encode()).is_err());
     }
 

@@ -13,8 +13,14 @@
 //! switches route on `dst_obj` without understanding bodies, which is the
 //! paper's "pointers … interpreted by the network layer as well as the OS".
 
+use std::ops::Range;
+
+use bytes::Bytes;
 use rdv_objspace::ObjId;
+use rdv_wire::varint::uvarint_len;
 use rdv_wire::{Decode, Encode, WireError, WireReader, WireResult, WireWriter};
+
+use crate::frag::Fragment;
 
 /// Byte length of the objnet header.
 pub const HEADER_LEN: usize = 33;
@@ -92,15 +98,19 @@ pub enum MsgBody {
         /// The serialized object image ([`rdv_objspace::Object::to_image`]).
         image: Vec<u8>,
     },
-    /// One fragment of a large object image (see [`crate::frag`]): `frag`
-    /// is a [`crate::frag::Fragment`] encoding whose `msg_id` equals `req`.
+    /// One fragment of a large object image (see [`crate::frag`]), whose
+    /// `msg_id` equals `req`. The message carries the fragment itself, not
+    /// an encoding of it: its body is a view of the sender's image until
+    /// [`Msg::encode`] writes it into the packet, and a view of the arrived
+    /// packet after [`Msg::decode_bytes`]. On the wire it is the fragment's
+    /// encoding behind a length prefix, as it always was.
     ObjImageFrag {
         /// Correlates with the [`MsgBody::ObjImageReq`].
         req: u64,
         /// Object version of the full image.
         version: u64,
-        /// Encoded [`crate::frag::Fragment`].
-        frag: Vec<u8>,
+        /// The fragment.
+        frag: Fragment,
     },
     /// Coherence/discovery: revoke cached copies and destination-cache
     /// entries for the destination object (broadcast on movement).
@@ -248,6 +258,9 @@ pub struct Msg {
 }
 
 impl MsgBody {
+    /// The wire `msg_type` of [`MsgBody::ObjImageFrag`].
+    pub const OBJ_IMAGE_FRAG: u8 = 0x0B;
+
     /// The wire `msg_type` for this body.
     pub fn msg_type(&self) -> u8 {
         match self {
@@ -257,7 +270,7 @@ impl MsgBody {
             MsgBody::WriteAck { .. } => 0x04,
             MsgBody::ObjImageReq { .. } => 0x05,
             MsgBody::ObjImageResp { .. } => 0x06,
-            MsgBody::ObjImageFrag { .. } => 0x0B,
+            MsgBody::ObjImageFrag { .. } => Self::OBJ_IMAGE_FRAG,
             MsgBody::Invalidate { .. } => 0x07,
             MsgBody::DirInvalidate { .. } => 0x0C,
             MsgBody::UpgradeReq { .. } => 0x08,
@@ -312,7 +325,8 @@ impl MsgBody {
             MsgBody::ObjImageFrag { req, version, frag } => {
                 w.put_uvarint(*req);
                 w.put_uvarint(*version);
-                w.put_len_prefixed(frag);
+                w.put_uvarint(frag.encoded_len() as u64);
+                frag.encode_into(w);
             }
             MsgBody::Invalidate { version } => w.put_uvarint(*version),
             MsgBody::DirInvalidate { obj, version } => {
@@ -358,8 +372,27 @@ impl MsgBody {
         }
     }
 
-    /// Decode body fields for `msg_type`.
-    fn decode_fields(msg_type: u8, r: &mut WireReader<'_>) -> WireResult<MsgBody> {
+    /// Bytes [`MsgBody::encode_fields`] will write, where that is worth
+    /// knowing exactly: an image fragment goes into a buffer of precisely
+    /// its size, everything else is small and starts from a guess.
+    fn fields_len_hint(&self) -> usize {
+        match self {
+            MsgBody::ObjImageFrag { req, version, frag } => {
+                let frag_len = frag.encoded_len();
+                uvarint_len(*req) + uvarint_len(*version) + uvarint_len(frag_len as u64) + frag_len
+            }
+            _ => 32,
+        }
+    }
+
+    /// Decode body fields for `msg_type`. `share` turns a byte range of
+    /// `r`'s buffer into owned bytes — a copy, or a view of the packet —
+    /// for the one field that is kept as [`Bytes`], a fragment's body.
+    fn decode_fields(
+        msg_type: u8,
+        r: &mut WireReader<'_>,
+        share: impl FnOnce(Range<usize>) -> Bytes,
+    ) -> WireResult<MsgBody> {
         const MAX: u64 = 1 << 30;
         Ok(match msg_type {
             0x01 => MsgBody::ReadReq {
@@ -387,11 +420,16 @@ impl MsgBody {
                 version: r.get_uvarint()?,
                 image: r.get_len_prefixed(MAX)?.to_vec(),
             },
-            0x0B => MsgBody::ObjImageFrag {
-                req: r.get_uvarint()?,
-                version: r.get_uvarint()?,
-                frag: r.get_len_prefixed(MAX)?.to_vec(),
-            },
+            Self::OBJ_IMAGE_FRAG => {
+                let req = r.get_uvarint()?;
+                let version = r.get_uvarint()?;
+                let encoded = r.get_len_prefixed(MAX)?;
+                let base = r.position() - encoded.len();
+                let frag = Fragment::read(&mut WireReader::new(encoded), |body| {
+                    share(base + body.start..base + body.end)
+                })?;
+                MsgBody::ObjImageFrag { req, version, frag }
+            }
             0x07 => MsgBody::Invalidate { version: r.get_uvarint()? },
             0x0C => MsgBody::DirInvalidate { obj: ObjId::decode(r)?, version: r.get_uvarint()? },
             0x08 => MsgBody::UpgradeReq { req: r.get_uvarint()? },
@@ -446,7 +484,7 @@ impl MsgBody {
     pub fn decode_bare(data: &[u8]) -> WireResult<MsgBody> {
         let mut r = WireReader::new(data);
         let t = r.get_u8()?;
-        let body = Self::decode_fields(t, &mut r)?;
+        let body = Self::decode_fields(t, &mut r, |body| Bytes::from(&data[body]))?;
         if !r.is_exhausted() {
             return Err(WireError::TrailingBytes(r.remaining()));
         }
@@ -460,9 +498,11 @@ impl Msg {
         Msg { header: MsgHeader { dst, src }, body }
     }
 
-    /// Serialize to packet bytes (header + body).
+    /// Serialize to packet bytes (header + body). An image fragment is
+    /// written — routing header, fragment header, body — straight into one
+    /// buffer of exactly its size: the sender's only copy of those bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(HEADER_LEN + 32);
+        let mut w = WireWriter::with_capacity(HEADER_LEN + self.body.fields_len_hint());
         w.put_u8(self.body.msg_type());
         w.put_u128(self.header.dst.as_u128());
         w.put_u128(self.header.src.as_u128());
@@ -470,13 +510,23 @@ impl Msg {
         w.into_vec()
     }
 
-    /// Parse packet bytes.
+    /// Parse packet bytes, copying out whatever the message keeps.
     pub fn decode(data: &[u8]) -> WireResult<Msg> {
+        Msg::decode_with(data, |body| Bytes::from(&data[body]))
+    }
+
+    /// Parse a packet's payload. A fragment's body comes back as a view of
+    /// `data` — the arrived packet stays the only copy until reassembly.
+    pub fn decode_bytes(data: &Bytes) -> WireResult<Msg> {
+        Msg::decode_with(data, |body| data.slice(body))
+    }
+
+    fn decode_with(data: &[u8], share: impl FnOnce(Range<usize>) -> Bytes) -> WireResult<Msg> {
         let mut r = WireReader::new(data);
         let t = r.get_u8()?;
         let dst = ObjId(r.get_u128()?);
         let src = ObjId(r.get_u128()?);
-        let body = MsgBody::decode_fields(t, &mut r)?;
+        let body = MsgBody::decode_fields(t, &mut r, share)?;
         if !r.is_exhausted() {
             return Err(WireError::TrailingBytes(r.remaining()));
         }
@@ -489,30 +539,47 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_bodies() -> Vec<MsgBody> {
+    /// One body of every variant, its numbers, ids and payloads drawn from
+    /// the arguments.
+    fn bodies(n: u64, id: u128, data: &[u8]) -> Vec<MsgBody> {
+        let (obj, data) = (ObjId(id), data.to_vec());
+        let count = (n >> 8) as u32 % crate::frag::MAX_FRAGMENTS + 1;
         vec![
-            MsgBody::ReadReq { req: 1, target: ObjId(5), offset: 64, len: 128 },
-            MsgBody::ReadResp { req: 1, offset: 64, version: 3, data: vec![1, 2, 3] },
-            MsgBody::WriteReq { req: 2, target: ObjId(5), offset: 0, data: vec![9; 40] },
-            MsgBody::WriteAck { req: 2, version: 4 },
-            MsgBody::ObjImageReq { req: 3, target: ObjId(5) },
-            MsgBody::ObjImageResp { req: 3, version: 9, image: vec![7; 100] },
-            MsgBody::ObjImageFrag { req: 3, version: 9, frag: vec![1, 2, 3] },
-            MsgBody::Invalidate { version: 12 },
-            MsgBody::DirInvalidate { obj: ObjId(0xD1), version: 13 },
-            MsgBody::UpgradeReq { req: 4 },
-            MsgBody::UpgradeAck { req: 4, version: 13 },
-            MsgBody::Nack { req: 5, code: NackCode::NotHere },
-            MsgBody::DiscoverReq { req: 6 },
-            MsgBody::DiscoverResp { req: 6, holder_inbox: ObjId(0xBEEF) },
-            MsgBody::Advertise { obj: ObjId(11) },
-            MsgBody::GossipDigest { round: 3, target: ObjId(0xAB), data: vec![4, 5, 6] },
-            MsgBody::GossipDelta { round: 3, target: ObjId(0xAB), data: vec![7, 8] },
-            MsgBody::Invoke { req: 7, code: ObjId(0xC0DE), args: vec![ObjId(1), ObjId(2)] },
-            MsgBody::InvokeResult { req: 7, result: vec![0xFF; 8] },
-            MsgBody::RelData { seq: 10, ack: 9, inner: vec![0x01, 0x00] },
-            MsgBody::RelAck { ack: 10 },
+            MsgBody::ReadReq { req: n, target: obj, offset: n / 3, len: n / 5 },
+            MsgBody::ReadResp { req: n, offset: 64, version: n / 7, data: data.clone() },
+            MsgBody::WriteReq { req: n, target: obj, offset: n / 2, data: data.clone() },
+            MsgBody::WriteAck { req: n, version: 4 },
+            MsgBody::ObjImageReq { req: n, target: obj },
+            MsgBody::ObjImageResp { req: n, version: 9, image: data.clone() },
+            MsgBody::ObjImageFrag {
+                req: n,
+                version: n / 11,
+                frag: Fragment {
+                    msg_id: n,
+                    index: n as u32 % count,
+                    count,
+                    data: data.clone().into(),
+                },
+            },
+            MsgBody::Invalidate { version: n },
+            MsgBody::DirInvalidate { obj, version: n },
+            MsgBody::UpgradeReq { req: n },
+            MsgBody::UpgradeAck { req: n, version: 13 },
+            MsgBody::Nack { req: n, code: NackCode::NotHere },
+            MsgBody::DiscoverReq { req: n },
+            MsgBody::DiscoverResp { req: n, holder_inbox: obj },
+            MsgBody::Advertise { obj },
+            MsgBody::GossipDigest { round: n, target: obj, data: data.clone() },
+            MsgBody::GossipDelta { round: n, target: obj, data: data.clone() },
+            MsgBody::Invoke { req: n, code: obj, args: vec![ObjId(1), obj] },
+            MsgBody::InvokeResult { req: n, result: data.clone() },
+            MsgBody::RelData { seq: n, ack: n / 2, inner: data },
+            MsgBody::RelAck { ack: n },
         ]
+    }
+
+    fn sample_bodies() -> Vec<MsgBody> {
+        bodies(0x0307, 5, &[1, 2, 3])
     }
 
     #[test]
@@ -578,12 +645,100 @@ mod tests {
         }
     }
 
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    #[test]
+    fn image_fragment_wire_bytes_are_the_parents() {
+        // Captured from the encoder this one replaced (`Fragment::encode`
+        // into a `Vec`, that `Vec` length-prefixed into `Msg::encode`): the
+        // bytes up to the body, the message length, and FNV-1a over the
+        // whole message. The body itself is the image's bytes, verbatim.
+        let image: Vec<u8> =
+            (0..10_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let golden = [
+            ("0bbbaa0000000000000000000000000000ddcc0000000000000000000000000000b424098c20b42400000000030000008020", 4146, 0xc7e7_6be8_9c0c_8ed4u64),
+            ("0bbbaa0000000000000000000000000000ddcc0000000000000000000000000000b424098c20b42401000000030000008020", 4146, 0xb03e_77f8_844f_3815),
+            ("0bbbaa0000000000000000000000000000ddcc0000000000000000000000000000b424099c0eb4240200000003000000900e", 1858, 0xd3ee_1aae_58bc_27ae),
+        ];
+        let frags = crate::frag::fragment(0x1234, &image, 4096);
+        assert_eq!(frags.len(), golden.len());
+        for (frag, (head, len, fnv)) in frags.into_iter().zip(golden) {
+            let body = frag.data.clone();
+            let msg = Msg::new(
+                ObjId(0xAABB),
+                ObjId(0xCCDD),
+                MsgBody::ObjImageFrag { req: 0x1234, version: 9, frag },
+            );
+            let wire = msg.encode();
+            assert_eq!(wire, [unhex(head), body.to_vec()].concat());
+            assert_eq!(wire.len(), len);
+            let hash = wire.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!(hash, fnv);
+            assert_eq!(wire.capacity(), wire.len(), "written into a buffer of exactly its size");
+            assert_eq!(Msg::decode(&wire).unwrap(), msg);
+        }
+        // The empty image: one fragment, no body.
+        let frag = crate::frag::fragment(5, b"", 4096).remove(0);
+        let msg = Msg::new(ObjId(1), ObjId(2), MsgBody::ObjImageFrag { req: 5, version: 0, frag });
+        let empty = "0b010000000000000000000000000000000200000000000000000000000000000005000a05000000000100000000";
+        assert_eq!(msg.encode(), unhex(empty));
+        assert_eq!(Msg::decode(&unhex(empty)).unwrap(), msg);
+    }
+
+    #[test]
+    fn a_decoded_fragment_body_is_a_view_of_the_packet() {
+        let frag = Fragment { msg_id: 8, index: 0, count: 2, data: vec![0xEE; 4096].into() };
+        let msg = Msg::new(ObjId(1), ObjId(2), MsgBody::ObjImageFrag { req: 8, version: 1, frag });
+        let packet = Bytes::from(msg.encode());
+        let inside = |data: &Bytes| crate::frag::tests::within(data, &packet);
+        match Msg::decode_bytes(&packet).unwrap().body {
+            MsgBody::ObjImageFrag { frag, .. } => assert!(inside(&frag.data)),
+            other => panic!("wrong body {other:?}"),
+        }
+        match Msg::decode(&packet).unwrap().body {
+            MsgBody::ObjImageFrag { frag, .. } => {
+                assert!(!inside(&frag.data), "the slice decoder copies")
+            }
+            other => panic!("wrong body {other:?}"),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_slice_and_bytes_decoders_agree(
+            n in any::<u64>(),
+            id in any::<u128>(),
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+            cut in any::<usize>(),
+            extra in proptest::collection::vec(any::<u8>(), 1..4),
+        ) {
+            // Every variant: both decoders return the message; cut short or
+            // run long, both give the same error.
+            for body in bodies(n, id, &data) {
+                let msg = Msg::new(ObjId(id ^ 1), ObjId(id), body);
+                let wire = msg.encode();
+                prop_assert_eq!(Msg::decode(&wire), Ok(msg.clone()));
+                prop_assert_eq!(Msg::decode_bytes(&wire.clone().into()), Ok(msg));
+                let short = &wire[..cut % wire.len()];
+                let got = Msg::decode(short);
+                prop_assert!(got.is_err(), "{:?} decoded from a truncation", got);
+                prop_assert_eq!(Msg::decode_bytes(&short.into()), got);
+                let long = [&wire[..], &extra[..]].concat();
+                prop_assert_eq!(Msg::decode(&long), Err(WireError::TrailingBytes(extra.len())));
+                prop_assert_eq!(Msg::decode_bytes(&long.into()), Err(WireError::TrailingBytes(extra.len())));
+            }
+        }
+
         #[test]
         fn prop_decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             // Hostile input: decoding must return an error or a message,
             // never panic or loop.
-            let _ = Msg::decode(&bytes);
+            let got = Msg::decode(&bytes);
+            prop_assert_eq!(Msg::decode_bytes(&bytes.clone().into()), got);
             let _ = MsgBody::decode_bare(&bytes);
         }
 

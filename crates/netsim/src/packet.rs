@@ -32,6 +32,11 @@ impl Packet {
 mod tests {
     use super::*;
 
+    // A packet rides inline in every queue entry, and `storm_100k` is
+    // cache-bound on those entries: 16 bytes of payload handle + the trace
+    // id, and not a word more.
+    const _: () = assert!(std::mem::size_of::<Packet>() == 24);
+
     #[test]
     fn construction_and_len() {
         let p = Packet::new(vec![1u8, 2, 3], 42);

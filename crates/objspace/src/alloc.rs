@@ -82,6 +82,11 @@ impl ObjAllocator {
         Ok(off)
     }
 
+    /// Bytes [`Encode::encode`] writes for this allocator.
+    pub fn encoded_len(&self) -> usize {
+        20 + self.free.values().map(|offs| 12 + 8 * offs.len()).sum::<usize>()
+    }
+
     /// Return a block to the allocator.
     ///
     /// The caller must pass the same `size` it allocated with (as is
@@ -201,7 +206,11 @@ mod tests {
         let x = a.alloc(32).unwrap();
         a.alloc(64).unwrap();
         a.free(x, 32).unwrap();
+        let y = a.alloc(16).unwrap();
+        a.free(y, 16).unwrap();
         let bytes = rdv_wire::encode_to_vec(&a);
+        assert_eq!(bytes.len(), a.encoded_len());
+        assert_eq!(ObjAllocator::new(64).encoded_len(), 20);
         let back: ObjAllocator = rdv_wire::decode_from_slice(&bytes).unwrap();
         assert_eq!(back, a);
     }

@@ -14,6 +14,7 @@ use crate::fot::{Fot, FotFlags};
 use crate::id::ObjId;
 use crate::ptr::{InvPtr, MAX_OFFSET};
 use rdv_wire::{Decode, Encode, WireReader, WireWriter};
+use std::ops::Range;
 
 /// Image magic: "RDVO".
 pub const OBJECT_MAGIC: [u8; 4] = *b"RDVO";
@@ -142,7 +143,7 @@ impl Object {
     }
 
     fn allocator_extra_len(&self) -> usize {
-        rdv_wire::encode_to_vec(&self.allocator).len().saturating_sub(20)
+        self.allocator.encoded_len() - 20
     }
 
     fn bump_version(&mut self) {
@@ -264,10 +265,13 @@ impl Object {
         Ok((entry.id, ptr.offset()))
     }
 
-    /// Serialize to a self-contained byte image. Heap bytes — including any
-    /// stored pointer words — are copied verbatim.
+    /// Serialize to a self-contained byte image, in a buffer of exactly its
+    /// size. Heap bytes — including any stored pointer words — are copied
+    /// verbatim.
     pub fn to_image(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.heap.len() + 128);
+        // Magic, kind, id, version and heap length are 37 fixed bytes.
+        let len = 37 + self.fot.image_len() + self.allocator.encoded_len() + self.heap.len();
+        let mut w = WireWriter::with_capacity(len);
         w.put_bytes(&OBJECT_MAGIC);
         w.put_u8(self.meta.kind.to_byte());
         w.put_u128(self.meta.id.as_u128());
@@ -279,8 +283,29 @@ impl Object {
         w.into_vec()
     }
 
-    /// Reconstruct an object from an image produced by [`Object::to_image`].
+    /// Reconstruct an object from an image produced by [`Object::to_image`],
+    /// copying the heap out of it.
     pub fn from_image(image: &[u8]) -> ObjResult<Object> {
+        let (mut object, heap) = Object::parse_image(image)?;
+        object.heap = image[heap].to_vec();
+        Ok(object)
+    }
+
+    /// Reconstruct an object from an image it may keep: the buffer becomes
+    /// the object's heap (the heap bytes slide down over the header, in
+    /// place), so a received image is not copied again to become an object.
+    pub fn from_image_owned(mut image: Vec<u8>) -> ObjResult<Object> {
+        let (mut object, heap) = Object::parse_image(&image)?;
+        let heap_len = heap.len();
+        image.copy_within(heap, 0);
+        image.truncate(heap_len);
+        object.heap = image;
+        Ok(object)
+    }
+
+    /// Parse and check a whole image; returns the object, its heap still
+    /// empty, and where in `image` the heap bytes are.
+    fn parse_image(image: &[u8]) -> ObjResult<(Object, Range<usize>)> {
         let mut r = WireReader::new(image);
         let magic = r.get_bytes(4).map_err(|_| ObjError::CorruptImage("truncated magic"))?;
         if magic != OBJECT_MAGIC {
@@ -296,14 +321,16 @@ impl Object {
         let allocator =
             ObjAllocator::decode(&mut r).map_err(|_| ObjError::CorruptImage("allocator"))?;
         let heap_len = r.get_u64().map_err(|_| ObjError::CorruptImage("heap length"))?;
-        let heap = r
-            .get_bytes(heap_len as usize)
-            .map_err(|_| ObjError::CorruptImage("truncated heap"))?
-            .to_vec();
+        let heap_len = usize::try_from(heap_len).unwrap_or(usize::MAX);
+        r.get_bytes(heap_len).map_err(|_| ObjError::CorruptImage("truncated heap"))?;
         if !r.is_exhausted() {
             return Err(ObjError::CorruptImage("trailing bytes"));
         }
-        Ok(Object { meta: ObjectMeta { id, kind, version }, fot, allocator, heap })
+        let heap = r.position() - heap_len..r.position();
+        Ok((
+            Object { meta: ObjectMeta { id, kind, version }, fot, allocator, heap: Vec::new() },
+            heap,
+        ))
     }
 }
 
@@ -448,6 +475,71 @@ mod tests {
         assert!(matches!(Object::from_image(&long), Err(ObjError::CorruptImage(_))));
     }
 
+    /// An owned image must become the object `from_image` makes of it, in
+    /// the buffer it came in.
+    fn adopt(image: Vec<u8>) -> Object {
+        let (ptr, len) = (image.as_ptr(), image.len());
+        let expected = Object::from_image(&image).unwrap();
+        let adopted = Object::from_image_owned(image).unwrap();
+        assert_eq!(adopted, expected);
+        assert_eq!(adopted.heap.as_ptr(), ptr, "the image's allocation is the heap");
+        assert!(adopted.heap.capacity() <= len, "no second heap was allocated");
+        adopted
+    }
+
+    #[test]
+    fn an_owned_image_is_adopted_not_copied() {
+        let mut o = obj();
+        let a = o.alloc(24).unwrap();
+        o.write(a, b"payload payload payload!").unwrap();
+        let p = o.make_ptr(id(7), 512, FotFlags::RW).unwrap();
+        let cell = o.alloc(8).unwrap();
+        o.write_ptr(cell, p).unwrap();
+        let image = o.to_image();
+        assert_eq!(image.capacity(), image.len(), "an image is written once, into its own size");
+        let mut moved = adopt(image);
+        assert_eq!(moved, o);
+        assert_eq!(moved.to_image(), o.to_image());
+        assert_eq!(moved.resolve_ptr(moved.read_ptr(cell).unwrap()).unwrap(), (id(7), 512));
+        // The adopted heap is an ordinary heap: it grows on the next alloc.
+        let fresh = moved.alloc(4096).unwrap();
+        moved.write_u64(fresh, 1).unwrap();
+        // An object with no heap at all.
+        adopt(obj().to_image());
+    }
+
+    #[test]
+    fn owned_and_borrowed_images_fail_for_the_same_reasons() {
+        let mut o = obj();
+        let off = o.alloc(8).unwrap();
+        o.write_u64(off, 5).unwrap();
+        let image = o.to_image();
+        let reason = |r: ObjResult<Object>| match r {
+            Err(ObjError::CorruptImage(why)) => why,
+            other => panic!("expected CorruptImage, got {other:?}"),
+        };
+        let mut nil = image.clone();
+        nil[5..21].fill(0);
+        let mut long = image.clone();
+        long.push(0);
+        let cases = [
+            (image[..3].to_vec(), "truncated magic"),
+            (nil, "nil id"),
+            (image[..image.len() - 1].to_vec(), "truncated heap"),
+            (long, "trailing bytes"),
+        ];
+        for (bad, why) in cases {
+            assert_eq!(reason(Object::from_image(&bad)), why);
+            assert_eq!(reason(Object::from_image_owned(bad)), why);
+        }
+        // And at every cut in between, the two agree.
+        for cut in 0..image.len() {
+            let borrowed = Object::from_image(&image[..cut]);
+            assert!(borrowed.is_err());
+            assert_eq!(Object::from_image_owned(image[..cut].to_vec()), borrowed);
+        }
+    }
+
     #[test]
     fn capacity_is_respected() {
         let mut o = Object::with_capacity(id(1), ObjectKind::Data, 64);
@@ -471,6 +563,7 @@ mod tests {
             }
             let back = Object::from_image(&o.to_image()).unwrap();
             prop_assert_eq!(&back, &o);
+            prop_assert_eq!(adopt(o.to_image()).to_image(), o.to_image());
             for (slot, _) in &writes {
                 prop_assert_eq!(back.read_u64(base + slot * 8).unwrap(), o.read_u64(base + slot * 8).unwrap());
             }

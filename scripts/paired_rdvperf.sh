@@ -14,8 +14,12 @@
 #
 # --record N also writes BENCH_<N>.json at the repo root (medians,
 # quartiles, box note); it refuses to overwrite: the trajectory is
-# append-only. Everything else is left under target/paired/ (ignored),
-# where builds are reused by the next invocation.
+# append-only. A recorded entry carries per-layer numbers too: each
+# workload is run three more times a side with `--trace 1` (alternating),
+# both sides' medians of every metric in BENCHMARK.json's `per_layer`
+# list go under the workload's `per_layer` key, and the ones that differ
+# by more than 5 % are printed. Everything else is left under
+# target/paired/ (ignored), where builds are reused by the next invocation.
 set -euo pipefail
 
 record=""
@@ -59,21 +63,30 @@ fi
 runs="$work/runs.$$"
 mkdir -p "$runs"
 trap 'rm -rf "$runs"' EXIT
-for w in $workloads; do
-  for i in $(seq 1 "$pairs"); do
+
+# run_pairs <workload> <pairs> <trace 0|1> <suffix>: alternate the two sides,
+# appending each run's JSON result to $runs/<workload>.<side><suffix>.jsonl.
+run_pairs() {
+  local w="$1" n="$2" trace="$3" suffix="$4" i side order out
+  for i in $(seq 1 "$n"); do
     if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do
       out="$(CARGO_TARGET_DIR="${tgt[$side]}" bash "${src[$side]}/benchmark/run.sh" \
-        --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 2>"$runs/stderr")" || {
+        --workload "$w" --seed "$seed" --seconds "$seconds" --trace "$trace" 2>"$runs/stderr")" || {
         cat "$runs/stderr" >&2
-        echo "paired_rdvperf: $side run of $w failed (pair $i)" >&2
+        echo "paired_rdvperf: $side run of $w failed (pair $i, trace $trace)" >&2
         exit 1
       }
       # The last line of a single-workload run is its JSON result.
-      tail -n 1 <<<"$out" >>"$runs/$w.$side.jsonl"
+      tail -n 1 <<<"$out" >>"$runs/$w.$side$suffix.jsonl"
     done
-    echo "# $w pair $i/$pairs done" >&2
+    echo "# $w pair $i/$n done (trace $trace)" >&2
   done
+}
+
+for w in $workloads; do
+  run_pairs "$w" "$pairs" 0 ""
+  if [ -n "$record" ]; then run_pairs "$w" 3 1 .trace; fi
 done
 
 box="$(nproc) vCPU, $(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1), $(rustc -V)"
@@ -125,6 +138,20 @@ for w in workloads:
         }
         fmt = lambda s: f"{s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}]"
         print(f"{name:<20}{fmt(ps):>40}{fmt(cs):>40}{delta:>+9.1%}{wins:>4}/{len(p):<2}  {'yes' if apart else 'no':<4}  {verdict}")
+    if record:
+        traced = {
+            side: [json.loads(line)["metrics"] for line in open(f"{runs}/{w}.{side}.trace.jsonl")]
+            for side in ("parent", "change")
+        }
+        layers = out[w]["per_layer"] = {
+            m["name"]: {side: statistics.median(r[m["name"]]["value"] for r in rs) for side, rs in traced.items()}
+            for m in contract["per_layer"]
+        }
+        print(f"per-layer medians of {len(traced['parent'])} traced runs a side that differ by more than 5 %:")
+        for name, v in layers.items():
+            if abs(v["change"] - v["parent"]) > 0.05 * abs(v["parent"]):
+                delta = f"{(v['change'] - v['parent']) / v['parent']:+.1%}" if v["parent"] else "new"
+                print(f"  {name:<36}{v['parent']:>14.6g}{v['change']:>14.6g}{delta:>9}")
 
 if record:
     doc = {
@@ -132,7 +159,8 @@ if record:
         "command": contract["command"], "run_seconds": int(seconds),
         "seed": int(seed), "pairs": int(pairs),
         "note": "paired alternating runs (scripts/paired_rdvperf.sh); quartiles as statistics.quantiles(n=4); "
-                "wins = pairs where the change beat the parent, ties for neither",
+                "wins = pairs where the change beat the parent, ties for neither; "
+                "per_layer = medians of three alternating `--trace 1` runs a side",
         "workloads": out,
     }
     with open(f"{root}/BENCH_{record}.json", "x") as f:
