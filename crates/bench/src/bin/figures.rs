@@ -5,8 +5,8 @@
 //!     [--quick] [--jobs N] [--list] [--trace EXP]… [IDS…]
 //! ```
 //!
-//! With no IDs, runs everything (F1 F2 F3 T1 S1 A1–A5). Text tables
-//! go to stdout; JSON goes to `results/<id>.json`.
+//! With no IDs, runs every experiment in `experiments::CATALOG` (see
+//! `--list`). Text tables go to stdout; JSON goes to `results/<id>.json`.
 //!
 //! `--list` prints every experiment ID with its one-line description.
 //!
@@ -30,25 +30,31 @@
 //! `--shards N` sets the engine's default shard count: every simulation
 //! in the run executes on N parallel shards under conservative lookahead
 //! (see DESIGN.md §9). Output bytes are identical for every N, including
-//! 1 — CI cmp-checks this.
+//! 1 — `scripts/contract.sh` cmp-checks this. No experiment names a shard
+//! count of its own: this flag is the only way to set one.
 
 use std::io::Write;
 
 use rdv_bench::experiments;
 use rdv_bench::experiments::CATALOG;
-use rdv_bench::Series;
+
+/// Every experiment ID, space-separated, in run order.
+fn known_ids() -> String {
+    CATALOG.iter().map(|(id, ..)| *id).collect::<Vec<_>>().join(" ")
+}
 
 fn usage_exit() -> ! {
     eprintln!(
         "usage: figures [--quick] [--jobs N] [--shards N] [--list] [--trace EXP] \
-         [--metrics EXP] [F1 F2 F3 F4 F5 F6 F7 F8 T1 T2 S1 A1 A2 A3 A4 A5]"
+         [--metrics EXP] [{}]",
+        known_ids()
     );
     std::process::exit(2);
 }
 
 fn list_exit() -> ! {
     println!("experiments:");
-    for (id, desc) in CATALOG {
+    for (id, desc, _) in CATALOG {
         let traced = if experiments::trace::TRACEABLE.contains(id) { "  [--trace]" } else { "" };
         let metered =
             if experiments::metrics::METRICABLE.contains(id) { "  [--metrics]" } else { "" };
@@ -122,45 +128,24 @@ fn main() {
         i += 1;
     }
     for w in &wanted {
-        if !CATALOG.iter().any(|(id, _)| id == w) {
+        if !CATALOG.iter().any(|(id, ..)| id == w) {
             eprintln!(
                 "[figures] warning: unknown experiment id {w} — run `figures --list` \
                  for ids and descriptions (known: {})",
-                CATALOG.iter().map(|(id, _)| *id).collect::<Vec<_>>().join(" ")
+                known_ids()
             );
         }
     }
-    let run_one = |id: &str| -> Option<Series> {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w == id) {
-            return None;
-        }
-        eprintln!("[figures] running {id}{}…", if quick { " (quick)" } else { "" });
-        Some(match id {
-            "F1" => experiments::fig1::run(quick),
-            "F2" => experiments::fig2::run(quick),
-            "F3" => experiments::fig3::run(quick),
-            "F4" => experiments::f4::run(quick),
-            "F5" => experiments::f5::run(quick),
-            "F6" => experiments::f6::run(quick),
-            "F7" => experiments::f7::run(quick),
-            "F8" => experiments::f8::run(quick),
-            "T1" => experiments::t1::run(quick),
-            "T2" => experiments::t2::run(quick),
-            "S1" => experiments::s1::run(quick),
-            "A1" => experiments::a1::run(quick),
-            "A2" => experiments::a2::run(quick),
-            "A3" => experiments::a3::run(quick),
-            "A4" => experiments::a4::run(quick),
-            "A5" => experiments::a5::run(quick),
-            _ => unreachable!(),
-        })
-    };
     let _ = std::fs::create_dir_all("results");
     let mut ran = 0;
     // With only --trace/--metrics flags, skip the full sweeps.
     if (traces.is_empty() && metered.is_empty()) || !wanted.is_empty() {
-        for (id, _) in CATALOG {
-            let Some(series) = run_one(id) else { continue };
+        for (id, _, run) in CATALOG {
+            if !wanted.is_empty() && !wanted.iter().any(|w| w == id) {
+                continue;
+            }
+            eprintln!("[figures] running {id}{}…", if quick { " (quick)" } else { "" });
+            let series = run(quick);
             ran += 1;
             println!("{}", series.to_text());
             let path = format!("results/{}.json", id.to_lowercase());

@@ -24,9 +24,11 @@
 //!   entries applied fabric-wide) stays O(rounds), flat in host count
 //!   while the background `msgs_per_node_round` stays constant.
 //!
-//! Every row is a pure simulation output: the run fingerprint (events,
-//! clock, merged counters, per-probe latencies) is asserted byte-equal
-//! across `--shards 1/2/8` before anything is reported.
+//! Every row is a pure simulation output, run once at the process's
+//! shard count. That the run fingerprint (events, clock, merged counters,
+//! per-probe latencies — [`fingerprint`]) is byte-equal at shards 1/2/8 is
+//! asserted by `tests/shard_determinism.rs` on a small fabric and, at
+//! these sizes, by `scripts/contract.sh`'s `--shards 1` vs `8` `cmp`.
 
 use crate::fabric::{host_link, trunk_link};
 use crate::report::{f1, f2, Series};
@@ -39,9 +41,6 @@ use rdv_netsim::stats::Counters;
 use rdv_netsim::topo::build_rack_ring;
 use rdv_netsim::{MetricsConfig, Node, NodeCtx, Packet, PortId, Sim, SimConfig, SimTime};
 use rdv_objspace::ObjId;
-
-/// ISSUE 9 acceptance: byte-identical across `--shards 1/2/8`.
-const SHARD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// The F5 fabric sizes, ascending: (racks, hosts_per_rack).
 const FABRICS: [(usize, usize); 3] = [(16, 64), (32, 320), (256, 400)];
@@ -361,8 +360,8 @@ pub(crate) struct ArmOut {
     fp: String,
 }
 
-fn run_arm(spec: &ChurnSpec, gossip: bool, seed: u64, shards: usize) -> ArmOut {
-    run_arm_inner(spec, gossip, seed, shards, false).0
+fn run_arm(spec: &ChurnSpec, gossip: bool, seed: u64) -> ArmOut {
+    run_arm_inner(spec, gossip, seed, false).0
 }
 
 /// One arm with the telemetry plane armed: engine gauges plus the gossip
@@ -371,7 +370,7 @@ fn run_arm(spec: &ChurnSpec, gossip: bool, seed: u64, shards: usize) -> ArmOut {
 pub(crate) fn run_arm_metrics(spec_quick: bool, gossip: bool, seed: u64) -> (ArmOut, MetricSet) {
     let (racks, hpr) = FABRICS[0];
     let spec = spec(racks, hpr, spec_quick);
-    let (out, set) = run_arm_inner(&spec, gossip, seed, 1, true);
+    let (out, set) = run_arm_inner(&spec, gossip, seed, true);
     (out, set.expect("metrics were enabled"))
 }
 
@@ -379,10 +378,9 @@ fn run_arm_inner(
     spec: &ChurnSpec,
     gossip: bool,
     seed: u64,
-    shards: usize,
     metrics: bool,
 ) -> (ArmOut, Option<MetricSet>) {
-    let mut sim = Sim::new(SimConfig { seed, shards, ..Default::default() });
+    let mut sim = Sim::new(SimConfig { seed, ..Default::default() });
     if metrics {
         sim.enable_metrics(MetricsConfig::default());
     }
@@ -485,9 +483,28 @@ fn run_arm_inner(
     (out, set)
 }
 
-/// Run the churn sweep: both arms at every fabric size, shard-sweep
-/// fingerprint asserted before each row is recorded.
+/// Run the churn sweep: both arms at every fabric size.
 pub fn run(quick: bool) -> Series {
+    sweep(&FABRICS, quick)
+}
+
+/// Every point's full run fingerprint (events, clock, merged counters,
+/// per-probe latencies), in row order — a finer observable than the
+/// rows, for `tests/shard_determinism.rs` to compare across shard counts.
+pub fn fingerprint(fabrics: &[(usize, usize)], quick: bool) -> String {
+    let mut out = String::new();
+    for &(racks, hpr) in fabrics {
+        for gossip in [false, true] {
+            out.push_str(&run_arm(&spec(racks, hpr, quick), gossip, 42).fp);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The sweep body over `fabrics` = `(racks, hosts_per_rack)` points, so
+/// tests can drive a debug-friendly fabric through the identical pipeline.
+pub fn sweep(fabrics: &[(usize, usize)], quick: bool) -> Series {
     let mut series = Series::new(
         "F7",
         "discovery churn at fabric scale: flood rediscovery vs journal gossip (ISSUE 9)",
@@ -505,43 +522,36 @@ pub fn run(quick: bool) -> Series {
             "journal_hits",
         ],
     );
-    for (racks, hpr) in FABRICS {
+    for &(racks, hpr) in fabrics {
         let spec = spec(racks, hpr, quick);
         for gossip in [false, true] {
-            let flat = run_arm(&spec, gossip, 42, 1);
-            for shards in SHARD_SWEEP {
-                if shards == 1 {
-                    continue;
-                }
-                let sharded = run_arm(&spec, gossip, 42, shards);
-                assert_eq!(sharded.fp, flat.fp, "arm gossip={gossip} diverged at shards={shards}");
-            }
+            let arm = run_arm(&spec, gossip, 42);
             let churns = spec.churns as u64;
             // The knee column: what one churn event costs the discovery
             // plane. Flood = DiscoverReq deliveries (O(hosts)); gossip =
             // journal delta entries applied fabric-wide (O(rounds)).
             let disc_per_churn = if gossip {
-                flat.entries_applied as f64 / churns as f64
+                arm.entries_applied as f64 / churns as f64
             } else {
-                flat.flood_rx as f64 / churns as f64
+                arm.flood_rx as f64 / churns as f64
             };
             let per_node_round =
-                if flat.rounds > 0 { flat.gossip_msgs as f64 / flat.rounds as f64 } else { 0.0 };
+                if arm.rounds > 0 { arm.gossip_msgs as f64 / arm.rounds as f64 } else { 0.0 };
             let mean_ns =
-                flat.probe_ns.iter().sum::<u64>() as f64 / flat.probe_ns.len().max(1) as f64;
-            let max_ns = flat.probe_ns.iter().copied().max().unwrap_or(0);
+                arm.probe_ns.iter().sum::<u64>() as f64 / arm.probe_ns.len().max(1) as f64;
+            let max_ns = arm.probe_ns.iter().copied().max().unwrap_or(0);
             series.push_row(vec![
                 spec.hosts().to_string(),
                 racks.to_string(),
                 spec.churns.to_string(),
                 if gossip { "gossip".into() } else { "flood".into() },
-                flat.events.to_string(),
-                f1(flat.clock_ns as f64 / 1e3),
+                arm.events.to_string(),
+                f1(arm.clock_ns as f64 / 1e3),
                 f1(disc_per_churn),
                 f2(per_node_round),
                 f1(mean_ns / 1e3),
                 f1(max_ns as f64 / 1e3),
-                flat.repair_hits.to_string(),
+                arm.repair_hits.to_string(),
             ]);
         }
     }
@@ -554,7 +564,8 @@ pub fn run(quick: bool) -> Series {
         "msgs_per_node_round is the gossip arm's steady-state background: digests + deltas + \
          relays per node-round, constant across fabric sizes; every row's fingerprint (events, \
          clock, counters, probe latencies) is asserted byte-identical across --shards 1/2/8 \
-         before being recorded",
+         by tests/shard_determinism.rs on a small fabric, and these rows by \
+         scripts/contract.sh's --shards 1 vs 8 cmp",
     );
     if quick {
         series.note("quick mode: fewer churn events per fabric; fabric sizes unchanged");
@@ -579,20 +590,9 @@ mod tests {
     }
 
     #[test]
-    fn both_arms_are_shard_invariant_on_a_tiny_fabric() {
-        for gossip in [false, true] {
-            let flat = run_arm(&tiny(), gossip, 42, 1);
-            assert!(flat.events > 0);
-            for shards in SHARD_SWEEP {
-                assert_eq!(run_arm(&tiny(), gossip, 42, shards).fp, flat.fp, "gossip={gossip}");
-            }
-        }
-    }
-
-    #[test]
     fn flood_arm_pays_o_hosts_per_churn() {
         let spec = tiny();
-        let flood = run_arm(&spec, false, 42, 1);
+        let flood = run_arm(&spec, false, 42);
         assert_eq!(flood.repair_hits, 0);
         assert_eq!(flood.probe_ns.len(), spec.churns);
         // Every host except the prober sees each flood.
@@ -609,7 +609,7 @@ mod tests {
     #[test]
     fn gossip_arm_repairs_from_the_journal_at_o_rounds_cost() {
         let spec = tiny();
-        let gossip = run_arm(&spec, true, 42, 1);
+        let gossip = run_arm(&spec, true, 42);
         assert_eq!(gossip.flood_rx, 0, "journal repair must not flood");
         assert_eq!(gossip.repair_hits, spec.churns as u64, "every probe repairs locally");
         assert_eq!(gossip.probe_ns.len(), spec.churns);
@@ -627,7 +627,7 @@ mod tests {
         );
         // Probes resolve quickly: the fact arrived before the probe fired,
         // so latency is one direct read RTT, far below flood rediscovery.
-        let flood = run_arm(&spec, false, 42, 1);
+        let flood = run_arm(&spec, false, 42);
         let gmax = gossip.probe_ns.iter().copied().max().unwrap();
         let fmax = flood.probe_ns.iter().copied().max().unwrap();
         assert!(gmax < fmax, "journal repair ({gmax} ns) must beat flood rediscovery ({fmax} ns)");

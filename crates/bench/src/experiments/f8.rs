@@ -10,8 +10,14 @@
 //! (verdicts are pure in the op's origin stamp, never ring occupancy);
 //! `gossip.round` chains are kept at a per-scale rate that pins the
 //! background sample count, so the recorded bytes are identical across
-//! `--shards`, `--jobs`, and processes — asserted in-run by replaying
-//! every scale at shards 1/2/8 and comparing full fingerprints.
+//! `--shards`, `--jobs`, and processes. Each scale runs once, at the
+//! process's shard count; `tests/shard_determinism.rs` compares the full
+//! [`fingerprint`] at shards 1/2/8 on a 64-host fabric and
+//! `scripts/contract.sh` `cmp`s the 1 k-host rows at `--shards 1` vs `8`.
+//! (A traced run executes its windows serially whatever the shard count —
+//! `Sim::run_until` only goes parallel with the tracer off — so what
+//! those checks exercise for F8 is the sharded *layout*: per-shard queues,
+//! RNG streams and canonical-key merges.)
 //!
 //! Each batch's critical path is then joined to its fault window (issued
 //! before / during / after the blip) and its quantile cohort (typical half, top
@@ -40,9 +46,6 @@ pub const LAYERS: [&str; 4] = ["discovery", "gossip", "memproto", "replog"];
 /// grows, pinning both per-host background bandwidth and the sampled
 /// round count (~500) at every scale.
 const SCALES: [(usize, u64, u16); 3] = [(1_024, 40, 20), (10_240, 80, 4), (102_400, 200, 1)];
-
-/// Shard counts every scale is replayed at; the fingerprints must match.
-const SHARD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// Completion windows relative to the blip, in row order.
 const WINDOWS: [&str; 3] = ["pre", "blip", "post"];
@@ -110,7 +113,7 @@ struct BatchPath {
 }
 
 /// FNV-1a over the full recorded event stream — the byte-identity
-/// fingerprint the shard sweep compares.
+/// fingerprint [`fingerprint`] reports.
 fn trace_fingerprint(tracer: &Tracer) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |bytes: &[u8]| {
@@ -139,8 +142,8 @@ fn sample_spec(gossip_permille: u16, seed: u64) -> SampleSpec {
     }
 }
 
-/// Run one scale point at one shard count and distill everything the
-/// rows need (plus the fingerprint the sweep compares).
+/// One scale point, distilled to everything the rows need (plus the
+/// fingerprint that must not depend on the shard count).
 struct ScaleRun {
     fingerprint: String,
     completions: Vec<(u64, u64)>,
@@ -150,10 +153,9 @@ struct ScaleRun {
     bg_syncs: Vec<(u64, u64)>,
 }
 
-fn run_scale(hosts: usize, period_us: u64, gossip_permille: u16, shards: usize) -> ScaleRun {
+fn run_scale(hosts: usize, period_us: u64, gossip_permille: u16) -> ScaleRun {
     let replog = f6::replog_spec();
     let mut fabric = f6::fabric_spec();
-    fabric.shards = shards;
     fabric.bystanders = hosts - replog.writers as usize - fabric.holders;
     fabric.gossip_period = Some(SimTime::from_micros(period_us));
     let seed = 0xF8 + hosts as u64;
@@ -283,16 +285,25 @@ fn push_scale_rows(series: &mut Series, hosts: usize, run: &ScaleRun) {
     }
 }
 
-/// Sweep the scales; every scale replayed at shards 1/2/8 and required
-/// byte-identical before its rows are emitted.
+/// Sweep the scales (quick mode: the 1 k-host scale only).
 pub fn run(quick: bool) -> Series {
-    let scales: &[(usize, u64, u16)] = if quick { &SCALES[..1] } else { &SCALES };
-    sweep(scales, &SHARD_SWEEP)
+    sweep(if quick { &SCALES[..1] } else { &SCALES })
 }
 
-/// The sweep body, parameterized so the unit tests can drive a
-/// debug-friendly scale through the identical pipeline.
-fn sweep(scales: &[(usize, u64, u16)], shard_sweep: &[usize]) -> Series {
+/// Every scale's run fingerprint plus the count and FNV of its recorded
+/// event stream — a finer observable than the attribution rows, for
+/// `tests/shard_determinism.rs` to compare across shard counts.
+pub fn fingerprint(scales: &[(usize, u64, u16)]) -> String {
+    scales
+        .iter()
+        .map(|&(hosts, period_us, permille)| run_scale(hosts, period_us, permille).fingerprint)
+        .collect()
+}
+
+/// The sweep body over `scales` = `(hosts, gossip period µs, gossip.round
+/// keep-permille)` points, so tests can drive a debug-friendly scale
+/// through the identical pipeline.
+pub fn sweep(scales: &[(usize, u64, u16)]) -> Series {
     let mut series = Series::new(
         "F8",
         "p999 tail attribution: critical-path time by category and protocol layer through the \
@@ -317,25 +328,14 @@ fn sweep(scales: &[(usize, u64, u16)], shard_sweep: &[usize]) -> Series {
         ],
     );
     for &(hosts, period_us, gossip_permille) in scales {
-        let mut first: Option<ScaleRun> = None;
-        for &shards in shard_sweep {
-            let run = run_scale(hosts, period_us, gossip_permille, shards);
-            match &first {
-                None => first = Some(run),
-                Some(f) => assert_eq!(
-                    f.fingerprint, run.fingerprint,
-                    "{hosts}-host row must be byte-identical at every shard count \
-                     (sampled tracing included)"
-                ),
-            }
-        }
-        push_scale_rows(&mut series, hosts, &first.expect("at least one shard run"));
+        push_scale_rows(&mut series, hosts, &run_scale(hosts, period_us, gossip_permille));
     }
     series.note(
         "F6 blip workload on fabrics grown with background-gossip bystanders; every load.batch \
-         span sampled, gossip.round chains sampled at a per-scale rate; each scale replayed at \
-         shards 1/2/8 and asserted byte-identical (run fingerprint + FNV over the recorded \
-         event stream). windows classify by issue time: a batch issued into the blip owns its \
+         span sampled, gossip.round chains sampled at a per-scale rate; byte-identity at shards \
+         1/2/8 (run fingerprint + FNV over the recorded event stream) is asserted by \
+         tests/shard_determinism.rs at 64 hosts and by scripts/contract.sh's --shards 1 vs 8 \
+         cmp at 1k hosts. windows classify by issue time: a batch issued into the blip owns its \
          recovery tail even though it completes after the fault clears. cohorts: p50 = typical \
          half (lat <= q50), p99/p999 = tail at or past the quantile. pct columns split cohort \
          critical-path ns mechanically \
@@ -351,14 +351,15 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    /// One shared tiny-scale sweep — 64 hosts, dense gossip sampling,
-    /// shards 1/2 — driving the identical pipeline (sampled traces →
-    /// critical paths → attribution rows) at a debug-friendly size. The
-    /// real 1k/10k/100k sweep runs in release through `figures F8` (CI's
-    /// tail-attribution smoke) and asserts its own shard byte-identity.
+    /// One shared tiny-scale sweep — 64 hosts, dense gossip sampling —
+    /// driving the identical pipeline (sampled traces → critical paths →
+    /// attribution rows) at a debug-friendly size. The real 1k/10k/100k
+    /// sweep runs in release through `figures F8`; the same 64-host
+    /// fixture is what `tests/shard_determinism.rs` replays at shards
+    /// 1/2/8.
     fn tiny() -> &'static Series {
         static TINY: OnceLock<Series> = OnceLock::new();
-        TINY.get_or_init(|| sweep(&[(64, 40, 200)], &[1, 2]))
+        TINY.get_or_init(|| sweep(&[(64, 40, 200)]))
     }
 
     #[test]

@@ -23,45 +23,48 @@ pub mod trace;
 
 use crate::report::Series;
 
-/// Every experiment ID with its one-line description, in run order (the
-/// same descriptions each `run()` stamps on its [`Series`]).
-pub const CATALOG: &[(&str, &str)] = &[
-    ("F1", "rendezvous of data and compute (paper Fig. 1 strategies)"),
-    ("F2", "discovery RTT vs % accesses to new objects (paper Fig. 2)"),
-    ("F3", "E2E access time vs % accesses to moved objects (paper Fig. 3)"),
-    ("F4", "goodput and rendezvous completion vs fault severity (paper §3.2)"),
-    ("F5", "sharded engine scaling: events/s and peak RSS vs fabric size (ROADMAP item 1)"),
-    ("F6", "million-user open-loop blip: goodput dip and recovery, rendezvous vs RPC (ISSUE 7)"),
-    ("F7", "discovery churn at fabric scale: flood rediscovery vs journal gossip (ISSUE 9)"),
-    ("F8", "p999 tail attribution through the blip from deterministic sampled traces (ISSUE 10)"),
-    ("T1", "switch exact-match capacity vs ID width (paper §3.2)"),
-    ("T2", "pointer encoding cost: FOT (64-bit) vs direct 128-bit pointers (paper §3.1)"),
-    ("S1", "request-time (de)serialization and loading (paper §2 '70%')"),
-    ("A1", "prefetching on reachability vs adjacency (paper §3.1)"),
-    ("A2", "middleware indirection cost (paper §1)"),
-    ("A3", "hierarchical ID overlay vs flat exact routing under SRAM pressure (paper §3.2)"),
-    ("A4", "CRDT auto-merge during movement (paper §5)"),
-    ("A5", "coherence write cost vs sharer count (paper §5)"),
-];
+/// An experiment's sweep, `run(quick)`.
+pub type Run = fn(bool) -> Series;
 
-/// Run every experiment in DESIGN.md order.
-pub fn run_all(quick: bool) -> Vec<Series> {
-    vec![
-        fig1::run(quick),
-        fig2::run(quick),
-        fig3::run(quick),
-        f4::run(quick),
-        f5::run(quick),
-        f6::run(quick),
-        f7::run(quick),
-        f8::run(quick),
-        t1::run(quick),
-        t2::run(quick),
-        s1::run(quick),
-        a1::run(quick),
-        a2::run(quick),
-        a3::run(quick),
-        a4::run(quick),
-        a5::run(quick),
-    ]
-}
+/// Every experiment in run order, as `(id, description, run)` — the one
+/// list `figures`, the committed `results/<id>.json` set and the tests
+/// agree on. The description is what `figures --list` prints; an
+/// experiment's own [`Series`] title may say more (F8's does).
+pub const CATALOG: &[(&str, &str, Run)] = &[
+    ("F1", "rendezvous of data and compute (paper Fig. 1 strategies)", fig1::run),
+    ("F2", "discovery RTT vs % accesses to new objects (paper Fig. 2)", fig2::run),
+    ("F3", "E2E access time vs % accesses to moved objects (paper Fig. 3)", fig3::run),
+    ("F4", "goodput and rendezvous completion vs fault severity (paper §3.2)", f4::run),
+    (
+        "F5",
+        "sharded engine scaling: events/s and peak RSS vs fabric size (ROADMAP item 1)",
+        f5::run,
+    ),
+    (
+        "F6",
+        "million-user open-loop blip: goodput dip and recovery, rendezvous vs RPC (ISSUE 7)",
+        f6::run,
+    ),
+    (
+        "F7",
+        "discovery churn at fabric scale: flood rediscovery vs journal gossip (ISSUE 9)",
+        f7::run,
+    ),
+    (
+        "F8",
+        "p999 tail attribution through the blip from deterministic sampled traces (ISSUE 10)",
+        f8::run,
+    ),
+    ("T1", "switch exact-match capacity vs ID width (paper §3.2)", t1::run),
+    ("T2", "pointer encoding cost: FOT (64-bit) vs direct 128-bit pointers (paper §3.1)", t2::run),
+    ("S1", "request-time (de)serialization and loading (paper §2 '70%')", s1::run),
+    ("A1", "prefetching on reachability vs adjacency (paper §3.1)", a1::run),
+    ("A2", "middleware indirection cost (paper §1)", a2::run),
+    (
+        "A3",
+        "hierarchical ID overlay vs flat exact routing under SRAM pressure (paper §3.2)",
+        a3::run,
+    ),
+    ("A4", "CRDT auto-merge during movement (paper §5)", a4::run),
+    ("A5", "coherence write cost vs sharer count (paper §5)", a5::run),
+];

@@ -86,8 +86,8 @@ fn trace_f3(quick: bool) -> TraceReport {
 /// the size of the run, so the sampler keeps a fixed permille of
 /// `fabric.storm` chains — each kept host records its entire bounce
 /// chain, every other host records nothing, and the recorded bytes are
-/// identical at every shard count (asserted here against shards 1/2/8
-/// before reporting).
+/// identical at every shard count (`tests/shard_determinism.rs` compares
+/// the quick export at shards 1/2/8).
 fn trace_f5(quick: bool) -> TraceReport {
     let (racks, hpr, permille) = if quick { (16, 64, 100) } else { (256, 400, 2) };
     let spec = FabricSpec {
@@ -100,13 +100,8 @@ fn trace_f5(quick: bool) -> TraceReport {
     };
     let sample =
         SampleSpec { seed: 0xF5, default_permille: 0, classes: vec![("fabric.storm", permille)] };
-    let (fp, tracer, names) = run_fabric_traced(&spec, 42, 1, &sample);
-    assert_eq!(fp, run_fabric(&spec, 42, 1), "tracing must not perturb the run");
-    for shards in [2usize, 8] {
-        let (sfp, stracer, _) = run_fabric_traced(&spec, 42, shards, &sample);
-        assert_eq!(sfp, fp, "fingerprint diverged at shards={shards}");
-        assert_eq!(stracer.count(), tracer.count(), "trace bytes diverged at shards={shards}");
-    }
+    let (fp, tracer, names) = run_fabric_traced(&spec, 42, 0, &sample);
+    assert_eq!(fp, run_fabric(&spec, 42, 0), "tracing must not perturb the run");
     let (sampled, skipped) = tracer.sample_tallies().expect("sampled mode");
 
     let mut storm = PathBreakdown::default();
@@ -244,9 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn f5_sampled_trace_is_affordable_and_shard_identical() {
-        // Shard identity (1 vs 2 vs 8) and fingerprint preservation are
-        // asserted inside trace_f5 itself; this checks the artifacts.
+    fn f5_sampled_trace_is_affordable() {
+        // Fingerprint preservation is asserted inside trace_f5 itself;
+        // this checks the artifacts.
         let report = run("F5", true).expect("F5 is traceable");
         assert!(report.json.starts_with("{\"traceEvents\":["));
         assert!(report.summary.contains("sampling: kept"));

@@ -16,9 +16,10 @@
 //! | A4 | CRDT auto-merge on movement | [`experiments::a4`] |
 //! | A5 | coherence write fan-out | [`experiments::a5`] |
 //!
-//! Each `run(quick)` returns a [`report::Series`]; the `figures` binary
-//! renders them as text tables and writes JSON alongside. Criterion benches
-//! under `benches/` time the same code paths in wall-clock terms.
+//! plus the repo's own scale figures F4–F8 ([`experiments::CATALOG`] is the
+//! full list). Each `run(quick)` returns a [`report::Series`]; the `figures`
+//! binary renders them as text tables and writes JSON alongside. What the
+//! code costs in wall-clock terms is measured by `rdvperf` (`benchmark/`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

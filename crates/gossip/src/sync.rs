@@ -305,6 +305,39 @@ mod tests {
     }
 
     #[test]
+    fn ring_of_64_converges_to_equal_fingerprints() {
+        // One node per ring slot, each peered with its successor and
+        // holding 4 facts of its own; pump whole rounds to quiescence.
+        const NODES: u128 = 64;
+        let mut ring: Vec<GossipSync> = (0..NODES)
+            .map(|i| {
+                let mut s = GossipSync::new(ObjId(0xB_0000 + i), i as u64 + 1, Default::default());
+                s.add_peer(ObjId(0xB_0000 + (i + 1) % NODES), None);
+                for e in 0..4 {
+                    s.journal.record_holder(ObjId(0x1000 * (i + 1) + e), s.inbox, 100 + e as u64);
+                }
+                s
+            })
+            .collect();
+        let mut counters = Counters::new();
+        let converged = |ring: &[GossipSync]| {
+            let fp = ring[0].journal.fingerprint();
+            ring.iter().all(|n| n.journal.fingerprint() == fp)
+        };
+        // A fact crosses at least one ring hop per round.
+        for _ in 0..2 * NODES {
+            if converged(&ring) {
+                break;
+            }
+            let outs = ring.iter_mut().flat_map(|n| n.on_round(0, &mut counters)).collect();
+            pump(&mut ring, &mut counters, outs);
+        }
+        assert!(converged(&ring), "ring must converge");
+        assert_eq!(ring[0].journal.len(), 64 * 4, "every node holds every fact");
+        assert!(counters.get_id(ctr().entries_applied) >= 63 * 64 * 4);
+    }
+
+    #[test]
     fn relay_leg_forwards_and_partition_falls_back() {
         let mut counters = Counters::new();
         let cfg = GossipConfig { suspect_after: 2, ..GossipConfig::default() };

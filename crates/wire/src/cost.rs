@@ -240,10 +240,10 @@ impl PhaseBreakdown {
     }
 }
 
-/// Measure wall time of `f` in nanoseconds (for criterion cross-checks).
+/// Measure wall time of `f` in nanoseconds (for stderr-only readings such as F5's).
 #[allow(clippy::disallowed_methods)]
 pub fn wall_ns<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    // rdv-lint: allow(ambient-time) -- wall-clock helper for criterion cross-checks, never sim logic
+    // rdv-lint: allow(ambient-time) -- wall-clock helper for stderr-only readings (F5), never sim logic
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_nanos() as u64)

@@ -14,8 +14,8 @@
 //! - an inference kernel (sparse matrix–vector product) as the useful work.
 //!
 //! Every step charges a [`CostMeter`] so the S1 experiment can report the
-//! phase breakdown deterministically; criterion benches time the same code
-//! for a wall-clock cross-check.
+//! phase breakdown deterministically, with no wall clock anywhere in the
+//! figure.
 
 use rdv_det::DetMap;
 

@@ -18,7 +18,9 @@
 # workload is run three more times a side with `--trace 1` (alternating),
 # both sides' medians of every metric in BENCHMARK.json's `per_layer`
 # list go under the workload's `per_layer` key, and the ones that differ
-# by more than 5 % are printed. Everything else is left under
+# by more than 5 % are printed. When `scripts/contract.sh` has left its
+# target/contract/stages.json (wall seconds per contract stage on this box),
+# the entry stores it under a `contract` key. Everything else is left under
 # target/paired/ (ignored), where builds are reused by the next invocation.
 set -euo pipefail
 
@@ -163,6 +165,10 @@ if record:
                 "per_layer = medians of three alternating `--trace 1` runs a side",
         "workloads": out,
     }
+    try:
+        doc["contract"] = json.load(open(f"{root}/target/contract/stages.json"))
+    except FileNotFoundError:
+        pass
     with open(f"{root}/BENCH_{record}.json", "x") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
