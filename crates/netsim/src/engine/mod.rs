@@ -102,9 +102,13 @@ fn node_stream_seed(root: u64, gid: u64) -> u64 {
 }
 
 /// Calendar-queue geometry for shard event queues: 4096 ns buckets, 512
-/// buckets ≈ 2 ms of ring horizon — comfortably covering rack/edge
-/// latencies and protocol timers; anything farther parks in the overflow
-/// heap.
+/// buckets ≈ 2.1 ms of ring horizon — covering rack/edge latencies and
+/// protocol timers; anything farther parks in the overflow heap. The width
+/// is fixed whatever the fabric: a large one crowds a bucket (all of
+/// `storm_100k`'s 102 400 hosts share one), but a narrower global width
+/// costs the sparse workloads more in empty buckets and overflowed timers
+/// than it saves (DESIGN.md §9, "What the queue holds").
+/// `benchmark/src/layers.rs` replays the same two constants.
 const QUEUE_BUCKET_WIDTH_NS: u64 = 1 << 12;
 const QUEUE_BUCKETS: usize = 512;
 
@@ -153,6 +157,12 @@ struct EvData {
     kind: EvKind,
     trace: Option<EventId>,
 }
+
+// A queue entry is an `(EventKey, EvData)`: 24 bytes of key, a packet
+// (itself held to 24 bytes in `packet.rs`) and its routing words. Every
+// live event costs this much — `storm_100k` holds 208 896 at once — so
+// growing it is a decision, not a drift.
+const _: () = assert!(std::mem::size_of::<(EventKey, EvData)>() == 80);
 
 /// A fault event with link endpoints already resolved to a [`LinkId`] and
 /// partitions registered, so applying one is a constant-time state flip.

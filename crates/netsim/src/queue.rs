@@ -9,18 +9,32 @@
 //! far-future items (long timers, scenario deadlines) fall back to an
 //! overflow heap so the ring stays small.
 //!
+//! What the queue holds stays proportional to what is live (DESIGN.md §9,
+//! "What the queue holds"): a bucket that becomes current is heapified in
+//! place from its own buffer, and once drained that buffer goes to a small
+//! free list that the next empty bucket to receive a push takes from. No
+//! ring slot keeps the largest buffer it ever held.
+//!
 //! Every item carries an [`EventKey`] `(at, src, seq)`; pops are globally
 //! ordered by that key. The key is execution-order-independent — `src`
 //! identifies the event's source stream and `seq` is per-source — which is
 //! what lets the sharded engine (see `engine/`) produce identical pop
 //! orders regardless of how events were interleaved when pushed.
 //!
-//! The module is public so `rdv-bench` can micro-benchmark it against the
-//! plain `BinaryHeap` it replaced; it is not otherwise part of the
+//! The module is public for one outside caller, `benchmark/src/layers.rs`,
+//! which replays the engine's queue geometry to price
+//! `netsim.queue_ns_per_event`; it is not otherwise part of the
 //! simulator's API surface.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem;
+
+/// Drained buffers kept for reuse.
+const SPARE_BUFFERS: usize = 8;
+
+/// Entries' worth of buffers the free list may keep however little is
+/// live; above it, never more than are live.
+const SPARE_FLOOR: usize = 512;
 
 /// Total order for events: time, then source stream, then per-source
 /// sequence number. Keys are assigned so that the full set of (key, item)
@@ -36,7 +50,9 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// A keyed item; ordered by key alone so payloads need no `Ord`.
+/// A keyed item; ordered by key alone so payloads need no `Ord`, and
+/// *reversed*, so `BinaryHeap` (a max-heap) pops the smallest key and a
+/// bucket's `Vec<Entry>` becomes a heap in place.
 struct Entry<T> {
     key: EventKey,
     item: T,
@@ -55,7 +71,7 @@ impl<T> PartialOrd for Entry<T> {
 }
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+        other.key.cmp(&self.key)
     }
 }
 
@@ -68,16 +84,21 @@ pub struct CalendarQueue<T> {
     /// Heap of items in the current bucket (and any pushed for the past —
     /// time holds still between pops, so "the past" only arises from
     /// zero-delay self-schedules, which land here and stay ordered).
-    cur: BinaryHeap<Reverse<Entry<T>>>,
+    cur: BinaryHeap<Entry<T>>,
     /// Absolute index of the current bucket.
     cur_bucket: u64,
     /// Ring of unsorted future buckets: bucket `b` lives in slot
-    /// `b % ring.len()` while `b - cur_bucket ≤ ring.len()`.
+    /// `b % ring.len()` while `b - cur_bucket ≤ ring.len()`. An empty slot
+    /// holds no buffer.
     ring: Vec<Vec<Entry<T>>>,
     /// Items currently stored in the ring.
     ring_len: usize,
     /// Far-future items, beyond the ring horizon at push time.
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
+    overflow: BinaryHeap<Entry<T>>,
+    /// Drained buffers waiting for an empty slot to receive a push: at most
+    /// [`SPARE_BUFFERS`] of them, and never more entries' worth than are
+    /// live (or [`SPARE_FLOOR`]).
+    spare: Vec<Vec<Entry<T>>>,
     len: usize,
 }
 
@@ -94,6 +115,7 @@ impl<T> CalendarQueue<T> {
             ring: (0..buckets).map(|_| Vec::new()).collect(),
             ring_len: 0,
             overflow: BinaryHeap::new(),
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -114,13 +136,19 @@ impl<T> CalendarQueue<T> {
         let bucket = key.at >> self.shift;
         let entry = Entry { key, item };
         if bucket <= self.cur_bucket {
-            self.cur.push(Reverse(entry));
+            self.cur.push(entry);
         } else if bucket - self.cur_bucket <= self.ring.len() as u64 {
             let slot = (bucket % self.ring.len() as u64) as usize;
-            self.ring[slot].push(entry);
+            let slot = &mut self.ring[slot];
+            if slot.capacity() == 0 {
+                if let Some(buf) = self.spare.pop() {
+                    *slot = buf;
+                }
+            }
+            slot.push(entry);
             self.ring_len += 1;
         } else {
-            self.overflow.push(Reverse(entry));
+            self.overflow.push(entry);
         }
     }
 
@@ -128,13 +156,13 @@ impl<T> CalendarQueue<T> {
     /// the calendar to the next non-empty bucket.
     pub fn peek(&mut self) -> Option<EventKey> {
         self.advance();
-        self.cur.peek().map(|Reverse(e)| e.key)
+        self.cur.peek().map(|e| e.key)
     }
 
     /// Remove and return the smallest-keyed item.
     pub fn pop(&mut self) -> Option<(EventKey, T)> {
         self.advance();
-        self.cur.pop().map(|Reverse(e)| {
+        self.cur.pop().map(|e| {
             self.len -= 1;
             (e.key, e.item)
         })
@@ -148,30 +176,54 @@ impl<T> CalendarQueue<T> {
             if self.ring_len == 0 {
                 // Nothing in the ring: jump straight to the overflow's
                 // first bucket instead of stepping through empty ones.
-                let Reverse(head) = self.overflow.peek().expect("len > 0 with empty ring");
+                let head = self.overflow.peek().expect("len > 0 with empty ring");
                 self.cur_bucket = head.key.at >> self.shift;
             } else {
                 self.cur_bucket += 1;
             }
             let slot = (self.cur_bucket % self.ring.len() as u64) as usize;
-            for e in self.ring[slot].drain(..) {
-                self.ring_len -= 1;
-                self.cur.push(Reverse(e));
+            let mut buf = mem::take(&mut self.ring[slot]);
+            self.ring_len -= buf.len();
+            while self.overflow.peek().is_some_and(|e| e.key.at >> self.shift <= self.cur_bucket) {
+                buf.push(self.overflow.pop().expect("peeked"));
             }
-            while let Some(Reverse(head)) = self.overflow.peek() {
-                if head.key.at >> self.shift > self.cur_bucket {
-                    break;
-                }
-                let Reverse(e) = self.overflow.pop().expect("peeked");
-                self.cur.push(Reverse(e));
+            if !buf.is_empty() {
+                let spent = mem::replace(&mut self.cur, BinaryHeap::from(buf));
+                self.put_spare(spent.into_vec());
             }
         }
+    }
+
+    /// Offer an emptied buffer to the free list; the smallest spares go
+    /// first when it is over a bound.
+    fn put_spare(&mut self, buf: Vec<Entry<T>>) {
+        debug_assert!(buf.is_empty());
+        if buf.capacity() == 0 {
+            return;
+        }
+        self.spare.push(buf);
+        let limit = self.len.max(SPARE_FLOOR);
+        while self.spare.len() > SPARE_BUFFERS
+            || self.spare.iter().map(Vec::capacity).sum::<usize>() > limit
+        {
+            let smallest = (0..self.spare.len()).min_by_key(|&i| self.spare[i].capacity());
+            self.spare.swap_remove(smallest.expect("over a bound, so non-empty"));
+        }
+    }
+
+    /// Capacity, in entries, of every buffer the queue keeps.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.cur.capacity()
+            + self.overflow.capacity()
+            + self.ring.iter().chain(&self.spare).map(Vec::capacity).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     fn key(at: u64, src: u32, seq: u64) -> EventKey {
         EventKey { at, src, seq }
@@ -353,5 +405,135 @@ mod tests {
         assert_eq!(q.peek(), Some(key(1 << 40, 0, 0)));
         assert_eq!(q.pop(), Some((key(1 << 40, 0, 0), "far")));
         assert_eq!(q.peek(), None);
+    }
+
+    /// Deterministic generator for the dense tests.
+    struct Lcg(u64);
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+    }
+
+    /// The engine's geometry (`engine/mod.rs`): 4096 ns × 512.
+    fn engine_queue() -> CalendarQueue<u64> {
+        CalendarQueue::new(4096, 512)
+    }
+
+    /// Hold `live` entries in one 4096 ns ring bucket, then run `ops` pops,
+    /// each followed by a push (and now and then an extra push or pop),
+    /// against a `BinaryHeap` oracle. Keys fall in equal-`at` groups of
+    /// shuffled sources, on and just before bucket edges; pushes come at
+    /// zero delay, into the current bucket, into the ring and beyond its
+    /// horizon; every pop and peek is checked.
+    fn dense_model(live: usize, ops: usize, seed: u64) {
+        let mut q = engine_queue();
+        let mut oracle: BinaryHeap<Reverse<(EventKey, u64)>> = BinaryHeap::new();
+        let mut rng = Lcg(seed);
+        let mut seq = 0u64;
+        let mut push = |q: &mut CalendarQueue<u64>, oracle: &mut BinaryHeap<_>, at: u64, r: u64| {
+            // Sources spread over 1000 streams, so an equal-`at` group pops
+            // in a (src, seq) order unrelated to push order.
+            let k = key(at, (r % 1000) as u32, seq);
+            q.push(k, seq);
+            oracle.push(Reverse((k, seq)));
+            seq += 1;
+        };
+        let delay = |now: u64, r: u64| match r % 100 {
+            0..=9 => 0,                                  // zero-delay self-send
+            10..=59 => (r >> 8) % 4096,                  // this bucket or the next
+            60..=79 => 4096 - now % 4096 - (r >> 8) % 2, // on or just before an edge
+            80..=98 => 4096 + (r >> 8) % 8192,           // the ring
+            _ => 3_000_000 + (r >> 8) % 10_000_000,      // past the 2.1 ms horizon
+        };
+        // Fill: every entry due inside bucket 1, on few distinct times.
+        for _ in 0..live {
+            let r = rng.next();
+            let at = match r % 4 {
+                0 => 1024,                 // one big tie group
+                1 => 64 * ((r >> 8) % 64), // 64 smaller ones
+                2 => 4095,                 // the bucket's last nanosecond
+                _ => (r >> 8) % 4096,
+            };
+            push(&mut q, &mut oracle, 4096 + at, r);
+        }
+        assert_eq!(q.peek(), oracle.peek().map(|Reverse((k, _))| *k));
+        assert_eq!(q.cur.len(), live, "the fill is one bucket, heapified whole");
+        for op in 0..ops {
+            let r = rng.next();
+            if r.is_multiple_of(16) {
+                assert_eq!(q.peek(), oracle.peek().map(|Reverse((k, _))| *k), "peek at op {op}");
+            }
+            let got = q.pop();
+            let want = oracle.pop().map(|Reverse(e)| e);
+            assert_eq!(got, want, "divergence at op {op}");
+            let Some((k, _)) = got else { break };
+            let now = k.at;
+            let pushes = match r % 32 {
+                0 => 0,
+                1 => 2,
+                _ => 1,
+            };
+            for _ in 0..pushes {
+                let r = rng.next();
+                push(&mut q, &mut oracle, now + delay(now, r), r);
+            }
+            assert_eq!(q.len(), oracle.len());
+        }
+        while let Some(Reverse(want)) = oracle.pop() {
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn dense_bucket_matches_reference_heap() {
+        dense_model(60_000, 150_000, 0x5EED);
+    }
+
+    #[test]
+    #[ignore = "deep soak: run with --release --ignored (scripts/contract.sh soak stage)"]
+    fn dense_bucket_soak_at_200k_live() {
+        for seed in [1, 2] {
+            dense_model(200_000, 1_000_000, seed);
+        }
+    }
+
+    #[test]
+    fn retained_capacity_follows_live_entries() {
+        let mut q = engine_queue();
+        let mut rng = Lcg(7);
+        let mut seq = 0u64;
+        // A 200 k burst in one bucket, then drain it.
+        for _ in 0..200_000 {
+            q.push(key(rng.next() % 4096, 1, seq), seq);
+            seq += 1;
+        }
+        let burst = q.retained_capacity();
+        assert!(burst >= 200_000);
+        while q.pop().is_some() {}
+        // A full ring revolution at 100 live entries.
+        let live = 100;
+        let start = 4096;
+        for _ in 0..live {
+            q.push(key(start + rng.next() % 4096, 1, seq), seq);
+            seq += 1;
+        }
+        let mut now = start;
+        while now < start + 2 * 512 * 4096 {
+            let (k, _) = q.pop().expect("population is constant");
+            now = k.at;
+            q.push(key(now + rng.next() % (3 * 4096), 1, seq), seq);
+            seq += 1;
+        }
+        assert_eq!(q.len(), live);
+        let retained = q.retained_capacity();
+        let bound = 8 * live + SPARE_FLOOR.max(live);
+        assert!(
+            retained <= bound,
+            "retained {retained} entries at {live} live (bound {bound}, burst {burst})"
+        );
     }
 }
