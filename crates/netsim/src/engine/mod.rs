@@ -2,7 +2,7 @@
 //!
 //! [`Sim`] partitions its nodes into **shards**. Each shard owns its nodes'
 //! behaviour, RNG streams, timers, outgoing link directions, and a local
-//! calendar event queue. Events are ordered by a canonical key
+//! event queue. Events are ordered by a canonical key
 //! `(time, source, sequence)` ([`crate::queue::EventKey`]) where the
 //! sequence number is per *source* (node or external scheduler), never a
 //! global insertion counter — so the total order over events is a pure
@@ -100,17 +100,6 @@ pub fn default_shard_audit() -> bool {
 fn node_stream_seed(root: u64, gid: u64) -> u64 {
     root ^ 0x9E3779B97F4A7C15u64.wrapping_mul(gid + 1)
 }
-
-/// Calendar-queue geometry for shard event queues: 4096 ns buckets, 512
-/// buckets ≈ 2.1 ms of ring horizon — covering rack/edge latencies and
-/// protocol timers; anything farther parks in the overflow heap. The width
-/// is fixed whatever the fabric: a large one crowds a bucket (all of
-/// `storm_100k`'s 102 400 hosts share one), but a narrower global width
-/// costs the sparse workloads more in empty buckets and overflowed timers
-/// than it saves (DESIGN.md §9, "What the queue holds").
-/// `benchmark/src/layers.rs` replays the same two constants.
-const QUEUE_BUCKET_WIDTH_NS: u64 = 1 << 12;
-const QUEUE_BUCKETS: usize = 512;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]

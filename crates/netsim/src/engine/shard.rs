@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rdv_trace::{DropReason, EventId, EventKind as TraceKind, Recorder, TraceCtx};
 
-use super::{EvData, EvKind, Globals, QUEUE_BUCKETS, QUEUE_BUCKET_WIDTH_NS};
+use super::{EvData, EvKind, Globals};
 use crate::audit::{ShardAudit, ShardAuditKind};
 use crate::link::Direction;
 use crate::node::{Node, NodeCtx, NodeId, PortId};
@@ -72,7 +72,7 @@ impl Shard {
             node_seq: Vec::new(),
             pending_timers: Vec::new(),
             dirs: Vec::new(),
-            queue: CalendarQueue::new(QUEUE_BUCKET_WIDTH_NS, QUEUE_BUCKETS),
+            queue: CalendarQueue::new(0, 0),
             counters: Counters::new(),
             inflight: 0,
             clock_ns: 0,
