@@ -48,7 +48,8 @@ const D5_ENGINE_TYPES: &[&str] = &["CalendarQueue", "EventKey"];
 const D5_ENGINE_MEMBERS: &[&str] = &[
     "outbox",
     "merge_buf",
-    "node_loc",
+    "port_links",
+    "build_ports",
     "dir_slot",
     "lookahead_ns",
     "zero_lookahead",

@@ -5,7 +5,7 @@ fn meddle(sim: &mut FakeSim, g: &Globals) {
     sim.shards[0].outbox.push((1, key, q));
     sim.drain_outboxes();
     sim.shards[1].process_window(g, 10, 100);
-    let loc = sim.globals.node_loc[0];
+    let link = sim.globals.port_links[0];
     if sim.zero_lookahead {}
     // rdv-lint: allow(shard-interference) -- fixture: engine-side test helper drives one window
     sim.run_window(0, 1, 2);

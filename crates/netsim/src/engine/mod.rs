@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rdv_det::DetMap;
 use rdv_metrics::{MetricSet, MetricsConfig};
 use rdv_trace::{
     EventId, EventKind as TraceKind, EventRing, FaultKind, Recorder, SampleSpec, Tracer,
@@ -44,10 +45,10 @@ use self::shard::Shard;
 use crate::audit::{ShardAudit, ShardAuditViolation};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::flight;
-use crate::link::{Direction, Link, LinkId, LinkRate, LinkSpec};
+use crate::link::{Direction, Link, LinkClass, LinkId, LinkRate, LinkSpec};
 use crate::node::{Node, NodeCtx, NodeId, PortId};
 use crate::packet::Packet;
-use crate::queue::EventKey;
+use crate::queue::{CalendarQueue, EventKey};
 use crate::stats::{
     Counters, ENGINE_OUTPUT_SLOTS, ENGINE_SLOTS, ENGINE_SLOT_IDS, SIM_DELIVERIES_DROPPED_CRASH,
     SIM_EVENTS, SIM_FAULTS_APPLIED, SIM_PACKETS_DELIVERED, SIM_PACKETS_DROPPED,
@@ -153,6 +154,14 @@ struct EvData {
 // growing it is a decision, not a drift.
 const _: () = assert!(std::mem::size_of::<(EventKey, EvData)>() == 80);
 
+// The topology tables are paid once per node and once per link, so they
+// are held to fixed records. Budget per rack-ring host (one node, one
+// uplink): a 32 B node record, a ≤ 40 B link record (36 B today) and two
+// 4 B CSR port entries, ≈ 76 B of `Globals`;
+// `tests::topology_tables_stay_within_budget_per_host` holds it to 80 B.
+const _: () = assert!(std::mem::size_of::<NodeRec>() == 32);
+const _: () = assert!(std::mem::size_of::<Link>() <= 40);
+
 /// A fault event with link endpoints already resolved to a [`LinkId`] and
 /// partitions registered, so applying one is a constant-time state flip.
 #[derive(Debug)]
@@ -209,37 +218,54 @@ impl Ord for FaultEntry {
     }
 }
 
+/// Everything the event path reads about one node, in one record.
+struct NodeRec {
+    /// Owning shard.
+    shard: u32,
+    /// Index within the owning shard's per-node vectors.
+    local: u32,
+    /// First entry of this node's ports in [`Globals::port_links`].
+    port_start: u32,
+    /// Ports attached so far; port `p` is `port_links[port_start + p]`.
+    port_count: u32,
+    /// Crash epoch. Bumped on every crash so events scheduled before the
+    /// crash can be recognized and discarded on pop.
+    epoch: u64,
+    /// Is the network stack up? Crashed nodes receive nothing.
+    alive: bool,
+}
+
 /// Topology and fault state shared read-only by all shards during a
 /// window. Mutated only between windows (faults, wiring).
 struct Globals {
+    /// Per node, by global id.
+    nodes: Vec<NodeRec>,
     links: Vec<Link>,
-    /// Per node: port index → link.
-    ports: Vec<Vec<LinkId>>,
-    /// Per node: is the network stack up? Crashed nodes receive nothing.
-    alive: Vec<bool>,
-    /// Per node: crash epoch. Bumped on every crash so events scheduled
-    /// before the crash can be recognized and discarded on pop.
-    epochs: Vec<u64>,
+    /// Every node's port → link map in CSR form: node `n`'s ports are
+    /// `port_links[n.port_start..][..n.port_count]`. Rebuilt from the
+    /// links' ends by [`Globals::build_ports`] when wiring changed.
+    port_links: Vec<u32>,
+    /// `connect` ran since `port_links` was last built. A node without
+    /// ports needs no entry, so `add_node` leaves it alone.
+    ports_stale: bool,
+    /// Interned link classes, indexed by [`Link::class`].
+    classes: Vec<LinkClass>,
+    /// Spec → index into `classes`.
+    class_of: DetMap<LinkSpec, u32>,
     /// Registered partitions (from installed fault plans).
     partitions: Vec<Partition>,
     /// Number of currently active partitions — lets the per-send check
     /// stay a single integer compare when no partition is live.
     active_partitions: usize,
-    /// Per node: (owning shard, local index within it).
-    node_loc: Vec<(u32, u32)>,
-    /// Per link: each direction's slot in its owner shard's `dirs` arena.
-    /// Direction `d` is owned by the shard of `links[l].ends[d].0` — only
-    /// the *source* node of a direction ever writes it, so ownership
-    /// follows the sender.
-    dir_slot: Vec<[u32; 2]>,
-    /// Per node: trace/flight id of the most recent crash fault, for the
-    /// fault→dropped-delivery aux edge. Lives here (not on [`Sim`]) so
-    /// both the serial tracer path and flight-recording parallel windows
-    /// can read it; like all of [`Globals`], it is mutated only between
-    /// windows (faults apply at barriers).
-    crash_trace: Vec<Option<EventId>>,
-    /// Per link: trace/flight id of the most recent link-state fault.
-    link_fault_trace: Vec<Option<EventId>>,
+    /// Per crashed node: trace/flight id of its most recent crash fault,
+    /// for the fault→dropped-delivery aux edge. Lives here (not on
+    /// [`Sim`]) so both the serial tracer path and flight-recording
+    /// parallel windows can read it; like all of [`Globals`], it is
+    /// mutated only between windows (faults apply at barriers). Sparse:
+    /// only faults that were recorded leave an entry.
+    crash_trace: DetMap<u32, EventId>,
+    /// Per downed link: trace/flight id of its most recent link-down fault.
+    link_fault_trace: DetMap<u32, EventId>,
     /// Per partition: trace/flight id of the fault that activated it.
     partition_fault_trace: Vec<Option<EventId>>,
 }
@@ -248,6 +274,60 @@ impl Globals {
     /// The index of an active partition separating `a` from `b`, if any.
     fn blocking_partition(&self, a: NodeId, b: NodeId) -> Option<usize> {
         self.partitions.iter().position(|p| p.active && p.separates(a, b))
+    }
+
+    /// The class index for `spec`, interning it on first sight.
+    fn intern(&mut self, spec: LinkSpec) -> u32 {
+        let next = self.classes.len() as u32;
+        let class = *self.class_of.entry(spec).or_insert(next);
+        if class == next {
+            self.classes.push(LinkClass { spec, rate: LinkRate::from_spec(&spec) });
+        }
+        class
+    }
+
+    /// Rebuild `port_links` from the links' ends if wiring changed since
+    /// the last build. The tables are frozen until the next `add_node` /
+    /// `connect`, so their spare capacity is returned here too.
+    fn build_ports(&mut self) {
+        if !self.ports_stale {
+            return;
+        }
+        let mut start = 0u32;
+        for n in self.nodes.iter_mut() {
+            n.port_start = start;
+            start += n.port_count;
+        }
+        self.port_links = vec![0; start as usize];
+        for (l, link) in self.links.iter().enumerate() {
+            for &(node, port) in &link.ends {
+                let at = self.nodes[node as usize].port_start + port;
+                self.port_links[at as usize] = l as u32;
+            }
+        }
+        self.nodes.shrink_to_fit();
+        self.links.shrink_to_fit();
+        self.ports_stale = false;
+    }
+
+    /// `node`'s port → link map.
+    #[inline]
+    fn ports(&self, node: &NodeRec) -> &[u32] {
+        debug_assert!(!self.ports_stale, "port_links read before build_ports");
+        &self.port_links[node.port_start as usize..][..node.port_count as usize]
+    }
+}
+
+/// Record `id` as `key`'s most recent fault; a fault that no back-end
+/// recorded leaves no entry.
+fn note_fault(map: &mut DetMap<u32, EventId>, key: u32, id: Option<EventId>) {
+    match id {
+        Some(id) => {
+            map.insert(key, id);
+        }
+        None => {
+            map.remove(&key);
+        }
     }
 }
 
@@ -335,16 +415,16 @@ impl Sim {
             ext_seq: 0,
             fault_seq: 0,
             globals: Globals {
+                nodes: Vec::new(),
                 links: Vec::new(),
-                ports: Vec::new(),
-                alive: Vec::new(),
-                epochs: Vec::new(),
+                port_links: Vec::new(),
+                ports_stale: false,
+                classes: Vec::new(),
+                class_of: DetMap::new(),
                 partitions: Vec::new(),
                 active_partitions: 0,
-                node_loc: Vec::new(),
-                dir_slot: Vec::new(),
-                crash_trace: Vec::new(),
-                link_fault_trace: Vec::new(),
+                crash_trace: DetMap::new(),
+                link_fault_trace: DetMap::new(),
                 partition_fault_trace: Vec::new(),
             },
             shards: (0..nshards).map(Shard::new).collect(),
@@ -546,11 +626,11 @@ impl Sim {
     #[doc(hidden)]
     pub fn debug_audit_share_rng(&mut self, donor: NodeId, victim: NodeId) {
         assert!(self.audit_armed, "arm shard-audit first (enable_shard_audit)");
-        let (sd, ld) = self.globals.node_loc[donor.0];
-        let (sv, lv) = self.globals.node_loc[victim.0];
-        assert_eq!(sd, sv, "debug_audit_share_rng: nodes must share a shard");
-        if let Some(a) = self.shards[sd as usize].audit.as_deref_mut() {
-            a.rng_alias = Some((lv as usize, ld as usize));
+        let (d, v) = (&self.globals.nodes[donor.0], &self.globals.nodes[victim.0]);
+        assert_eq!(d.shard, v.shard, "debug_audit_share_rng: nodes must share a shard");
+        let alias = (v.local as usize, d.local as usize);
+        if let Some(a) = self.shards[d.shard as usize].audit.as_deref_mut() {
+            a.rng_alias = Some(alias);
         }
     }
 
@@ -584,12 +664,7 @@ impl Sim {
     /// The nodes' [`Node::name`]s in id order — the track labels trace
     /// exporters want.
     pub fn node_names(&self) -> Vec<String> {
-        (0..self.node_count())
-            .map(|gid| {
-                let (si, li) = self.globals.node_loc[gid];
-                self.shards[si as usize].nodes[li as usize].name().to_string()
-            })
-            .collect()
+        (0..self.node_count()).map(|gid| self.node(NodeId(gid)).name().to_string()).collect()
     }
 
     /// Current simulated time.
@@ -602,7 +677,7 @@ impl Sim {
     /// [`Sim::add_node_in_region`] to co-locate nodes that talk on
     /// low-latency links.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
-        let region = self.globals.node_loc.len();
+        let region = self.globals.nodes.len();
         self.add_node_in_region(node, region)
     }
 
@@ -612,15 +687,18 @@ impl Sim {
     /// lookahead is bounded only by inter-region trunk latency. Placement
     /// affects wall-clock speed, never results.
     pub fn add_node_in_region(&mut self, node: Box<dyn Node>, region: usize) -> NodeId {
-        let gid = self.globals.node_loc.len();
+        let gid = self.globals.nodes.len();
         let si = region % self.nshards;
         let shard = &mut self.shards[si];
         let li = shard.nodes.len();
-        self.globals.node_loc.push((si as u32, li as u32));
-        self.globals.ports.push(Vec::new());
-        self.globals.alive.push(true);
-        self.globals.epochs.push(0);
-        self.globals.crash_trace.push(None);
+        self.globals.nodes.push(NodeRec {
+            shard: si as u32,
+            local: li as u32,
+            port_start: 0,
+            port_count: 0,
+            epoch: 0,
+            alive: true,
+        });
         shard.gids.push(gid as u32);
         shard.nodes.push(node);
         shard.rngs.push(StdRng::seed_from_u64(node_stream_seed(self.cfg.seed, gid as u64)));
@@ -635,46 +713,39 @@ impl Sim {
     /// True when `node`'s network stack is up (not crashed by fault
     /// injection, or restarted since).
     pub fn node_alive(&self, node: NodeId) -> bool {
-        self.globals.alive[node.0]
+        self.globals.nodes[node.0].alive
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.globals.node_loc.len()
+        self.globals.nodes.len()
     }
 
     /// Connect `a` and `b` with a link, returning the port each end got.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> (PortId, PortId) {
-        let n = self.globals.node_loc.len();
+        let g = &mut self.globals;
+        let n = g.nodes.len();
         assert!(a.0 < n && b.0 < n, "connect: unknown node");
         assert_ne!(a, b, "self-links are not supported");
-        let pa = PortId(self.globals.ports[a.0].len());
-        let pb = PortId(self.globals.ports[b.0].len());
-        let id = LinkId(self.globals.links.len());
-        self.globals.links.push(Link {
-            spec,
-            rate: LinkRate::from_spec(&spec),
-            ends: [(a, pa), (b, pb)],
-            down: false,
-            loss_override: None,
-        });
-        self.globals.ports[a.0].push(id);
-        self.globals.ports[b.0].push(id);
-        self.globals.link_fault_trace.push(None);
+        // Link ids and CSR port offsets (two ports per link) are `u32`.
+        assert!(g.links.len() < 1 << 31, "connect: too many links");
+        let class = g.intern(spec);
+        let mut ends = [(a.0 as u32, 0u32), (b.0 as u32, 0)];
         // Each direction's transmitter state lives with its source node's
         // shard (single writer).
-        let ends = [a, b];
-        let mut slots = [0u32; 2];
-        for (d, end) in ends.iter().enumerate() {
-            let si = self.globals.node_loc[end.0].0 as usize;
-            slots[d] = self.shards[si].dirs.len() as u32;
-            self.shards[si].dirs.push(Direction::default());
+        let mut dir_slot = [0u32; 2];
+        for (d, end) in ends.iter_mut().enumerate() {
+            let rec = &mut g.nodes[end.0 as usize];
+            end.1 = rec.port_count;
+            rec.port_count += 1;
+            let dirs = &mut self.shards[rec.shard as usize].dirs;
+            dir_slot[d] = dirs.len() as u32;
+            dirs.push(Direction::default());
         }
-        self.globals.dir_slot.push(slots);
+        g.links.push(Link { class, ends, dir_slot, down: false, loss_override: None });
+        g.ports_stale = true;
         // Cross-shard links bound the conservative lookahead.
-        let sa = self.globals.node_loc[a.0].0;
-        let sb = self.globals.node_loc[b.0].0;
-        if sa != sb {
+        if g.nodes[a.0].shard != g.nodes[b.0].shard {
             let lat = spec.latency.as_nanos();
             if lat == 0 {
                 self.zero_lookahead = true;
@@ -682,23 +753,23 @@ impl Sim {
                 self.lookahead_ns = self.lookahead_ns.min(lat);
             }
         }
-        (pa, pb)
+        (PortId(ends[0].1 as usize), PortId(ends[1].1 as usize))
     }
 
     /// Number of ports on `node`.
     pub fn port_count(&self, node: NodeId) -> usize {
-        self.globals.ports[node.0].len()
+        self.globals.nodes[node.0].port_count as usize
     }
 
     /// Schedule a timer event for `node` at absolute time `at`.
     ///
     /// This is how workload drivers kick protocols into motion from outside.
     pub fn schedule(&mut self, at: SimTime, node: NodeId, tag: u64) {
-        let epoch = self.globals.epochs[node.0];
+        let rec = &self.globals.nodes[node.0];
+        let (epoch, si, li) = (rec.epoch, rec.shard as usize, rec.local as usize);
         let seq = self.ext_seq;
         self.ext_seq += 1;
-        let (si, li) = self.globals.node_loc[node.0];
-        self.shards[si as usize].pending_timers[li as usize] += 1;
+        self.shards[si].pending_timers[li] += 1;
         // Causeless, so sampled tracing drops it: an external kick roots
         // no chain by itself and becomes visible only when a protocol
         // callback roots one with a winning sample() verdict.
@@ -709,7 +780,7 @@ impl Sim {
             None,
             None,
         );
-        self.shards[si as usize].queue.push(
+        self.shards[si].queue.push(
             EventKey { at: at.as_nanos(), src: 0, seq },
             EvData { kind: EvKind::Timer { node: node.0 as u32, tag, epoch }, trace },
         );
@@ -737,6 +808,7 @@ impl Sim {
     /// # Panics
     /// Panics if a plan event names a node pair with no link between them.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
+        self.globals.build_ports();
         for ev in plan.events() {
             match ev {
                 FaultEvent::LinkDown { at, a, b } => {
@@ -776,12 +848,18 @@ impl Sim {
         }
     }
 
-    /// The link directly connecting `a` and `b` (either orientation).
+    /// The link directly connecting `a` and `b` (either orientation): the
+    /// first of `a`'s ports whose far end is `b`. Ports are numbered in
+    /// wiring order, so this is the lowest-numbered such link.
     fn resolve_link(&self, a: NodeId, b: NodeId) -> LinkId {
-        for (i, link) in self.globals.links.iter().enumerate() {
-            let ends = [link.ends[0].0, link.ends[1].0];
-            if ends == [a, b] || ends == [b, a] {
-                return LinkId(i);
+        let g = &self.globals;
+        if let Some(rec) = g.nodes.get(a.0) {
+            for &l in g.ports(rec) {
+                let [(x, _), (y, _)] = g.links[l as usize].ends;
+                let far = if x as usize == a.0 { y } else { x };
+                if far as usize == b.0 {
+                    return LinkId(l as usize);
+                }
             }
         }
         panic!("fault plan references a non-existent link between node {} and node {}", a.0, b.0);
@@ -795,7 +873,7 @@ impl Sim {
 
     /// Record the trace (or flight) event for a fault action and remember
     /// its id where later drops will need it for aux edges. Faults apply
-    /// only at barriers, so writing the `Globals` arrays here never races
+    /// only at barriers, so writing the `Globals` maps here never races
     /// a window.
     fn trace_fault(&mut self, action: &FaultAction) -> Option<EventId> {
         let kind = match action {
@@ -815,10 +893,12 @@ impl Sim {
         );
         match action {
             FaultAction::LinkState { link, down: true } => {
-                self.globals.link_fault_trace[link.0] = id
+                note_fault(&mut self.globals.link_fault_trace, link.0 as u32, id)
             }
             FaultAction::PartitionOn { id: p } => self.globals.partition_fault_trace[*p] = id,
-            FaultAction::Crash { node } => self.globals.crash_trace[node.0] = id,
+            FaultAction::Crash { node } => {
+                note_fault(&mut self.globals.crash_trace, node.0 as u32, id)
+            }
             _ => {}
         }
         id
@@ -847,16 +927,18 @@ impl Sim {
                 }
             }
             FaultAction::Crash { node } => {
-                if self.globals.alive[node.0] {
-                    self.globals.alive[node.0] = false;
+                let rec = &mut self.globals.nodes[node.0];
+                if rec.alive {
+                    rec.alive = false;
                     // Every event scheduled for the old incarnation is now
                     // stale; bumping the epoch invalidates them lazily.
-                    self.globals.epochs[node.0] += 1;
+                    rec.epoch += 1;
                 }
             }
             FaultAction::Restart { node } => {
-                if !self.globals.alive[node.0] {
-                    self.globals.alive[node.0] = true;
+                let rec = &mut self.globals.nodes[node.0];
+                if !rec.alive {
+                    rec.alive = true;
                     self.dispatch_coord(node, trace, |n, ctx| n.on_restart(ctx));
                 }
             }
@@ -872,7 +954,7 @@ impl Sim {
         cause: Option<EventId>,
         f: impl FnOnce(&mut dyn Node, &mut NodeCtx<'_>),
     ) {
-        let si = self.globals.node_loc[node.0].0 as usize;
+        let si = self.globals.nodes[node.0].shard as usize;
         let now_ns = self.clock.as_nanos();
         let mut rec = recorder(&mut self.tracer, self.flight.get_mut(si));
         let g = &self.globals;
@@ -903,16 +985,22 @@ impl Sim {
         moved
     }
 
+    /// A node's behaviour, wherever its shard keeps it.
+    fn node(&self, id: NodeId) -> &dyn Node {
+        let rec = &self.globals.nodes[id.0];
+        self.shards[rec.shard as usize].nodes[rec.local as usize].as_ref()
+    }
+
     /// Borrow a node's behaviour, downcast to its concrete type.
     pub fn node_as<T: Node>(&self, id: NodeId) -> Option<&T> {
-        let (si, li) = self.globals.node_loc[id.0];
-        (self.shards[si as usize].nodes[li as usize].as_ref() as &dyn Any).downcast_ref::<T>()
+        (self.node(id) as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutably borrow a node's behaviour, downcast to its concrete type.
     pub fn node_as_mut<T: Node>(&mut self, id: NodeId) -> Option<&mut T> {
-        let (si, li) = self.globals.node_loc[id.0];
-        (self.shards[si as usize].nodes[li as usize].as_mut() as &mut dyn Any).downcast_mut::<T>()
+        let rec = &self.globals.nodes[id.0];
+        let node = self.shards[rec.shard as usize].nodes[rec.local as usize].as_mut();
+        (node as &mut dyn Any).downcast_mut::<T>()
     }
 
     fn start_if_needed(&mut self) {
@@ -920,7 +1008,7 @@ impl Sim {
             return;
         }
         self.started = true;
-        for gid in 0..self.globals.node_loc.len() {
+        for gid in 0..self.globals.nodes.len() {
             self.dispatch_coord(NodeId(gid), None, |n, ctx| n.on_start(ctx));
         }
     }
@@ -1053,6 +1141,7 @@ impl Sim {
 
     /// Run while events exist with `at <= deadline`. Returns events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        self.globals.build_ports();
         self.start_if_needed();
         let deadline_ns = deadline.as_nanos();
         let serial = self.nshards == 1 || self.tracer.is_enabled() || self.zero_lookahead;
@@ -1093,6 +1182,13 @@ impl Sim {
             } else {
                 processed += self.run_window(next_ev, next_fault, deadline_ns);
             }
+        }
+        // A drained queue hands back its lane storage. Lane chunk lists
+        // grow mid-run, between the packets and chunks that come and go;
+        // kept, they would split that freed memory into pieces too small
+        // for whatever the caller allocates next (DESIGN.md §9).
+        for s in self.shards.iter_mut().filter(|s| s.queue.is_empty()) {
+            s.queue = CalendarQueue::new(0, 0);
         }
         self.refresh_counters();
         self.audit_check_barrier();
@@ -1253,9 +1349,9 @@ impl Sim {
     /// The runtime state of one link direction, wherever its owner shard
     /// keeps it.
     fn link_dir(&self, link: usize, d: usize) -> &Direction {
-        let owner = self.globals.links[link].ends[d].0;
-        let si = self.globals.node_loc[owner.0].0 as usize;
-        &self.shards[si].dirs[self.globals.dir_slot[link][d] as usize]
+        let l = &self.globals.links[link];
+        let si = self.globals.nodes[l.ends[d].0 as usize].shard as usize;
+        &self.shards[si].dirs[l.dir_slot[d] as usize]
     }
 
     /// Record one metrics tick at sim time `at` (ns): link and engine
@@ -1273,7 +1369,7 @@ impl Sim {
             for i in 0..self.globals.links.len() {
                 // Queue depth in bytes, both directions: the backlog is
                 // kept in the time domain, so scale back by the link rate.
-                let rate = self.globals.links[i].rate;
+                let rate = self.globals.classes[self.globals.links[i].class as usize].rate;
                 let mut queue_bytes = 0u64;
                 for d in 0..2 {
                     let backlog_ns =
@@ -1294,11 +1390,11 @@ impl Sim {
             }
             let instances = self.metric_instances();
             for (gid, instance) in instances.iter().enumerate() {
-                let (si, li) = self.globals.node_loc[gid];
-                let shard = &self.shards[si as usize];
+                let rec = &self.globals.nodes[gid];
+                let (shard, li) = (&self.shards[rec.shard as usize], rec.local as usize);
                 m.set_instance(instance);
-                m.gauge("node.pending_timers", shard.pending_timers[li as usize]);
-                shard.nodes[li as usize].sample_metrics(&mut m);
+                m.gauge("node.pending_timers", shard.pending_timers[li]);
+                shard.nodes[li].sample_metrics(&mut m);
             }
             m.clear_instance();
             m.gauge("engine.inflight_packets", self.total_inflight());
@@ -1392,10 +1488,9 @@ impl Sim {
             .collect();
         set.check_monotonic(at, &snapshot, ev);
         set.begin_audit();
-        for gid in 0..self.globals.node_loc.len() {
-            let (si, li) = self.globals.node_loc[gid];
-            let mut scope = set.auditor(gid as u32, self.globals.alive[gid]);
-            self.shards[si as usize].nodes[li as usize].audit(&mut scope);
+        for gid in 0..self.globals.nodes.len() {
+            let mut scope = set.auditor(gid as u32, self.globals.nodes[gid].alive);
+            self.node(NodeId(gid)).audit(&mut scope);
         }
         set.check_claims(at, ev);
     }

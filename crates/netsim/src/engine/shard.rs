@@ -92,7 +92,7 @@ impl Shard {
     fn audit_begin_event(&mut self, g: &Globals, key: EventKey, node: u32) {
         let Some(a) = self.audit.as_deref_mut() else { return };
         a.current = Some(key);
-        let owner = g.node_loc[node as usize].0;
+        let owner = g.nodes[node as usize].shard;
         if owner != self.idx as u32 {
             a.record(
                 ShardAuditKind::ForeignState,
@@ -194,7 +194,7 @@ impl Shard {
     #[track_caller]
     fn audit_check_timer(&mut self, g: &Globals, gid: u32, at: u64) {
         let Some(a) = self.audit.as_deref_mut() else { return };
-        let owner = g.node_loc[gid as usize].0;
+        let owner = g.nodes[gid as usize].shard;
         if owner != self.idx as u32 {
             a.record(
                 ShardAuditKind::ForeignState,
@@ -268,11 +268,11 @@ impl Shard {
         match ev.kind {
             EvKind::Deliver { node, port, packet, epoch } => {
                 self.inflight -= 1;
-                let gid = node as usize;
-                if !g.alive[gid] || epoch != g.epochs[gid] {
+                let to = &g.nodes[node as usize];
+                if !to.alive || epoch != to.epoch {
                     // Destination crashed after admission: the packet
                     // evaporates with the incarnation it targeted.
-                    let fault = g.crash_trace[gid];
+                    let fault = g.crash_trace.get(&node).copied();
                     self.drop_packet(rec, key.at, node, DropReason::Crash, ev.trace, fault);
                 } else {
                     self.counters.inc_id(SIM_PACKETS_DELIVERED);
@@ -288,12 +288,11 @@ impl Shard {
                 }
             }
             EvKind::Timer { node, tag, epoch } => {
-                let gid = node as usize;
-                let local = g.node_loc[gid].1 as usize;
-                self.pending_timers[local] -= 1;
-                if !g.alive[gid] || epoch != g.epochs[gid] {
+                let to = &g.nodes[node as usize];
+                self.pending_timers[to.local as usize] -= 1;
+                if !to.alive || epoch != to.epoch {
                     self.counters.inc_id(SIM_TIMERS_DROPPED_CRASH);
-                    let fault = g.crash_trace[gid];
+                    let fault = g.crash_trace.get(&node).copied();
                     rec.record_caused(key.at, node, TraceKind::TimerDrop { tag }, ev.trace, fault);
                 } else {
                     self.counters.inc_id(SIM_TIMERS);
@@ -322,7 +321,8 @@ impl Shard {
         rec: &mut Recorder<'_>,
         f: impl FnOnce(&mut dyn Node, &mut NodeCtx<'_>),
     ) {
-        let local = g.node_loc[gid as usize].1 as usize;
+        let this = &g.nodes[gid as usize];
+        let local = this.local as usize;
         let rng_slot = if self.audit.is_some() { self.audit_check_rng(gid, local) } else { local };
         let mut sends = std::mem::take(&mut self.scratch_sends);
         let mut timers = std::mem::take(&mut self.scratch_timers);
@@ -332,7 +332,7 @@ impl Shard {
             let mut ctx = NodeCtx {
                 id: NodeId(gid as usize),
                 now: SimTime::from_nanos(self.clock_ns),
-                port_count: g.ports[gid as usize].len(),
+                port_count: this.port_count as usize,
                 rng: &mut self.rngs[rng_slot],
                 trace: TraceCtx::new(rec.reborrow(), self.clock_ns, gid, cause),
                 sends: &mut sends,
@@ -361,7 +361,7 @@ impl Shard {
     ) {
         let now = SimTime::from_nanos(self.clock_ns);
         let now_ns = self.clock_ns;
-        let from = NodeId(gid as usize);
+        let from = &g.nodes[gid as usize];
         for (port, packet, cause) in sends.drain(..) {
             self.counters.inc_id(SIM_PACKETS_SENT);
             // The enqueue event roots this packet's causal chain at the
@@ -376,28 +376,32 @@ impl Shard {
             // Why the packet never reaches the wire, if it does not, and
             // the fault event behind that when there is one.
             let refused = 'admit: {
-                let Some(&link_id) = g.ports[gid as usize].get(port.0) else {
+                let Some(&link_id) = g.ports(from).get(port.0) else {
                     break 'admit Some((DropReason::BadPort, None));
                 };
-                let link = &g.links[link_id.0];
-                let Some((dir, dst, dst_port)) = link.direction_from(from, port) else {
+                let link = &g.links[link_id as usize];
+                let Some((dir, dst, dst_port)) = link.direction_from(gid, port.0 as u32) else {
                     break 'admit Some((DropReason::BadPort, None));
                 };
                 // Fault gates, checked before the loss roll so injected
                 // faults never perturb the RNG stream of surviving traffic
                 // paths.
                 if link.down {
-                    break 'admit Some((DropReason::LinkDown, g.link_fault_trace[link_id.0]));
+                    let fault = g.link_fault_trace.get(&link_id).copied();
+                    break 'admit Some((DropReason::LinkDown, fault));
                 }
-                if !g.alive[dst.0] {
-                    break 'admit Some((DropReason::DeadNode, g.crash_trace[dst.0]));
+                let to = &g.nodes[dst as usize];
+                if !to.alive {
+                    break 'admit Some((DropReason::DeadNode, g.crash_trace.get(&dst).copied()));
                 }
                 if g.active_partitions > 0 {
-                    if let Some(p) = g.blocking_partition(from, dst) {
+                    let (a, b) = (NodeId(gid as usize), NodeId(dst as usize));
+                    if let Some(p) = g.blocking_partition(a, b) {
                         break 'admit Some((DropReason::Partition, g.partition_fault_trace[p]));
                     }
                 }
-                let loss = link.loss_override.unwrap_or(link.spec.loss_permille);
+                let class = &g.classes[link.class as usize];
+                let loss = link.loss_override.unwrap_or(class.spec.loss_permille);
                 if loss > 0 {
                     use rand::Rng;
                     // The roll comes from the *sending* node's stream, so
@@ -406,19 +410,19 @@ impl Shard {
                         break 'admit Some((DropReason::Loss, None));
                     }
                 }
-                let slot = g.dir_slot[link_id.0][dir] as usize;
+                let latency = class.spec.latency;
+                let slot = link.dir_slot[dir] as usize;
                 let Some(arrival) =
-                    self.dirs[slot].admit(&link.rate, link.spec.latency, now, packet.wire_len())
+                    self.dirs[slot].admit(&class.rate, latency, now, packet.wire_len())
                 else {
                     break 'admit Some((DropReason::QueueFull, None));
                 };
                 self.inflight += 1;
-                let epoch = g.epochs[dst.0];
                 // Timestamp the transmit at serialization completion
                 // (arrival minus propagation), so queue wait and wire time
                 // separate cleanly on critical paths.
                 let trace = rec.record_caused(
-                    (arrival - link.spec.latency).as_nanos(),
+                    (arrival - latency).as_nanos(),
                     gid,
                     TraceKind::PacketTransmit,
                     enq,
@@ -426,18 +430,13 @@ impl Shard {
                 );
                 let mut key = self.next_key(arrival.as_nanos(), gid, local);
                 let data = EvData {
-                    kind: EvKind::Deliver {
-                        node: dst.0 as u32,
-                        port: dst_port.0 as u32,
-                        packet,
-                        epoch,
-                    },
+                    kind: EvKind::Deliver { node: dst, port: dst_port, packet, epoch: to.epoch },
                     trace,
                 };
-                let dst_shard = g.node_loc[dst.0].0;
+                let dst_shard = to.shard;
                 let mut to_self = dst_shard as usize == self.idx;
                 if self.audit.is_some() {
-                    to_self = self.audit_route_send(&mut key, dst.0 as u32, dst_shard, to_self);
+                    to_self = self.audit_route_send(&mut key, dst, dst_shard, to_self);
                 }
                 if to_self {
                     self.queue.push(key, data);
@@ -450,7 +449,7 @@ impl Shard {
                 self.drop_packet(rec, now_ns, gid, reason, enq, fault);
             }
         }
-        let epoch = g.epochs[gid as usize];
+        let epoch = from.epoch;
         for (at, tag, cause) in timers.drain(..) {
             self.pending_timers[local] += 1;
             let trace = rec.record_caused(now_ns, gid, TraceKind::TimerSet { tag }, cause, None);

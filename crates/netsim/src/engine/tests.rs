@@ -519,6 +519,41 @@ fn trace_crash_drop_carries_fault_aux_edge() {
     assert!(resumed, "the pacer's post-restart send is rooted at the restart fault");
 }
 
+#[test]
+fn trace_link_down_drop_carries_fault_aux_edge() {
+    use crate::fault::FaultPlan;
+    let mut sim = Sim::new(SimConfig::default());
+    let p = sim.add_node(Box::new(Pacer::new(10)));
+    let e = sim.add_node(Box::new(Echo));
+    sim.connect(p, e, spec_1b_per_ns());
+    let plan = FaultPlan::new().link_down(SimTime::from_micros(25), p, e).link_up(
+        SimTime::from_micros(55),
+        p,
+        e,
+    );
+    sim.install_fault_plan(&plan);
+    sim.enable_trace(1 << 12);
+    sim.run_until_idle();
+
+    let down = sim
+        .tracer
+        .iter()
+        .find(|(_, ev)| ev.kind.name() == "fault.link_state")
+        .map(|(id, _)| id)
+        .expect("link-down fault traced");
+    let drops: Vec<_> = sim
+        .tracer
+        .iter()
+        .filter(|(_, ev)| ev.kind.name() == "packet.drop.link_down")
+        .map(|(_, ev)| ev.aux)
+        .collect();
+    assert!(!drops.is_empty(), "sends while the link was down are traced as drops");
+    assert!(drops.iter().all(|aux| *aux == Some(down)), "each drop links to the fault");
+    // Provenance is sparse: one downed link, no crashed node.
+    assert_eq!(sim.globals.link_fault_trace.len(), 1);
+    assert!(sim.globals.crash_trace.is_empty());
+}
+
 fn metrics_cfg(interval_ns: u64) -> MetricsConfig {
     MetricsConfig { sample_interval_ns: interval_ns, ..Default::default() }
 }
@@ -989,4 +1024,115 @@ fn sampled_tracing_keeps_only_rooted_chains_and_is_deterministic() {
     let (json2, tallies2) = run(2);
     assert_eq!(json1, json2, "sampled trace must be byte-identical across --shards");
     assert_eq!((sampled, skipped), tallies2);
+}
+
+// ---- topology tables ----
+
+/// On each timer, sends on the port its tag names; counts echoes by port.
+/// The send is queued past [`NodeCtx::send`]'s debug check, so a port with
+/// no link reaches the engine's admission path.
+struct PortSender {
+    received: Vec<PortId>,
+}
+impl Node for PortSender {
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
+        ctx.sends.push((PortId(tag as usize), Packet::new(vec![0u8; 10], tag), None));
+    }
+    fn on_packet(&mut self, _: &mut NodeCtx<'_>, port: PortId, _: Packet) {
+        self.received.push(port);
+    }
+}
+
+#[test]
+fn topology_grown_between_runs_routes_over_the_new_port() {
+    for shards in [1, 2] {
+        let mut sim = Sim::new(SimConfig { shards, ..Default::default() });
+        let s = sim.add_node(Box::new(PortSender { received: Vec::new() }));
+        let e1 = sim.add_node(Box::new(Echo));
+        sim.connect(s, e1, spec_1b_per_ns());
+        sim.schedule(SimTime::ZERO, s, 0);
+        sim.run_until_idle();
+        assert_eq!(sim.node_as::<PortSender>(s).unwrap().received, [PortId(0)]);
+
+        // Grow after the ports were built, in two runs: a node, then a link
+        // to it with `s` as the second end.
+        let e2 = sim.add_node(Box::new(Echo));
+        sim.run_until_idle();
+        assert_eq!(sim.connect(e2, s, spec_1b_per_ns()), (PortId(0), PortId(1)));
+        assert_eq!(sim.port_count(s), 2);
+        let at = sim.now() + SimTime::from_micros(1);
+        for port in [1, 0, 2] {
+            sim.schedule(at, s, port);
+        }
+        sim.run_until_idle();
+        let mut got = sim.node_as::<PortSender>(s).unwrap().received.clone();
+        got.sort_by_key(|p| p.0);
+        assert_eq!(got, [PortId(0), PortId(0), PortId(1)], "shards={shards}");
+        assert_eq!(sim.counters.get("sim.packets_dropped.bad_port"), 1, "shards={shards}");
+        assert_eq!(sim.counters.get("sim.packets_delivered"), 6, "shards={shards}");
+    }
+}
+
+#[test]
+fn fault_plan_resolves_links_through_the_first_nodes_ports() {
+    use crate::fault::FaultPlan;
+    let mut sim = Sim::new(SimConfig::default());
+    let a = sim.add_node(Box::new(Pacer::new(10)));
+    let b = sim.add_node(Box::new(Pacer::new(10)));
+    let hub = sim.add_node(Box::new(Echo));
+    sim.connect(a, hub, spec_1b_per_ns());
+    sim.connect(b, hub, spec_1b_per_ns());
+    sim.globals.build_ports();
+    assert_eq!(sim.resolve_link(a, hub), LinkId(0));
+    assert_eq!(sim.resolve_link(hub, b), LinkId(1), "either orientation, any port");
+    // Named from the far end, the plan still downs only b's uplink.
+    sim.install_fault_plan(&FaultPlan::new().link_down(SimTime::ZERO, hub, b));
+    sim.run_until_idle();
+    assert_eq!(sim.node_as::<Pacer>(a).unwrap().received, 10);
+    assert_eq!(sim.node_as::<Pacer>(b).unwrap().received, 0);
+    assert_eq!(sim.counters.get("sim.packets_dropped.link_down"), 10);
+}
+
+/// A ratchet on the engine's topology tables: bytes `Globals` retains per
+/// node of a 10 k-host rack ring (one uplink per host). Lower the bound
+/// when the tables shrink.
+#[test]
+fn topology_tables_stay_within_budget_per_host() {
+    use std::mem::size_of;
+    let mut sim = Sim::new(SimConfig::default());
+    let spec = spec_1b_per_ns();
+    crate::topo::build_rack_ring(
+        &mut sim,
+        25,
+        400,
+        |_| Box::new(Echo),
+        |_| Box::new(Echo),
+        spec,
+        spec,
+    );
+    sim.run_until_idle();
+    let g = &sim.globals;
+    let bytes = g.nodes.capacity() * size_of::<NodeRec>()
+        + g.links.capacity() * size_of::<Link>()
+        + g.port_links.capacity() * size_of::<u32>()
+        + g.classes.capacity() * size_of::<LinkClass>()
+        + g.partitions.capacity() * size_of::<Partition>()
+        + g.partition_fault_trace.capacity() * size_of::<Option<EventId>>();
+    assert_eq!(g.classes.len(), 1, "one spec, one interned class");
+    assert!(g.crash_trace.is_empty() && g.link_fault_trace.is_empty(), "no fault, no entry");
+    let per_node = bytes / sim.node_count();
+    assert!(per_node <= 80, "{per_node} B of topology tables per node (budget 80 B)");
+}
+
+#[test]
+fn a_drained_run_leaves_no_queue_storage() {
+    // A 1 000-timer lane spans four 256-entry chunks; drained, the queue
+    // itself would keep two of them pooled.
+    let mut sim = Sim::new(SimConfig::default());
+    let n = sim.add_node(Box::new(Echo));
+    sim.schedule_batch((1..=1000).map(|us| (SimTime::from_micros(us), n, us)));
+    sim.run_until(SimTime::from_micros(500));
+    assert!(sim.shards[0].queue.retained_capacity() > 0, "a live queue holds chunks");
+    sim.run_until_idle();
+    assert_eq!(sim.shards[0].queue.retained_capacity(), 0, "a drained queue keeps no storage");
 }

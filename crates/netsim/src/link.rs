@@ -9,7 +9,6 @@
 //! Backlog in bytes is `(next_free − t) · bandwidth`; if admitting the
 //! packet would push the backlog past the queue capacity, it is dropped.
 
-use crate::node::{NodeId, PortId};
 use crate::time::SimTime;
 
 /// Identifies a link within a simulation.
@@ -17,7 +16,7 @@ use crate::time::SimTime;
 pub struct LinkId(pub usize);
 
 /// Physical parameters of a link (applied to both directions).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkSpec {
     /// One-way propagation delay.
     pub latency: SimTime,
@@ -134,31 +133,41 @@ impl Direction {
     }
 }
 
-/// A link instance: endpoints, specs, and fault state. The mutable
+/// One interned link class: a spec and the admission constants derived
+/// from it. Links that share a spec share one class, so a link carries a
+/// 4-byte class index instead of 48 bytes of copies.
+#[derive(Debug)]
+pub(crate) struct LinkClass {
+    pub spec: LinkSpec,
+    pub rate: LinkRate,
+}
+
+/// A link instance: endpoints, class, and fault state. The mutable
 /// per-direction transmitter state ([`Direction`]) is *not* stored here —
 /// the engine keeps each direction in the shard that owns its source
 /// node, so shards can admit packets in parallel without sharing state
 /// (only a direction's source node ever writes it).
 #[derive(Debug)]
 pub(crate) struct Link {
-    pub spec: LinkSpec,
-    /// Admission constants precomputed from `spec`.
-    pub rate: LinkRate,
+    /// Index of this link's [`LinkClass`] in the engine's class table.
+    pub class: u32,
     /// (node, port) pairs for the two ends: `ends[0]` ↔ `ends[1]`.
-    pub ends: [(NodeId, PortId); 2],
+    pub ends: [(u32, u32); 2],
+    /// Each direction's slot in its owner shard's `dirs` arena. Direction
+    /// `d` is owned by the shard of `ends[d].0`: only the *source* node of
+    /// a direction ever writes it, so ownership follows the sender.
+    pub dir_slot: [u32; 2],
     /// Administratively down (fault injection): admissions are refused.
     pub down: bool,
-    /// Fault-injected loss rate overriding `spec.loss_permille` while set.
+    /// Fault-injected loss rate overriding the spec's `loss_permille`
+    /// while set.
     pub loss_override: Option<u16>,
 }
 
 impl Link {
-    /// Index of the direction whose *source* is `from`, and the far end.
-    pub fn direction_from(
-        &self,
-        from: NodeId,
-        from_port: PortId,
-    ) -> Option<(usize, NodeId, PortId)> {
+    /// Index of the direction whose *source* is `(from, from_port)`, and
+    /// the far end as `(node, port)`.
+    pub fn direction_from(&self, from: u32, from_port: u32) -> Option<(usize, u32, u32)> {
         if self.ends[0] == (from, from_port) {
             Some((0, self.ends[1].0, self.ends[1].1))
         } else if self.ends[1] == (from, from_port) {
@@ -241,14 +250,16 @@ mod tests {
     #[test]
     fn direction_lookup() {
         let link = Link {
-            spec: spec(),
-            rate: LinkRate::from_spec(&spec()),
-            ends: [(NodeId(1), PortId(0)), (NodeId(2), PortId(3))],
+            class: 0,
+            ends: [(1, 0), (2, 3)],
+            dir_slot: [0, 0],
             down: false,
             loss_override: None,
         };
-        assert_eq!(link.direction_from(NodeId(1), PortId(0)), Some((0, NodeId(2), PortId(3))));
-        assert_eq!(link.direction_from(NodeId(2), PortId(3)), Some((1, NodeId(1), PortId(0))));
-        assert_eq!(link.direction_from(NodeId(3), PortId(0)), None);
+        assert_eq!(link.direction_from(1, 0), Some((0, 2, 3)));
+        assert_eq!(link.direction_from(2, 3), Some((1, 1, 0)));
+        assert_eq!(link.direction_from(3, 0), None);
+        // A node's other port on the same link is not an end.
+        assert_eq!(link.direction_from(1, 3), None);
     }
 }

@@ -214,6 +214,14 @@ impl<T> CalendarQueue<T> {
         }
         entry
     }
+
+    /// Capacity, in entries, of every buffer the queue keeps: lane chunks,
+    /// the pool and the spill heap.
+    #[cfg(test)]
+    pub(crate) fn retained_capacity(&self) -> usize {
+        let chunks = self.lanes.iter().flatten().chain(&self.pool);
+        chunks.map(VecDeque::capacity).sum::<usize>() + self.spill.capacity()
+    }
 }
 
 #[cfg(test)]
@@ -222,13 +230,6 @@ mod tests {
 
     fn key(at: u64, src: u32, seq: u64) -> EventKey {
         EventKey { at, src, seq }
-    }
-
-    /// Capacity, in entries, of every buffer `q` keeps: lane chunks, the
-    /// pool and the spill heap.
-    fn retained_capacity<T>(q: &CalendarQueue<T>) -> usize {
-        let chunks = q.lanes.iter().flatten().chain(&q.pool);
-        chunks.map(VecDeque::capacity).sum::<usize>() + q.spill.capacity()
     }
 
     /// `(lanes open, lanes empty, entries spilled)` of `q`.
@@ -702,7 +703,7 @@ mod tests {
             q.push(key(rng.next() % 4096, 1, seq), seq);
             seq += 1;
         }
-        let burst = retained_capacity(&q);
+        let burst = q.retained_capacity();
         assert!(burst >= 200_000);
         while q.pop().is_some() {}
         // 2 ms of a hold model at 100 live entries.
@@ -720,7 +721,7 @@ mod tests {
             seq += 1;
         }
         assert_eq!(q.len(), live);
-        let retained = retained_capacity(&q);
+        let retained = q.retained_capacity();
         let bound = 8 * live + KEEP_FLOOR.max(live);
         assert!(
             retained <= bound,
