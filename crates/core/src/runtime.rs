@@ -24,8 +24,8 @@ use std::sync::OnceLock;
 
 use rdv_memproto::cache::{CacheState, ObjectCache};
 use rdv_memproto::coherence::{DirAction, Directory};
-use rdv_memproto::frag::{fragment_bytes, Reassembler, DEFAULT_MTU};
-use rdv_memproto::msg::{Msg, MsgBody, NackCode};
+use rdv_memproto::frag::{Reassembler, DEFAULT_MTU};
+use rdv_memproto::msg::{Msg, MsgBody, MsgHeader, NackCode};
 use rdv_netsim::metrics::{AuditScope, MetricSample};
 use rdv_netsim::trace::EventId;
 use rdv_netsim::{CounterId, Node, NodeCtx, Packet, PortId, SimTime};
@@ -279,6 +279,10 @@ struct ScriptProgress {
     write_span: Option<EventId>,
 }
 
+/// Largest run buffer kept for reuse, in packets: a 256 KiB image at the
+/// default MTU.
+const SPARE_RUN_PACKETS: usize = 64;
+
 mod tags {
     pub const DEFER: u64 = 1 << 62;
     pub const TASK_DONE: u64 = 1 << 61;
@@ -319,7 +323,13 @@ pub struct GasHostNode {
     served_invokes: DetMap<(u128, u64), Vec<u8>>,
     task_results: DetMap<u64, (usize, Vec<u8>)>,
     traversals: Vec<TraversalState>,
-    deferred: DetMap<u64, Msg>,
+    /// Encoded packets waiting out a delay, one entry per run (see
+    /// [`GasHostNode::send_after`]).
+    deferred: DetMap<u64, Vec<Vec<u8>>>,
+    /// The run this callback is still adding to, and its delay.
+    open_run: Option<(u64, SimTime)>,
+    /// Emptied runs' buffers, for the next runs to fill.
+    spare_runs: Vec<Vec<Vec<u8>>>,
     next_req: u64,
     next_defer: u64,
     next_trace: u64,
@@ -353,6 +363,8 @@ impl GasHostNode {
             task_results: DetMap::new(),
             traversals: Vec::new(),
             deferred: DetMap::new(),
+            open_run: None,
+            spare_runs: Vec::new(),
             next_req: 1,
             next_defer: 0,
             next_trace: 1,
@@ -371,7 +383,11 @@ impl GasHostNode {
     }
 
     fn transmit(&mut self, ctx: &mut NodeCtx<'_>, msg: Msg) {
-        let bytes = msg.encode();
+        self.send(ctx, msg.encode());
+    }
+
+    /// Put one encoded packet on the wire.
+    fn send(&mut self, ctx: &mut NodeCtx<'_>, bytes: Vec<u8>) {
         self.counters.add_id(ctr().tx_bytes, bytes.len() as u64);
         let trace = (self.inbox.lo() << 20) ^ self.next_trace;
         self.next_trace += 1;
@@ -379,14 +395,56 @@ impl GasHostNode {
     }
 
     fn transmit_after(&mut self, ctx: &mut NodeCtx<'_>, delay: SimTime, msg: Msg) {
+        let mut packets = self.spare_runs.pop().unwrap_or_default();
+        packets.push(msg.encode());
+        self.send_after(ctx, delay, packets);
+    }
+
+    /// Send encoded packets after `delay`, or now when it is zero.
+    ///
+    /// Deferrals by the same delay that a callback makes with no other
+    /// timer set in between form one *run*: one `deferred` entry behind
+    /// one timer (a serve's invalidations and fragments, a write's
+    /// invalidations and ack). A timer each would have taken consecutive
+    /// slots in this node's event sequence, so they would have fired back
+    /// to back with nothing between them; the run's timer sends the same
+    /// packets in the same order at the same instant, and every later
+    /// event keeps its place.
+    fn send_after(&mut self, ctx: &mut NodeCtx<'_>, delay: SimTime, mut packets: Vec<Vec<u8>>) {
         if delay == SimTime::ZERO {
-            self.transmit(ctx, msg);
+            self.send_run(ctx, packets);
+            return;
+        }
+        let open = self.open_run.filter(|&(_, run_delay)| run_delay == delay);
+        if let Some(run) = open.and_then(|(id, _)| self.deferred.get_mut(&id)) {
+            run.append(&mut packets);
+            self.spare_runs.push(packets);
             return;
         }
         let id = self.next_defer;
         self.next_defer += 1;
-        self.deferred.insert(id, msg);
+        self.deferred.insert(id, packets);
         ctx.set_timer(delay, tags::DEFER | id);
+        self.open_run = Some((id, delay));
+    }
+
+    /// Send `packets` now, in order, and keep their emptied buffer for the
+    /// next run, so that deferring allocates nothing once warm (one
+    /// holding a huge image's packets is let go).
+    fn send_run(&mut self, ctx: &mut NodeCtx<'_>, mut packets: Vec<Vec<u8>>) {
+        for packet in packets.drain(..) {
+            self.send(ctx, packet);
+        }
+        if packets.capacity() <= SPARE_RUN_PACKETS {
+            self.spare_runs.push(packets);
+        }
+    }
+
+    /// Arm a timer that is not a deferral. It closes the open run: a
+    /// deferral after it takes a timer of its own, behind this one.
+    fn set_timer(&mut self, ctx: &mut NodeCtx<'_>, delay: SimTime, tag: u64) {
+        self.open_run = None;
+        ctx.set_timer(delay, tag);
     }
 
     fn ensure_fetch(
@@ -427,7 +485,7 @@ impl GasHostNode {
         if let Some(p) = self.progress.get_mut(&idx) {
             if !p.watchdog_armed {
                 p.watchdog_armed = true;
-                ctx.set_timer(self.cfg.retry_timeout, tags::WATCHDOG | idx as u64);
+                self.set_timer(ctx, self.cfg.retry_timeout, tags::WATCHDOG | idx as u64);
             }
         }
     }
@@ -450,36 +508,24 @@ impl GasHostNode {
         }
     }
 
-    /// The image of `obj`, if it is here (stored or cached).
-    fn local_image(&mut self, obj: ObjId) -> Option<Vec<u8>> {
-        match self.store.get(obj) {
-            Ok(o) => Some(o.to_image()),
-            Err(_) => self.cache.get(obj).map(Object::to_image),
-        }
-    }
-
-    /// Send `image` to `to` as fragments, each a view of the one image
-    /// until [`Msg::encode`] writes it into its packet.
-    fn send_image(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        to: ObjId,
-        req: u64,
-        version: u64,
-        image: Vec<u8>,
-        delay: SimTime,
-    ) {
-        for frag in fragment_bytes(req, &image.into(), self.cfg.mtu) {
-            let msg = Msg::new(to, self.inbox, MsgBody::ObjImageFrag { req, version, frag });
-            self.transmit_after(ctx, delay, msg);
-        }
+    /// The packets of push `req` of `obj` to `to`, if `obj` is here
+    /// (stored or cached).
+    fn push_packets(&mut self, obj: ObjId, to: ObjId, req: u64) -> Option<Vec<Vec<u8>>> {
+        let header = MsgHeader { dst: to, src: self.inbox };
+        let object = match self.store.get(obj) {
+            Ok(o) => o,
+            Err(_) => self.cache.get(obj)?,
+        };
+        let mut packets = self.spare_runs.pop().unwrap_or_default();
+        image_packets(object, header, req, 0, self.cfg.mtu, &mut packets);
+        Some(packets)
     }
 
     /// Re-send a push's fragments with its original req.
     fn reissue_push(&mut self, ctx: &mut NodeCtx<'_>, obj: ObjId, dest: ObjId, req: u64) {
-        let Some(image) = self.local_image(obj) else { return };
+        let Some(packets) = self.push_packets(obj, dest, req) else { return };
         self.counters.inc_id(ctr().retries_push);
-        self.send_image(ctx, dest, req, 0, image, SimTime::ZERO);
+        self.send_run(ctx, packets);
     }
 
     /// Watchdog fired for a blocked script: re-issue whatever it waits on,
@@ -487,12 +533,11 @@ impl GasHostNode {
     fn handle_watchdog(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
         let Some(p) = self.progress.get_mut(&idx) else { return };
         p.watchdog_armed = false;
+        let step = self.scripts.get(idx).and_then(|s| s.get(p.step));
         let blocked = p.waiting_push.is_some()
             || p.waiting_invoke.is_some()
-            || matches!(
-                self.scripts.get(idx).and_then(|s| s.get(p.step)),
-                Some(ScriptStep::Fetch(_))
-            );
+            || matches!(step, Some(ScriptStep::Fetch(_)))
+            || step.and_then(fetched_first).is_some_and(|obj| self.inflight.contains(&obj));
         if !blocked {
             return;
         }
@@ -519,11 +564,11 @@ impl GasHostNode {
         let executor = p.invoke_executor;
         match step {
             Some(ScriptStep::Fetch(obj)) => self.retry_fetch(ctx, obj),
-            Some(ScriptStep::PushTo { obj, dest }) => {
-                if let Some(req) = waiting_push {
-                    self.reissue_push(ctx, obj, dest, req);
-                }
-            }
+            Some(ScriptStep::PushTo { obj, dest }) => match waiting_push {
+                Some(req) => self.reissue_push(ctx, obj, dest, req),
+                // Still fetching the object it pushes.
+                None => self.retry_fetch(ctx, obj),
+            },
             Some(ScriptStep::Write { target, offset, data }) => {
                 if let Some(req) = waiting_push {
                     self.counters.inc_id(ctr().retries_write);
@@ -554,7 +599,9 @@ impl GasHostNode {
                         self.transmit(ctx, msg);
                     }
                 }
-                _ => {}
+                // Placement is still fetching the code descriptor.
+                None => self.retry_fetch(ctx, code),
+                Some(_) => {}
             },
             Some(ScriptStep::Traverse { .. }) => {
                 // Blocked on the current node object.
@@ -578,12 +625,16 @@ impl GasHostNode {
         };
         self.counters.inc_id(ctr().serves);
         let version = obj.version();
-        let image = obj.to_image();
+        // Written now, these buffers are the snapshot of the object that
+        // waits out the serve delay, and they are what goes on the wire.
+        let header = MsgHeader { dst: reply_to, src: self.inbox };
+        let mut packets = self.spare_runs.pop().unwrap_or_default();
+        image_packets(obj, header, req, version, self.cfg.mtu, &mut packets);
         // Home-side coherence: the requester becomes a sharer; a previous
         // exclusive owner is recalled.
         let actions = self.directory.request_shared(target, reply_to);
         self.apply_dir_actions(ctx, target, version, actions);
-        self.send_image(ctx, reply_to, req, version, image, self.cfg.serve_delay);
+        self.send_after(ctx, self.cfg.serve_delay, packets);
     }
 
     /// Turn directory actions into directed invalidations (grants are
@@ -605,10 +656,16 @@ impl GasHostNode {
         }
     }
 
-    fn on_image_complete(&mut self, ctx: &mut NodeCtx<'_>, src: ObjId, req: u64, image: Vec<u8>) {
-        let image_len = image.len();
-        // The landing buffer becomes the object's heap.
-        let Ok(object) = Object::from_image_owned(image) else {
+    fn on_image_complete<P: AsRef<[u8]>>(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        src: ObjId,
+        req: u64,
+        pieces: &[P],
+    ) {
+        let image_len: usize = pieces.iter().map(|p| p.as_ref().len()).sum();
+        // The heap is written once, straight from the pieces that arrived.
+        let Ok(object) = Object::from_pieces(pieces) else {
             self.counters.inc_id(ctr().corrupt_images);
             return;
         };
@@ -728,15 +785,16 @@ impl GasHostNode {
                     return;
                 }
                 ScriptStep::PushTo { obj, dest } => {
-                    let Some(image) = self.local_image(obj) else {
+                    let req = self.next_req;
+                    let Some(packets) = self.push_packets(obj, dest, req) else {
                         // Object not here: fetch it first (implicit).
                         self.ensure_fetch(ctx, obj, true, Some(idx));
+                        self.arm_watchdog(ctx, idx);
                         return;
                     };
-                    let req = self.next_req;
                     self.next_req += 1;
                     self.counters.inc_id(ctr().pushes);
-                    self.send_image(ctx, dest, req, 0, image, SimTime::ZERO);
+                    self.send_run(ctx, packets);
                     self.progress.get_mut(&idx).expect("present").waiting_push = Some(req);
                     self.arm_watchdog(ctx, idx);
                     return;
@@ -750,6 +808,7 @@ impl GasHostNode {
                             // code object first if it is not yet here.
                             let Ok(desc) = self.read_code_anywhere(code) else {
                                 self.ensure_fetch(ctx, code, true, Some(idx));
+                                self.arm_watchdog(ctx, idx);
                                 return;
                             };
                             let Some(engine) = &self.placement else {
@@ -934,7 +993,7 @@ impl GasHostNode {
                 let id = self.next_defer;
                 self.next_defer += 1;
                 self.task_results.insert(id, (script, outcome.result));
-                ctx.set_timer(delay, tags::TASK_DONE | id);
+                self.set_timer(ctx, delay, tags::TASK_DONE | id);
             }
         }
     }
@@ -957,7 +1016,7 @@ impl GasHostNode {
                 self.retry_fetch(ctx, obj);
             }
         }
-        ctx.set_timer(self.cfg.retry_timeout, tags::TASK_WATCH | task_id);
+        self.set_timer(ctx, self.cfg.retry_timeout, tags::TASK_WATCH | task_id);
         self.try_run_tasks(ctx);
     }
 
@@ -1073,8 +1132,35 @@ impl GasHostNode {
     }
 }
 
+/// Append the packets that carry `obj`'s image as the fragments of `req`,
+/// written straight from the object's head and heap: the sender's only
+/// copy of its bytes.
+fn image_packets(
+    obj: &Object,
+    header: MsgHeader,
+    req: u64,
+    version: u64,
+    mtu: usize,
+    packets: &mut Vec<Vec<u8>>,
+) {
+    let (head, heap) = obj.image_parts(0);
+    packets.extend(Msg::encode_image(header, req, version, [&head, heap], mtu));
+}
+
+/// The object `step` must have here before it can start, which it fetches
+/// itself when it is not: a fetch's target, a push's object, a placed
+/// invoke's code descriptor.
+fn fetched_first(step: &ScriptStep) -> Option<ObjId> {
+    match step {
+        ScriptStep::Fetch(obj) | ScriptStep::PushTo { obj, .. } => Some(*obj),
+        ScriptStep::Invoke { executor: None, code, .. } => Some(*code),
+        ScriptStep::Invoke { .. } | ScriptStep::Write { .. } | ScriptStep::Traverse { .. } => None,
+    }
+}
+
 impl Node for GasHostNode {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
+        self.open_run = None;
         let Ok(msg) = Msg::decode_bytes(&packet.payload) else {
             // Not a message. Say so when it claimed to be an image fragment:
             // a fetch is waiting on it.
@@ -1097,14 +1183,14 @@ impl Node for GasHostNode {
                 }
             MsgBody::ObjImageFrag { req, frag, .. } => {
                 let reasm = self.reasm.entry(src).or_default();
-                match reasm.accept(frag) {
-                    Ok(Some(image)) => self.on_image_complete(ctx, src, req, image),
+                match reasm.accept_pieces(frag) {
+                    Ok(Some(pieces)) => self.on_image_complete(ctx, src, req, &pieces),
                     Ok(None) => {}
                     Err(_) => self.counters.inc_id(ctr().corrupt_fragments),
                 }
             }
             MsgBody::ObjImageResp { req, image, .. } => {
-                self.on_image_complete(ctx, src, req, image);
+                self.on_image_complete(ctx, src, req, &[image]);
             }
             MsgBody::WriteAck { req, .. } => {
                 let script = self.progress.iter().find_map(|(idx, p)| {
@@ -1155,7 +1241,7 @@ impl Node for GasHostNode {
                     args,
                     retries: 0,
                 });
-                ctx.set_timer(self.cfg.retry_timeout, tags::TASK_WATCH | task_id);
+                self.set_timer(ctx, self.cfg.retry_timeout, tags::TASK_WATCH | task_id);
                 self.try_run_tasks(ctx);
             }
             MsgBody::InvokeResult { req, result } => {
@@ -1237,9 +1323,10 @@ impl Node for GasHostNode {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
+        self.open_run = None;
         if tag & tags::DEFER != 0 {
-            if let Some(msg) = self.deferred.remove(&(tag & !tags::DEFER)) {
-                self.transmit(ctx, msg);
+            if let Some(run) = self.deferred.remove(&(tag & !tags::DEFER)) {
+                self.send_run(ctx, run);
             }
         } else if tag & tags::WATCHDOG != 0 {
             self.handle_watchdog(ctx, (tag & !tags::WATCHDOG) as usize);
@@ -1295,7 +1382,7 @@ mod tests {
     use crate::scenarios::{
         build_star_fabric, host_link_edge, host_link_rack, standard_registry, FN_NOOP,
     };
-    use rdv_objspace::ObjectKind;
+    use rdv_objspace::{FotFlags, ObjectKind};
 
     const CLIENT_A: ObjId = ObjId(0x1111);
     const CLIENT_B: ObjId = ObjId(0x2222);
@@ -1356,6 +1443,9 @@ mod tests {
         let home = sim.node_as::<GasHostNode>(ids[2]).unwrap();
         assert_eq!(home.counters.get("writes_served"), 1);
         assert_eq!(home.counters.get("dir_invalidates_sent"), 1);
+        // One timer per burst: each serve's fragments, and the write's
+        // invalidation with its ack, waited out the serve delay together.
+        assert_eq!(home.next_defer, 3);
         let b = sim.node_as::<GasHostNode>(ids[1]).unwrap();
         assert!(!b.records[0].failed);
     }
@@ -1474,17 +1564,26 @@ mod tests {
         assert_eq!(a.cache.get(OBJ).unwrap().read_u64(8).unwrap(), 7);
     }
 
-    /// Sends canned packet `tag` on timer `tag` and keeps every
-    /// `InvokeResult` that comes back: a client that retransmits the *same*
-    /// invoke at will (where a script only does so when its watchdog
-    /// fires), or says things no script would.
+    /// Sends canned packet `tag` on timer `tag`, keeps every payload that
+    /// arrives and every `InvokeResult` among them: a client that
+    /// retransmits the *same* invoke at will (where a script only does so
+    /// when its watchdog fires), says things no script would, or watches
+    /// the wire.
     struct Replayer {
         packets: Vec<Vec<u8>>,
+        received: Vec<Vec<u8>>,
         results: Vec<(u64, Vec<u8>)>,
+    }
+
+    impl Replayer {
+        fn new(packets: Vec<Vec<u8>>) -> Replayer {
+            Replayer { packets, received: Vec::new(), results: Vec::new() }
+        }
     }
 
     impl Node for Replayer {
         fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
+            self.received.push(packet.payload.to_vec());
             if let Ok(Msg { body: MsgBody::InvokeResult { req, result }, .. }) =
                 Msg::decode(&packet.payload)
             {
@@ -1515,7 +1614,7 @@ mod tests {
         let far = host_with_obj(FAR);
         let invoke =
             Msg::new(HOME, CLIENT_A, MsgBody::Invoke { req: 77, code: CODE, args: vec![OBJ] });
-        let client = Replayer { packets: vec![invoke.encode()], results: Vec::new() };
+        let client = Replayer::new(vec![invoke.encode()]);
         let (mut sim, ids) = build_star_fabric(
             2,
             vec![
@@ -1650,7 +1749,7 @@ mod tests {
             .chain(hostile.iter().map(|(_, p)| p.clone()))
             .chain(good[1..].iter().cloned())
             .collect();
-        let client = Replayer { packets, results: Vec::new() };
+        let client = Replayer::new(packets);
         let home = GasHostNode::new("home", HOME, GasHostConfig::default());
         let (mut sim, ids) = build_star_fabric(
             1,
@@ -1740,5 +1839,148 @@ mod tests {
             assert!(h.fetches.is_empty() && h.inflight.is_empty());
         }
         assert!(images_moved >= 1_000, "only {images_moved} images were reassembled");
+    }
+
+    /// The wire oracle's objects: an empty heap, a 1-byte allocation,
+    /// 48 KiB, and FOT entries beside pointers to them. Heap bytes are a
+    /// hash of their offset.
+    fn oracle_objects() -> Vec<Object> {
+        let noise = |n: u32, salt: u32| -> Vec<u8> {
+            (0..n).map(|i| ((i ^ salt).wrapping_mul(2_654_435_761) >> 13) as u8).collect()
+        };
+        let empty = Object::with_capacity(OBJ, ObjectKind::Data, 1 << 20);
+        let mut one = empty.clone();
+        let off = one.alloc(1).unwrap();
+        one.write(off, &[0xA5]).unwrap();
+        let mut big = empty.clone();
+        let off = big.alloc(48 * 1024).unwrap();
+        big.write(off, &noise(48 * 1024, 7)).unwrap();
+        let mut refs = empty.clone();
+        let off = refs.alloc(300).unwrap();
+        refs.write(off, &noise(300, 11)).unwrap();
+        for k in 0..5u64 {
+            let cell = refs.alloc(8).unwrap();
+            let ptr = refs.make_ptr(ObjId(0x500 + u128::from(k)), 8 * k, FotFlags::RO).unwrap();
+            refs.write_ptr(cell, ptr).unwrap();
+        }
+        vec![empty, one, big, refs]
+    }
+
+    /// What `Msg::encode` writes for the fragments `fragment` cuts from the
+    /// joined image (`fragment` is `fragment_bytes` over a copy of it).
+    fn oracle_packets(
+        obj: &Object,
+        to: ObjId,
+        from: ObjId,
+        req: u64,
+        version: u64,
+        mtu: usize,
+    ) -> Vec<Vec<u8>> {
+        rdv_memproto::frag::fragment(req, &obj.to_image(), mtu)
+            .into_iter()
+            .map(|frag| Msg::new(to, from, MsgBody::ObjImageFrag { req, version, frag }).encode())
+            .collect()
+    }
+
+    #[test]
+    fn serve_and_push_packets_are_the_fragment_encoders_bytes() {
+        for obj in oracle_objects() {
+            let head = obj.image_parts(0).0.len();
+            for mtu in [16, head - 1, head, head + 1, DEFAULT_MTU] {
+                let cfg = GasHostConfig { mtu, ..Default::default() };
+                let what = format!(
+                    "{} heap bytes, {} FOT entries, mtu {mtu}",
+                    obj.heap_len(),
+                    obj.fot().len()
+                );
+                // A serve: the client asks for the object by name.
+                let mut home = GasHostNode::new("home", HOME, cfg);
+                home.store.insert(obj.clone()).unwrap();
+                let ask = Msg::new(OBJ, CLIENT_A, MsgBody::ObjImageReq { req: 5, target: OBJ });
+                let (mut sim, ids) = build_star_fabric(
+                    1,
+                    vec![
+                        (Box::new(Replayer::new(vec![ask.encode()])), CLIENT_A, host_link_rack()),
+                        (Box::new(home), HOME, host_link_rack()),
+                    ],
+                    &[(OBJ, 1)],
+                );
+                sim.schedule(SimTime::from_millis(1), ids[0], 0);
+                sim.run_until_idle();
+                let served = &sim.node_as::<Replayer>(ids[0]).unwrap().received;
+                let expected = oracle_packets(&obj, CLIENT_A, HOME, 5, obj.version(), mtu);
+                assert!(*served == expected, "serve: {what}");
+                // A push: the holder's first request id, version 0. Stop
+                // before the unanswered push's watchdog re-sends it.
+                let mut pusher = GasHostNode::new("pusher", HOME, cfg);
+                pusher.store.insert(obj.clone()).unwrap();
+                pusher.scripts = vec![vec![ScriptStep::PushTo { obj: OBJ, dest: CLIENT_A }]];
+                let (mut sim, ids) = build_star_fabric(
+                    1,
+                    vec![
+                        (Box::new(Replayer::new(Vec::new())), CLIENT_A, host_link_rack()),
+                        (Box::new(pusher), HOME, host_link_rack()),
+                    ],
+                    &[],
+                );
+                sim.schedule(SimTime::from_millis(1), ids[1], 0);
+                sim.run_until(SimTime::from_millis(20));
+                let pushed = &sim.node_as::<Replayer>(ids[0]).unwrap().received;
+                assert!(*pushed == oracle_packets(&obj, CLIENT_A, HOME, 1, 0, mtu), "push: {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_implicit_fetch_whose_reply_is_lost_is_chased_again() {
+        // Two scripts that fetch before they can start: a push of an object
+        // that lives at HOME, and a placed invoke whose code descriptor
+        // does. A's link is down while both replies come back; each
+        // script's watchdog must re-send its fetch (with the lost reply the
+        // object stays in flight, so `ensure_fetch` never would).
+        const CODE: ObjId = ObjId(0xC0);
+        let cfg = GasHostConfig { retry_timeout: SimTime::from_micros(300), ..Default::default() };
+        let mut a = GasHostNode::new("a", CLIENT_A, cfg);
+        a.registry = standard_registry();
+        let mut engine = PlacementEngine::new();
+        engine.add_host(crate::placement::HostProfile { inbox: HOME, speed: 1.0, load: 1.0 });
+        engine.set_object(CODE, HOME, 256);
+        a.placement = Some(engine);
+        a.scripts = vec![
+            vec![ScriptStep::PushTo { obj: OBJ, dest: CLIENT_B }],
+            vec![ScriptStep::Invoke { executor: None, code: CODE, args: vec![], result_bytes: 8 }],
+        ];
+        let mut home = home_with_obj();
+        home.registry = standard_registry();
+        home.store.insert(noop_code(CODE)).unwrap();
+        let b = GasHostNode::new("b", CLIENT_B, GasHostConfig::default());
+        let (mut sim, ids) = build_star_fabric(
+            6,
+            vec![
+                (Box::new(a), CLIENT_A, host_link_rack()),
+                (Box::new(home), HOME, host_link_rack()),
+                (Box::new(b), CLIENT_B, host_link_rack()),
+            ],
+            &[(OBJ, 1), (CODE, 1)],
+        );
+        let switch = rdv_netsim::NodeId(ids.len());
+        // The requests leave at 1 ms; the replies reach the switch ~20 us
+        // later and find A's link down until 1.2 ms.
+        sim.install_fault_plan(
+            &rdv_netsim::FaultPlan::new()
+                .link_down(SimTime::from_micros(1_001), ids[0], switch)
+                .link_up(SimTime::from_micros(1_200), ids[0], switch),
+        );
+        sim.schedule(SimTime::from_millis(1), ids[0], 0);
+        sim.schedule(SimTime::from_millis(1), ids[0], 1);
+        sim.run_until_idle();
+        assert!(sim.counters.get("sim.packets_dropped.link_down") >= 2, "both replies were lost");
+        let a = sim.node_as::<GasHostNode>(ids[0]).unwrap();
+        assert_eq!(a.records.len(), 2, "both scripts complete");
+        assert!(a.records.iter().all(|r| !r.failed));
+        assert_eq!(a.counters.get("retries.fetch"), 2);
+        assert_eq!(a.records.iter().find(|r| r.script == 1).unwrap().invoke_result, [1]);
+        let b = sim.node_as::<GasHostNode>(ids[2]).unwrap();
+        assert_eq!(b.counters.get("pushes_received"), 1);
     }
 }

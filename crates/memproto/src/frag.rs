@@ -6,14 +6,19 @@
 //! while a message is incomplete, and yields the original bytes when the
 //! last piece arrives.
 //!
-//! No stage owns a private copy of the body. A fragment's `data` is a
-//! [`Bytes`] *slice*: on the sender, of the image being served
-//! ([`fragment_bytes`] — thirteen fragments of a 48 KiB image are thirteen
-//! views of one allocation); on the receiver, of the packet it arrived in
-//! (`Msg::decode_bytes`). The reassembler keeps those views and, when the
-//! message completes, writes each once into a single buffer sized from
-//! their summed lengths — the receiver's landing buffer, which the object
-//! then adopts as its heap. The wire format is what it always was.
+//! No stage owns a private copy of the body. The runtime's sender never
+//! builds a fragment at all: `Msg::encode_image` writes each packet
+//! straight from the object's image head and heap, cut at the `spans`
+//! every fragmenter shares. Where a [`Fragment`] exists its `data` is a
+//! [`Bytes`] *slice*: of a whole image ([`fragment_bytes`] — thirteen
+//! fragments of a 48 KiB image are thirteen views of one allocation), or on
+//! the receiver of the packet it arrived in (`Msg::decode_bytes`). The
+//! reassembler keeps those views, and [`Reassembler::accept_pieces`] hands
+//! them back in order when the message completes — nothing is joined, the
+//! object is built from the pieces (`Object::from_pieces`). The slice-taking
+//! [`fragment`], [`Fragment::decode`] and [`Reassembler::accept`] (which
+//! joins the pieces into one buffer sized from their summed lengths) are
+//! adapters over the same code. The wire format is what it always was.
 
 use std::ops::Range;
 
@@ -59,18 +64,46 @@ fn check_bounds(index: u32, count: u32) -> WireResult<()> {
     Ok(())
 }
 
+/// Wire length of a fragment of `msg_id` whose body is `body_len` bytes.
+pub(crate) fn encoded_len(msg_id: u64, body_len: usize) -> usize {
+    uvarint_len(msg_id) + 8 + uvarint_len(body_len as u64) + body_len
+}
+
+/// A fragment's wire form up to its body: `msg_id`, `index`, `count` and
+/// the body's length prefix. The `body_len` bytes of body follow.
+pub(crate) fn put_header(w: &mut WireWriter, msg_id: u64, index: u32, count: u32, body_len: usize) {
+    w.put_uvarint(msg_id);
+    w.put_u32(index);
+    w.put_u32(count);
+    w.put_uvarint(body_len as u64);
+}
+
+/// Where each fragment of a `len`-byte message lies: `(index, count,
+/// byte range)` for fragments of at most `mtu` bytes, in order. An empty
+/// message is one empty fragment.
+pub(crate) fn spans(
+    len: usize,
+    mtu: usize,
+) -> impl ExactSizeIterator<Item = (u32, u32, Range<usize>)> {
+    assert!(mtu > 0, "mtu must be positive");
+    let count = len.div_ceil(mtu).max(1);
+    assert!(count <= MAX_FRAGMENTS as usize, "{count} fragments exceed MAX_FRAGMENTS");
+    (0..count).map(move |i| {
+        let start = i * mtu;
+        (i as u32, count as u32, start..(start + mtu).min(len))
+    })
+}
+
 impl Fragment {
     /// Bytes [`Fragment::encode_into`] writes.
     pub fn encoded_len(&self) -> usize {
-        uvarint_len(self.msg_id) + 8 + uvarint_len(self.data.len() as u64) + self.data.len()
+        encoded_len(self.msg_id, self.data.len())
     }
 
     /// Append the wire form: `msg_id`, `index`, `count`, length-prefixed body.
     pub fn encode_into(&self, w: &mut WireWriter) {
-        w.put_uvarint(self.msg_id);
-        w.put_u32(self.index);
-        w.put_u32(self.count);
-        w.put_len_prefixed(&self.data);
+        put_header(w, self.msg_id, self.index, self.count, self.data.len());
+        w.put_bytes(&self.data);
     }
 
     /// Serialize.
@@ -117,13 +150,11 @@ pub fn fragment_bytes(
     image: &Bytes,
     mtu: usize,
 ) -> impl Iterator<Item = Fragment> + '_ {
-    assert!(mtu > 0, "mtu must be positive");
-    let count = image.len().div_ceil(mtu).max(1);
-    assert!(count <= MAX_FRAGMENTS as usize, "{count} fragments exceed MAX_FRAGMENTS");
-    (0..count).map(move |i| {
-        let start = i * mtu;
-        let end = (start + mtu).min(image.len());
-        Fragment { msg_id, index: i as u32, count: count as u32, data: image.slice(start..end) }
+    spans(image.len(), mtu).map(move |(index, count, range)| Fragment {
+        msg_id,
+        index,
+        count,
+        data: image.slice(range),
     })
 }
 
@@ -143,8 +174,6 @@ pub struct Reassembler {
 struct PartialMsg {
     received: Vec<Option<Bytes>>,
     have: u32,
-    /// Summed length of the pieces held: the size of the finished message.
-    bytes: usize,
 }
 
 impl Reassembler {
@@ -158,30 +187,28 @@ impl Reassembler {
         self.partial.len()
     }
 
-    /// Accept one fragment. Returns the full payload — in a buffer of
-    /// exactly its length — when the message completes; a duplicate of a
-    /// piece already held is ignored. A fragment that cannot belong (bad
-    /// index or count, or a count that differs from the message's first
-    /// fragment) is an error and changes nothing.
+    /// Accept one fragment. When it completes its message, returns the
+    /// message's pieces in order — the views held, nothing copied; a
+    /// duplicate of a piece already held is ignored. A fragment that cannot
+    /// belong (bad index or count, or a count that differs from the
+    /// message's first fragment) is an error and changes nothing.
     ///
     /// Completion *forgets* the message, so nothing here recognises what
     /// arrives afterwards: a straggling duplicate opens a fresh partial
     /// message that can never complete (and pins the packet it is a view
     /// of), and a full second set of fragments completes a second time.
     /// Bounding that is the caller's job today — see ROADMAP item 7c.
-    pub fn accept(&mut self, frag: Fragment) -> WireResult<Option<Vec<u8>>> {
+    pub fn accept_pieces(&mut self, frag: Fragment) -> WireResult<Option<Vec<Bytes>>> {
         check_bounds(frag.index, frag.count)?;
-        let entry = self.partial.entry(frag.msg_id).or_insert_with(|| PartialMsg {
-            received: vec![None; frag.count as usize],
-            have: 0,
-            bytes: 0,
-        });
+        let entry = self
+            .partial
+            .entry(frag.msg_id)
+            .or_insert_with(|| PartialMsg { received: vec![None; frag.count as usize], have: 0 });
         if entry.received.len() != frag.count as usize {
             return Err(WireError::InvalidTag { tag: frag.index, ty: "Fragment (inconsistent)" });
         }
         let slot = &mut entry.received[frag.index as usize];
         if slot.is_none() {
-            entry.bytes += frag.data.len();
             entry.have += 1;
             *slot = Some(frag.data);
         }
@@ -189,11 +216,20 @@ impl Reassembler {
             return Ok(None);
         }
         let entry = self.partial.remove(&frag.msg_id).expect("present");
-        let mut out = Vec::with_capacity(entry.bytes);
-        for piece in entry.received {
-            out.extend_from_slice(&piece.expect("all pieces present"));
-        }
-        Ok(Some(out))
+        // Every slot is full; the pieces reuse the slot table's allocation.
+        Ok(Some(entry.received.into_iter().map(Option::unwrap_or_default).collect()))
+    }
+
+    /// [`Reassembler::accept_pieces`], joining a completed message's
+    /// pieces into one buffer of exactly its length.
+    pub fn accept(&mut self, frag: Fragment) -> WireResult<Option<Vec<u8>>> {
+        Ok(self.accept_pieces(frag)?.map(|pieces| {
+            let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len()).sum());
+            for piece in &pieces {
+                out.extend_from_slice(piece);
+            }
+            out
+        }))
     }
 
     /// Drop the in-flight state for `msg_id` (e.g. on flow reset).
@@ -431,6 +467,29 @@ pub(crate) mod tests {
         let out = done.expect("complete");
         assert_eq!(image, out);
         assert_eq!(out.capacity(), image.len(), "sized once, from the pieces");
+    }
+
+    #[test]
+    fn completed_messages_come_back_as_the_pieces_held() {
+        let image = Bytes::from((0..=255u8).cycle().take(10_000).collect::<Vec<u8>>());
+        let packets: Vec<Bytes> =
+            fragment_bytes(6, &image, DEFAULT_MTU).map(|f| Bytes::from(f.encode())).collect();
+        let mut r = Reassembler::new();
+        // Last fragment first: the pieces still come back in index order.
+        for packet in packets.iter().rev().take(2) {
+            assert_eq!(r.accept_pieces(Fragment::decode_bytes(packet).unwrap()).unwrap(), None);
+        }
+        let pieces = r.accept_pieces(Fragment::decode_bytes(&packets[0]).unwrap()).unwrap();
+        let pieces = pieces.expect("complete");
+        assert_eq!(pieces.len(), 3);
+        for (piece, packet) in pieces.iter().zip(&packets) {
+            assert!(within(piece, packet), "a piece is a view of the packet it came in");
+        }
+        assert_eq!(
+            pieces.iter().flat_map(|p| p.iter().copied()).collect::<Vec<u8>>(),
+            image.to_vec()
+        );
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]

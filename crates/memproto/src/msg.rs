@@ -12,6 +12,15 @@
 //! The first 33 bytes are exactly `rdv_p4rt::header::objnet_format()`:
 //! switches route on `dst_obj` without understanding bodies, which is the
 //! paper's "pointers … interpreted by the network layer as well as the OS".
+//!
+//! An object image travels as [`MsgBody::ObjImageFrag`]s, and two encoders
+//! write the same bytes for them. [`Msg::encode`] writes a message that
+//! carries a [`Fragment`] — a view of a joined image or of a decoded packet.
+//! [`Msg::encode_image`], what the runtime's serve and push call, takes the
+//! image as the object holds it (head and heap, never joined) and writes
+//! every packet straight from it: those packet buffers are the sender's
+//! only copy of the bytes. Golden vectors below pin the wire form; the
+//! runtime's wire oracle holds `encode_image` to `encode`.
 
 use std::ops::Range;
 
@@ -20,7 +29,7 @@ use rdv_objspace::ObjId;
 use rdv_wire::varint::uvarint_len;
 use rdv_wire::{Decode, Encode, WireError, WireReader, WireResult, WireWriter};
 
-use crate::frag::Fragment;
+use crate::frag::{self, Fragment};
 
 /// Byte length of the objnet header.
 pub const HEADER_LEN: usize = 33;
@@ -100,10 +109,11 @@ pub enum MsgBody {
     },
     /// One fragment of a large object image (see [`crate::frag`]), whose
     /// `msg_id` equals `req`. The message carries the fragment itself, not
-    /// an encoding of it: its body is a view of the sender's image until
-    /// [`Msg::encode`] writes it into the packet, and a view of the arrived
-    /// packet after [`Msg::decode_bytes`]. On the wire it is the fragment's
-    /// encoding behind a length prefix, as it always was.
+    /// an encoding of it: after [`Msg::decode_bytes`] its body is a view of
+    /// the arrived packet. A sender holding the object need not build one
+    /// at all — [`Msg::encode_image`] writes the same packets from the
+    /// object's head and heap. On the wire it is the fragment's encoding
+    /// behind a length prefix, as it always was.
     ObjImageFrag {
         /// Correlates with the [`MsgBody::ObjImageReq`].
         req: u64,
@@ -248,6 +258,12 @@ impl NackCode {
     }
 }
 
+/// Body length of an [`MsgBody::ObjImageFrag`] whose fragment encodes to
+/// `frag_len` bytes.
+fn image_frag_len(req: u64, version: u64, frag_len: usize) -> usize {
+    uvarint_len(req) + uvarint_len(version) + uvarint_len(frag_len as u64) + frag_len
+}
+
 /// A complete message: header + body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Msg {
@@ -378,8 +394,7 @@ impl MsgBody {
     fn fields_len_hint(&self) -> usize {
         match self {
             MsgBody::ObjImageFrag { req, version, frag } => {
-                let frag_len = frag.encoded_len();
-                uvarint_len(*req) + uvarint_len(*version) + uvarint_len(frag_len as u64) + frag_len
+                image_frag_len(*req, *version, frag.encoded_len())
             }
             _ => 32,
         }
@@ -503,11 +518,49 @@ impl Msg {
     /// buffer of exactly its size: the sender's only copy of those bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::with_capacity(HEADER_LEN + self.body.fields_len_hint());
-        w.put_u8(self.body.msg_type());
-        w.put_u128(self.header.dst.as_u128());
-        w.put_u128(self.header.src.as_u128());
+        Msg::put_header(&mut w, self.body.msg_type(), self.header);
         self.body.encode_fields(&mut w);
         w.into_vec()
+    }
+
+    /// The packets that carry an object image from `header.src` to
+    /// `header.dst` as [`MsgBody::ObjImageFrag`]s of `req` (the fragments'
+    /// `msg_id`) at `version`, cut at `mtu`. The image is given in two
+    /// parts that are never joined — `Object::image_parts`' head and heap —
+    /// and each packet is written once, routing header to last body byte,
+    /// into a buffer of exactly its size, taking its body from whichever
+    /// parts its range covers. The bytes are those [`Msg::encode`] writes
+    /// for the fragments [`crate::frag::fragment_bytes`] cuts from the
+    /// joined image.
+    pub fn encode_image<'a>(
+        header: MsgHeader,
+        req: u64,
+        version: u64,
+        image: [&'a [u8]; 2],
+        mtu: usize,
+    ) -> impl ExactSizeIterator<Item = Vec<u8>> + 'a {
+        let [head, heap] = image;
+        let split = head.len();
+        frag::spans(split + heap.len(), mtu).map(move |(index, count, range)| {
+            let frag_len = frag::encoded_len(req, range.len());
+            let mut w =
+                WireWriter::with_capacity(HEADER_LEN + image_frag_len(req, version, frag_len));
+            Msg::put_header(&mut w, MsgBody::OBJ_IMAGE_FRAG, header);
+            w.put_uvarint(req);
+            w.put_uvarint(version);
+            w.put_uvarint(frag_len as u64);
+            frag::put_header(&mut w, req, index, count, range.len());
+            w.put_bytes(&head[range.start.min(split)..range.end.min(split)]);
+            w.put_bytes(&heap[range.start.max(split) - split..range.end.max(split) - split]);
+            w.into_vec()
+        })
+    }
+
+    /// The routing header: type byte, `dst`, `src`.
+    fn put_header(w: &mut WireWriter, msg_type: u8, header: MsgHeader) {
+        w.put_u8(msg_type);
+        w.put_u128(header.dst.as_u128());
+        w.put_u128(header.src.as_u128());
     }
 
     /// Parse packet bytes, copying out whatever the message keeps.
@@ -687,6 +740,29 @@ mod tests {
         let empty = "0b010000000000000000000000000000000200000000000000000000000000000005000a05000000000100000000";
         assert_eq!(msg.encode(), unhex(empty));
         assert_eq!(Msg::decode(&unhex(empty)).unwrap(), msg);
+    }
+
+    #[test]
+    fn image_packets_from_two_parts_are_the_fragment_encoders_bytes() {
+        // Every split of a 300-byte image into head and heap, at MTUs that
+        // put the split inside, at and past a fragment's end.
+        let image: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let header = MsgHeader { dst: ObjId(0xAABB), src: ObjId(0xCCDD) };
+        for mtu in [1, 16, 61, 62, 63, 299, 300, 4096] {
+            for split in [0, 1, 15, 16, 17, 61, 62, 150, 299, 300] {
+                let parts = [&image[..split], &image[split..]];
+                let packets: Vec<Vec<u8>> = Msg::encode_image(header, 7, 3, parts, mtu).collect();
+                let expected: Vec<Vec<u8>> =
+                    crate::frag::fragment_bytes(7, &image.clone().into(), mtu)
+                        .map(|frag| {
+                            Msg { header, body: MsgBody::ObjImageFrag { req: 7, version: 3, frag } }
+                                .encode()
+                        })
+                        .collect();
+                assert_eq!(packets, expected, "mtu {mtu}, split {split}");
+                assert!(packets.iter().all(|p| p.capacity() == p.len()), "mtu {mtu}");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! and from a self-contained byte image with *no pointer translation* — the
 //! raw 64-bit invariant-pointer words inside the heap are copied verbatim
 //! and remain valid on the destination host.
+//!
+//! The image never has to exist in one buffer. It is a short *head* (magic
+//! through heap length) followed by the heap, byte for byte, so a sender
+//! takes the two parts from [`Object::image_parts`] and writes its packets
+//! straight from them, and a receiver hands [`Object::from_pieces`] the
+//! fragments it reassembled: the head is parsed from the first and the
+//! heap is written once, into a buffer of exactly its size. Two copies of
+//! the heap cross the fabric — the sender's packets and the receiver's
+//! heap — where `to_image` + `from_image` alone would make four.
 
 use crate::alloc::ObjAllocator;
 use crate::error::{ObjError, ObjResult};
@@ -14,7 +23,6 @@ use crate::fot::{Fot, FotFlags};
 use crate::id::ObjId;
 use crate::ptr::{InvPtr, MAX_OFFSET};
 use rdv_wire::{Decode, Encode, WireReader, WireWriter};
-use std::ops::Range;
 
 /// Image magic: "RDVO".
 pub const OBJECT_MAGIC: [u8; 4] = *b"RDVO";
@@ -265,13 +273,15 @@ impl Object {
         Ok((entry.id, ptr.offset()))
     }
 
-    /// Serialize to a self-contained byte image, in a buffer of exactly its
-    /// size. Heap bytes — including any stored pointer words — are copied
-    /// verbatim.
-    pub fn to_image(&self) -> Vec<u8> {
+    /// The image in its two parts, never joined: the *head* — magic, kind,
+    /// id, version, FOT, allocator and heap length, everything before the
+    /// heap bytes — written into a buffer of its own with room for
+    /// `reserve` more bytes, and the heap as it lies in the object. The
+    /// image is the head followed by the heap.
+    pub fn image_parts(&self, reserve: usize) -> (Vec<u8>, &[u8]) {
         // Magic, kind, id, version and heap length are 37 fixed bytes.
-        let len = 37 + self.fot.image_len() + self.allocator.encoded_len() + self.heap.len();
-        let mut w = WireWriter::with_capacity(len);
+        let len = 37 + self.fot.image_len() + self.allocator.encoded_len();
+        let mut w = WireWriter::with_capacity(len + reserve);
         w.put_bytes(&OBJECT_MAGIC);
         w.put_u8(self.meta.kind.to_byte());
         w.put_u128(self.meta.id.as_u128());
@@ -279,34 +289,67 @@ impl Object {
         self.fot.encode(&mut w);
         self.allocator.encode(&mut w);
         w.put_u64(self.heap.len() as u64);
-        w.put_bytes(&self.heap);
-        w.into_vec()
+        (w.into_vec(), &self.heap)
+    }
+
+    /// Serialize to a self-contained byte image, in a buffer of exactly its
+    /// size. Heap bytes — including any stored pointer words — are copied
+    /// verbatim.
+    pub fn to_image(&self) -> Vec<u8> {
+        let (mut image, heap) = self.image_parts(self.heap.len());
+        image.extend_from_slice(heap);
+        image
     }
 
     /// Reconstruct an object from an image produced by [`Object::to_image`],
     /// copying the heap out of it.
     pub fn from_image(image: &[u8]) -> ObjResult<Object> {
-        let (mut object, heap) = Object::parse_image(image)?;
-        object.heap = image[heap].to_vec();
+        Object::from_pieces(&[image])
+    }
+
+    /// Reconstruct an object from its image held in pieces — a reassembled
+    /// message's fragments, in order — without joining them. The head is
+    /// parsed from the first piece and the heap is written once, into a
+    /// buffer of exactly its size, from the rest of the first piece and
+    /// the others. Errors are [`Object::from_image`]'s on the pieces
+    /// joined. A head that does not fit in the first piece (a fabric MTU
+    /// below the head's length) is parsed from the joined pieces instead.
+    pub fn from_pieces<P: AsRef<[u8]>>(pieces: &[P]) -> ObjResult<Object> {
+        let first = pieces.first().map_or(&[][..], AsRef::as_ref);
+        let (mut object, heap_len, head_len) = match Object::parse_head(first) {
+            Ok(head) => head,
+            // Either the head straddles pieces or it is bad; the joined
+            // pieces give `from_image`'s verdict on both.
+            Err(_) if pieces.len() > 1 => {
+                let mut joined = Vec::with_capacity(pieces.iter().map(|p| p.as_ref().len()).sum());
+                for piece in pieces {
+                    joined.extend_from_slice(piece.as_ref());
+                }
+                return Object::from_image(&joined);
+            }
+            Err(e) => return Err(e),
+        };
+        let rest = pieces.iter().map(|p| p.as_ref().len()).sum::<usize>() - head_len;
+        if heap_len > rest {
+            return Err(ObjError::CorruptImage("truncated heap"));
+        }
+        if heap_len < rest {
+            return Err(ObjError::CorruptImage("trailing bytes"));
+        }
+        let mut heap = Vec::with_capacity(heap_len);
+        heap.extend_from_slice(&first[head_len..]);
+        for piece in &pieces[1..] {
+            heap.extend_from_slice(piece.as_ref());
+        }
+        object.heap = heap;
         Ok(object)
     }
 
-    /// Reconstruct an object from an image it may keep: the buffer becomes
-    /// the object's heap (the heap bytes slide down over the header, in
-    /// place), so a received image is not copied again to become an object.
-    pub fn from_image_owned(mut image: Vec<u8>) -> ObjResult<Object> {
-        let (mut object, heap) = Object::parse_image(&image)?;
-        let heap_len = heap.len();
-        image.copy_within(heap, 0);
-        image.truncate(heap_len);
-        object.heap = image;
-        Ok(object)
-    }
-
-    /// Parse and check a whole image; returns the object, its heap still
-    /// empty, and where in `image` the heap bytes are.
-    fn parse_image(image: &[u8]) -> ObjResult<(Object, Range<usize>)> {
-        let mut r = WireReader::new(image);
+    /// Parse and check an image's head from the start of `bytes`; returns
+    /// the object with its heap still empty, the heap length the head
+    /// declares, and the head's length.
+    fn parse_head(bytes: &[u8]) -> ObjResult<(Object, usize, usize)> {
+        let mut r = WireReader::new(bytes);
         let magic = r.get_bytes(4).map_err(|_| ObjError::CorruptImage("truncated magic"))?;
         if magic != OBJECT_MAGIC {
             return Err(ObjError::CorruptImage("bad magic"));
@@ -322,14 +365,10 @@ impl Object {
             ObjAllocator::decode(&mut r).map_err(|_| ObjError::CorruptImage("allocator"))?;
         let heap_len = r.get_u64().map_err(|_| ObjError::CorruptImage("heap length"))?;
         let heap_len = usize::try_from(heap_len).unwrap_or(usize::MAX);
-        r.get_bytes(heap_len).map_err(|_| ObjError::CorruptImage("truncated heap"))?;
-        if !r.is_exhausted() {
-            return Err(ObjError::CorruptImage("trailing bytes"));
-        }
-        let heap = r.position() - heap_len..r.position();
         Ok((
             Object { meta: ObjectMeta { id, kind, version }, fot, allocator, heap: Vec::new() },
-            heap,
+            heap_len,
+            r.position(),
         ))
     }
 }
@@ -475,45 +514,83 @@ mod tests {
         assert!(matches!(Object::from_image(&long), Err(ObjError::CorruptImage(_))));
     }
 
-    /// An owned image must become the object `from_image` makes of it, in
-    /// the buffer it came in.
-    fn adopt(image: Vec<u8>) -> Object {
-        let (ptr, len) = (image.as_ptr(), image.len());
-        let expected = Object::from_image(&image).unwrap();
-        let adopted = Object::from_image_owned(image).unwrap();
-        assert_eq!(adopted, expected);
-        assert_eq!(adopted.heap.as_ptr(), ptr, "the image's allocation is the heap");
-        assert!(adopted.heap.capacity() <= len, "no second heap was allocated");
-        adopted
+    /// `image` cut at the sorted offsets `cuts`: the pieces a reassembler
+    /// would hand back, empty ones included.
+    fn split<'a>(image: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut pieces = Vec::new();
+        let mut start = 0;
+        for &cut in cuts {
+            pieces.push(&image[start..cut]);
+            start = cut;
+        }
+        pieces.push(&image[start..]);
+        pieces
     }
 
-    #[test]
-    fn an_owned_image_is_adopted_not_copied() {
+    /// The pieces of `image` must build the object `from_image` makes of
+    /// it, its heap written once into a buffer of exactly its size.
+    fn build(image: &[u8], cuts: &[usize]) -> Object {
+        let expected = Object::from_image(image).unwrap();
+        let built = Object::from_pieces(&split(image, cuts)).unwrap();
+        assert_eq!(built, expected, "cuts {cuts:?}");
+        assert_eq!(built.heap.capacity(), built.heap.len(), "cuts {cuts:?}");
+        built
+    }
+
+    /// A pointer-carrying object, its image, and the length of its head.
+    /// The pointer to `(7, 512)` is stored at offset [`POINTER_CELL`].
+    fn pointer_rich() -> (Object, Vec<u8>, usize) {
         let mut o = obj();
         let a = o.alloc(24).unwrap();
         o.write(a, b"payload payload payload!").unwrap();
         let p = o.make_ptr(id(7), 512, FotFlags::RW).unwrap();
         let cell = o.alloc(8).unwrap();
+        assert_eq!(cell, POINTER_CELL);
         o.write_ptr(cell, p).unwrap();
         let image = o.to_image();
+        let head = o.image_parts(0).0.len();
+        (o, image, head)
+    }
+
+    const POINTER_CELL: u64 = 32;
+
+    #[test]
+    fn an_object_is_built_from_pieces_with_one_heap_copy() {
+        let (o, image, head) = pointer_rich();
         assert_eq!(image.capacity(), image.len(), "an image is written once, into its own size");
-        let mut moved = adopt(image);
-        assert_eq!(moved, o);
-        assert_eq!(moved.to_image(), o.to_image());
-        assert_eq!(moved.resolve_ptr(moved.read_ptr(cell).unwrap()).unwrap(), (id(7), 512));
-        // The adopted heap is an ordinary heap: it grows on the next alloc.
-        let fresh = moved.alloc(4096).unwrap();
-        moved.write_u64(fresh, 1).unwrap();
-        // An object with no heap at all.
-        adopt(obj().to_image());
+        let (head_bytes, heap) = o.image_parts(0);
+        assert_eq!([&head_bytes[..], heap].concat(), image, "the image is head then heap");
+        assert_eq!(head_bytes.capacity(), head, "the head alone is sized exactly too");
+        // Cut inside the head (the joined fallback), at its end, and
+        // through the heap; empty pieces anywhere.
+        for cuts in [
+            vec![],
+            vec![3],
+            vec![head - 1],
+            vec![head],
+            vec![head + 1],
+            vec![head, head],
+            vec![0, head + 8, image.len()],
+            vec![head + 5, head + 9, image.len() - 1],
+        ] {
+            let mut moved = build(&image, &cuts);
+            assert_eq!(moved.to_image(), image);
+            let p = moved.read_ptr(POINTER_CELL).unwrap();
+            assert_eq!(moved.resolve_ptr(p).unwrap(), (id(7), 512));
+            // The built heap is an ordinary heap: it grows on the next alloc.
+            let fresh = moved.alloc(4096).unwrap();
+            moved.write_u64(fresh, 1).unwrap();
+        }
+        // An object with no heap at all: the head is the whole image.
+        let empty = obj().to_image();
+        build(&empty, &[]);
+        build(&empty, &[empty.len()]);
+        build(&empty, &[10]);
     }
 
     #[test]
-    fn owned_and_borrowed_images_fail_for_the_same_reasons() {
-        let mut o = obj();
-        let off = o.alloc(8).unwrap();
-        o.write_u64(off, 5).unwrap();
-        let image = o.to_image();
+    fn pieces_and_whole_images_fail_for_the_same_reasons() {
+        let (_, image, head) = pointer_rich();
         let reason = |r: ObjResult<Object>| match r {
             Err(ObjError::CorruptImage(why)) => why,
             other => panic!("expected CorruptImage, got {other:?}"),
@@ -530,14 +607,47 @@ mod tests {
         ];
         for (bad, why) in cases {
             assert_eq!(reason(Object::from_image(&bad)), why);
-            assert_eq!(reason(Object::from_image_owned(bad)), why);
+            // One cut anywhere, and two around the end of the head.
+            for cut in 0..=bad.len() {
+                assert_eq!(reason(Object::from_pieces(&split(&bad, &[cut]))), why, "cut {cut}");
+            }
+            let around = [head.min(bad.len()) - 1, (head + 1).min(bad.len())];
+            assert_eq!(reason(Object::from_pieces(&split(&bad, &around))), why);
         }
-        // And at every cut in between, the two agree.
-        for cut in 0..image.len() {
-            let borrowed = Object::from_image(&image[..cut]);
-            assert!(borrowed.is_err());
-            assert_eq!(Object::from_image_owned(image[..cut].to_vec()), borrowed);
+        // Every truncation, cut into two pieces every way, fails as the
+        // joined bytes do.
+        for len in 0..image.len() {
+            let short = &image[..len];
+            let whole = Object::from_image(short);
+            assert!(whole.is_err());
+            for cut in 0..=len {
+                assert_eq!(
+                    Object::from_pieces(&split(short, &[cut])),
+                    whole,
+                    "len {len} cut {cut}"
+                );
+            }
         }
+        assert_eq!(reason(Object::from_pieces::<&[u8]>(&[])), "truncated magic");
+    }
+
+    #[test]
+    fn pieces_that_disagree_with_the_heap_length_are_errors_not_panics() {
+        let (_, image, head) = pointer_rich();
+        let pieces = split(&image, &[head + 4]);
+        let reason = |pieces: &[&[u8]]| match Object::from_pieces(pieces) {
+            Err(ObjError::CorruptImage(why)) => why,
+            other => panic!("expected CorruptImage, got {other:?}"),
+        };
+        // A piece missing, a piece too many, a piece repeated.
+        assert_eq!(reason(&pieces[..1]), "truncated heap");
+        assert_eq!(reason(&[pieces[0], pieces[1], &b"x"[..]]), "trailing bytes");
+        assert_eq!(reason(&[pieces[0], pieces[1], pieces[1]]), "trailing bytes");
+        // A head that declares more heap than any buffer could hold.
+        let mut huge = image[..head].to_vec();
+        huge[head - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(reason(&[&huge[..], &image[head..]]), "truncated heap");
+        assert_eq!(reason(&[&huge[..]]), "truncated heap");
     }
 
     #[test]
@@ -563,10 +673,29 @@ mod tests {
             }
             let back = Object::from_image(&o.to_image()).unwrap();
             prop_assert_eq!(&back, &o);
-            prop_assert_eq!(adopt(o.to_image()).to_image(), o.to_image());
             for (slot, _) in &writes {
                 prop_assert_eq!(back.read_u64(base + slot * 8).unwrap(), o.read_u64(base + slot * 8).unwrap());
             }
+        }
+
+        #[test]
+        fn prop_every_split_builds_the_object(
+            writes in proptest::collection::vec((0u64..64, any::<u64>()), 0..20),
+            refs in proptest::collection::vec(1u128..50, 0..10),
+            cuts in proptest::collection::vec(any::<usize>(), 0..16),
+        ) {
+            let mut o = Object::with_capacity(id(9), ObjectKind::Data, 1 << 16);
+            let base = o.alloc(64 * 8).unwrap();
+            for (slot, val) in &writes {
+                o.write_u64(base + slot * 8, *val).unwrap();
+            }
+            for r in &refs {
+                o.make_ptr(id(*r), 8, FotFlags::RO).unwrap();
+            }
+            let image = o.to_image();
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (image.len() + 1)).collect();
+            cuts.sort_unstable();
+            prop_assert_eq!(build(&image, &cuts), o);
         }
     }
 }

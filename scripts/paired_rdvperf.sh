@@ -19,8 +19,9 @@
 # both sides' medians of every metric in BENCHMARK.json's `per_layer`
 # list go under the workload's `per_layer` key, and the ones that differ
 # by more than 5 % are printed. When `scripts/contract.sh` has left its
-# target/contract/stages.json (wall seconds per contract stage on this box),
-# the entry stores it under a `contract` key. Everything else is left under
+# target/contract/stages.json (wall seconds per contract stage on this box,
+# and `build_warm`: whether its build compiled nothing), the entry stores it
+# under a `contract` key. Everything else is left under
 # target/paired/ (ignored), where builds are reused by the next invocation.
 set -euo pipefail
 
@@ -167,6 +168,8 @@ if record:
     }
     try:
         doc["contract"] = json.load(open(f"{root}/target/contract/stages.json"))
+        print(f"\n# contract: {doc['contract']['total_seconds']} s, "
+              f"build_warm = {json.dumps(doc['contract'].get('build_warm'))}")
     except FileNotFoundError:
         pass
     with open(f"{root}/BENCH_{record}.json", "x") as f:

@@ -1,0 +1,148 @@
+//! Per-operation budgets: counts that a cost regression moves, asserted
+//! exactly enough that it fails `cargo test` instead of waiting for a paired
+//! benchmark run to notice.
+//!
+//! The counts are deterministic — same seed, same events, same allocations —
+//! so every budget is an upper bound at (or just above) what the code does
+//! today. **A change that lowers a count lowers its budget in the same
+//! diff**: the budgets are a ratchet, and one left slack is a regression
+//! the next change can hide in.
+//!
+//! This binary installs its own counting global allocator. Counts are per
+//! thread, and the simulations here run one shard on the test's own thread,
+//! so a before/after snapshot around a run counts that run alone, whatever
+//! the other tests in the binary are doing.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rendezvous::core::runtime::{GasHostConfig, GasHostNode, ScriptStep};
+use rendezvous::core::scenarios::{build_star_fabric, host_link_rack};
+use rendezvous::memproto::frag::DEFAULT_MTU;
+use rendezvous::netsim::SimTime;
+use rendezvous::objspace::{ObjId, Object, ObjectKind};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: a thread's last allocations, made while its locals are
+    // torn down, go uncounted instead of panicking.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// The system allocator, counting calls and bytes requested (a `realloc`
+/// counts its new size).
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only
+// const-initialised, destructor-free thread locals and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes requested)` on this thread so far.
+fn snapshot() -> (u64, u64) {
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// Timers one serve of a fragmented image sets: the fragments wait out the
+/// serve delay as one deferred run behind one timer.
+const SERVE_TIMERS: u64 = 1;
+
+/// Bytes the fabric allocates per packet whatever it carries: the packet's
+/// shared `Bytes` node (88 B) and the switch's parse of its header (256 B).
+const FABRIC_BYTES_PER_PACKET: u64 = 344;
+
+/// What one fetch may allocate beyond its two image copies (the holder's
+/// packet buffers and the requester's heap) and the fabric's per-packet
+/// cost: the request, the deferred run, the reassembly table, script and
+/// cache bookkeeping. It reads 1 735 B today.
+const FETCH_SLACK_BYTES: u64 = 4 << 10;
+
+#[test]
+fn one_fetch_costs_two_image_copies_and_one_serve_timer() {
+    const CLIENT: ObjId = ObjId(0x1111);
+    const HOME: ObjId = ObjId(0x3333);
+    const WARM: ObjId = ObjId(0xBEE0);
+    const OBJ: ObjId = ObjId(0xBEEF);
+    let object = |id: ObjId| {
+        let mut obj = Object::with_capacity(id, ObjectKind::Data, 1 << 20);
+        let off = obj.alloc(48 * 1024).expect("capacity");
+        let fill: Vec<u8> =
+            (0..48 * 1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        obj.write(off, &fill).expect("in bounds");
+        obj
+    };
+    let image_bytes = object(OBJ).to_image().len() as u64;
+
+    let mut client = GasHostNode::new("client", CLIENT, GasHostConfig::default());
+    client.scripts = vec![vec![ScriptStep::Fetch(WARM)], vec![ScriptStep::Fetch(OBJ)]];
+    let mut home = GasHostNode::new("home", HOME, GasHostConfig::default());
+    home.store.insert(object(WARM)).expect("fresh id");
+    home.store.insert(object(OBJ)).expect("fresh id");
+    let (mut sim, ids) = build_star_fabric(
+        1,
+        vec![
+            (Box::new(client), CLIENT, host_link_rack()),
+            (Box::new(home), HOME, host_link_rack()),
+        ],
+        &[(WARM, 1), (OBJ, 1)],
+    );
+    // A first fetch grows the engine's event queue to the size a fetch
+    // needs; its pending watchdog keeps that storage for the second, which
+    // then pays only for itself.
+    sim.schedule(SimTime::from_millis(1), ids[0], 0);
+    sim.schedule(SimTime::from_millis(3), ids[0], 1);
+    sim.run_until(SimTime::from_millis(2));
+
+    let timers = sim.counters.get("sim.timers");
+    let (allocs, bytes) = snapshot();
+    sim.run_until(SimTime::from_millis(4));
+    let (allocs, bytes) = (snapshot().0 - allocs, snapshot().1 - bytes);
+    let timers = sim.counters.get("sim.timers") - timers;
+
+    let client = sim.node_as::<GasHostNode>(ids[0]).expect("client");
+    assert_eq!(client.records.len(), 2, "both fetches completed");
+    assert!(client.records.iter().all(|r| !r.failed));
+    // The request and every fragment cross the switch, which holds each
+    // for its pipeline latency behind a timer of its own.
+    let packets = 1 + image_bytes.div_ceil(DEFAULT_MTU as u64);
+    // The script's start, the switch's, and the serve's. (The client's
+    // watchdog fires long after.)
+    assert_eq!(timers, 1 + packets + SERVE_TIMERS, "timers fired during one fetch");
+    let budget = 2 * image_bytes + packets * FABRIC_BYTES_PER_PACKET + FETCH_SLACK_BYTES;
+    assert!(
+        bytes <= budget,
+        "one fetch of a {image_bytes} B image allocated {bytes} B in {allocs} allocations \
+         (budget {budget} B: two copies, {packets} packets' fabric cost, {FETCH_SLACK_BYTES} B)"
+    );
+}
