@@ -5,8 +5,38 @@
 //! fields at fixed byte offsets. The parser extracts each field as a `u128`
 //! (wide enough for object IDs), producing the match keys the tables
 //! consume.
+//!
+//! A parse allocates nothing: it returns [`Fields`], a `Copy` value holding
+//! up to [`MAX_FIELDS`] values inline, which reads as a `&[u128]`. A switch
+//! parses each packet once and hands that one value to source learning, the
+//! table walk and flood deduplication alike.
+
+use std::ops::Deref;
 
 use crate::error::{P4Error, P4Result};
+
+/// Most fields a [`HeaderFormat`] may declare, and so the most a table key
+/// may span: the parser's output lives inline in this many slots.
+pub const MAX_FIELDS: usize = 8;
+
+/// The parsed field values of one packet, in declaration order.
+///
+/// Held inline (no allocation) and read as a `&[u128]` through `Deref`, so
+/// `fields[i]` and `table.lookup(&fields)` work as on a slice. Slots past
+/// the format's field count stay zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fields {
+    values: [u128; MAX_FIELDS],
+    len: usize,
+}
+
+impl Deref for Fields {
+    type Target = [u128];
+
+    fn deref(&self) -> &[u128] {
+        &self.values[..self.len]
+    }
+}
 
 /// One fixed-width header field.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,9 +66,16 @@ pub struct HeaderFormat {
 }
 
 impl HeaderFormat {
-    /// Build a format from `fields`. Panics if a width is unsupported —
-    /// formats are static program configuration, not runtime input.
+    /// Build a format from `fields`. Panics if a width is unsupported or
+    /// there are more than [`MAX_FIELDS`] fields — formats are static
+    /// program configuration, not runtime input.
     pub fn new(name: impl Into<String>, fields: Vec<FieldSpec>) -> HeaderFormat {
+        let name = name.into();
+        assert!(
+            fields.len() <= MAX_FIELDS,
+            "header format '{name}' declares {} fields; at most {MAX_FIELDS} are supported",
+            fields.len()
+        );
         for f in &fields {
             assert!(
                 matches!(f.width, 1 | 2 | 4 | 8 | 16),
@@ -48,7 +85,7 @@ impl HeaderFormat {
             );
         }
         let min_len = fields.iter().map(|f| f.offset + f.width).max().unwrap_or(0);
-        HeaderFormat { name: name.into(), fields, min_len }
+        HeaderFormat { name, fields, min_len }
     }
 
     /// The fields, in declaration order.
@@ -78,18 +115,15 @@ impl HeaderFormat {
 
     /// Parse all fields out of `packet` (little-endian, matching the wire
     /// conventions of `rdv-wire`).
-    pub fn parse(&self, packet: &[u8]) -> P4Result<Vec<u128>> {
+    pub fn parse(&self, packet: &[u8]) -> P4Result<Fields> {
         if packet.len() < self.min_len {
             return Err(P4Error::ShortPacket { needed: self.min_len, got: packet.len() });
         }
-        let mut out = Vec::with_capacity(self.fields.len());
-        for f in &self.fields {
-            let bytes = &packet[f.offset..f.offset + f.width];
-            let mut v: u128 = 0;
-            for (i, &b) in bytes.iter().enumerate() {
-                v |= u128::from(b) << (8 * i);
-            }
-            out.push(v);
+        let mut out = Fields { values: [0; MAX_FIELDS], len: self.fields.len() };
+        for (v, f) in out.values.iter_mut().zip(&self.fields) {
+            let mut le = [0u8; 16];
+            le[..f.width].copy_from_slice(&packet[f.offset..f.offset + f.width]);
+            *v = u128::from_le_bytes(le);
         }
         Ok(out)
     }
@@ -120,6 +154,7 @@ pub const OBJNET_SRC_OBJ: usize = 2;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_extracts_little_endian_fields() {
@@ -134,7 +169,7 @@ mod tests {
         let mut pkt = vec![0x7f, 0x34, 0x12];
         pkt.extend(0xDEAD_BEEF_u128.to_le_bytes());
         let fields = fmt.parse(&pkt).unwrap();
-        assert_eq!(fields, vec![0x7f, 0x1234, 0xDEAD_BEEF]);
+        assert_eq!(*fields, [0x7f, 0x1234, 0xDEAD_BEEF]);
     }
 
     #[test]
@@ -171,5 +206,50 @@ mod tests {
     #[should_panic(expected = "unsupported field width")]
     fn bad_width_panics_at_construction() {
         HeaderFormat::new("t", vec![FieldSpec { name: "x".into(), offset: 0, width: 3 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 are supported")]
+    fn too_many_fields_panics_at_construction() {
+        let fields = (0..=MAX_FIELDS)
+            .map(|i| FieldSpec { name: format!("f{i}"), offset: i, width: 1 })
+            .collect();
+        HeaderFormat::new("t", fields);
+    }
+
+    /// The oracle: each field assembled byte by byte into a `Vec`.
+    fn reference_parse(fields: &[FieldSpec], packet: &[u8]) -> P4Result<Vec<u128>> {
+        let needed = fields.iter().map(|f| f.offset + f.width).max().unwrap_or(0);
+        if packet.len() < needed {
+            return Err(P4Error::ShortPacket { needed, got: packet.len() });
+        }
+        Ok(fields
+            .iter()
+            .map(|f| {
+                let bytes = &packet[f.offset..f.offset + f.width];
+                bytes.iter().enumerate().fold(0u128, |v, (i, &b)| v | u128::from(b) << (8 * i))
+            })
+            .collect())
+    }
+
+    proptest! {
+        #[test]
+        fn prop_parse_matches_the_byte_loop(
+            shape in proptest::collection::vec((0usize..5, 0usize..40), 0..=MAX_FIELDS),
+            packet in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let specs: Vec<FieldSpec> = shape
+                .iter()
+                .enumerate()
+                .map(|(i, &(w, offset))| FieldSpec {
+                    name: format!("f{i}"),
+                    offset,
+                    width: [1, 2, 4, 8, 16][w],
+                })
+                .collect();
+            let fmt = HeaderFormat::new("p", specs.clone());
+            let got = fmt.parse(&packet).map(|f| f.to_vec());
+            prop_assert_eq!(got, reference_parse(&specs, &packet));
+        }
     }
 }

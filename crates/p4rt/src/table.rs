@@ -3,7 +3,8 @@
 //! Three match kinds, mirroring real programmable dataplanes:
 //!
 //! - **Exact** — hash-table match on the full concatenated key (object-ID
-//!   routing uses this).
+//!   routing uses this). A lookup gathers its key on the stack and probes
+//!   by the borrowed slice, so matching a packet allocates nothing.
 //! - **LPM** — longest-prefix match on a single field (hierarchical ID
 //!   overlays, experiment A3).
 //! - **Ternary** — value/mask with priorities (compiled Packet
@@ -17,6 +18,7 @@ use rdv_det::DetMap;
 
 use crate::capacity::SramBudget;
 use crate::error::{P4Error, P4Result};
+use crate::header::MAX_FIELDS;
 
 /// What to do with a matching packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +89,7 @@ pub struct Table {
 impl Table {
     /// Create a table. `key_bits` is the total key width (used for the
     /// capacity model); the pipeline computes it from the header format.
+    /// Panics if the key spans more than [`MAX_FIELDS`] fields.
     pub fn new(
         name: impl Into<String>,
         key_fields: Vec<usize>,
@@ -94,11 +97,17 @@ impl Table {
         key_bits: u64,
         budget: SramBudget,
     ) -> Table {
+        let name = name.into();
+        assert!(
+            key_fields.len() <= MAX_FIELDS,
+            "table '{name}' keys on {} fields; at most {MAX_FIELDS} are supported",
+            key_fields.len()
+        );
         if kind == MatchKind::Lpm {
             assert_eq!(key_fields.len(), 1, "LPM tables take exactly one key field");
         }
         Table {
-            name: name.into(),
+            name,
             key_fields,
             kind,
             budget,
@@ -198,12 +207,14 @@ impl Table {
     /// Look up the key extracted from `fields` (the parser output for the
     /// whole packet). Returns the action on hit.
     pub fn lookup(&self, fields: &[u128]) -> P4Result<Option<Action>> {
-        let mut key = Vec::with_capacity(self.key_fields.len());
-        for &i in &self.key_fields {
-            key.push(*fields.get(i).ok_or(P4Error::BadField(i))?);
+        let mut buf = [0u128; MAX_FIELDS];
+        let key = &mut buf[..self.key_fields.len()];
+        for (k, &i) in key.iter_mut().zip(&self.key_fields) {
+            *k = *fields.get(i).ok_or(P4Error::BadField(i))?;
         }
         Ok(match self.kind {
-            MatchKind::Exact => self.exact.get(&key).copied(),
+            // `Vec<u128>` hashes as its slice, so the borrowed key finds it.
+            MatchKind::Exact => self.exact.get(key).copied(),
             MatchKind::Lpm => {
                 let v = key[0];
                 let width = self.key_bits as u32;
@@ -244,6 +255,8 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn exact_table(cap64: u64) -> Table {
         Table::new("t", vec![1], MatchKind::Exact, 128, SramBudget::tiny(cap64 * 2))
@@ -341,6 +354,40 @@ mod tests {
             t.insert(TableEntry::Lpm { value: 0, prefix_len: 1 }, Action::Drop),
             Err(P4Error::Uncompilable(_))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 are supported")]
+    fn too_wide_a_key_panics_at_construction() {
+        Table::new("t", (0..=MAX_FIELDS).collect(), MatchKind::Exact, 8, SramBudget::tofino());
+    }
+
+    proptest! {
+        #[test]
+        fn prop_exact_lookup_by_borrowed_key_matches_a_vec_keyed_map(
+            // (remove?, a, b, port) over a small key domain, so inserts
+            // replace and removes hit.
+            tape in collection::vec((0u8..3, 0u128..4, 0u128..4, 0usize..8), 0..64),
+        ) {
+            // Key on (src_obj, dst_obj): two fields, out of header order.
+            let mut t = Table::new("t", vec![2, 1], MatchKind::Exact, 256, SramBudget::tofino());
+            let mut reference: BTreeMap<Vec<u128>, Action> = BTreeMap::new();
+            for (op, a, b, port) in tape {
+                if op == 0 {
+                    prop_assert_eq!(t.remove_exact(&[a, b]), reference.remove(&vec![a, b]).is_some());
+                } else {
+                    t.insert(TableEntry::Exact { key: vec![a, b] }, Action::Forward(port)).unwrap();
+                    reference.insert(vec![a, b], Action::Forward(port));
+                }
+                prop_assert_eq!(t.len(), reference.len());
+                for a in 0u128..4 {
+                    for b in 0u128..4 {
+                        let got = t.lookup(&[0, b, a]).unwrap();
+                        prop_assert_eq!(got, reference.get(&vec![a, b]).copied());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired rdvperf runs: a parent commit against this checkout.
 #
-#   scripts/paired_rdvperf.sh [--record N] <parent-ref> <workload|all> [pairs=10] [seed=1]
+#   scripts/paired_rdvperf.sh [--record N] <parent-ref> <workload[,workload…]|all> [pairs=10] [seed=1]
 #
 # Builds the parent's `benchmark/` (from `git archive` of <parent-ref>) and
 # this working tree's `benchmark/` into separate CARGO_TARGET_DIRs, then
@@ -60,7 +60,7 @@ seconds="$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json"
 if [ "$workload" = all ]; then
   workloads="$("${tgt[change]}/release/rdvperf" list | cut -f 1)"
 else
-  workloads="$workload"
+  workloads="${workload//,/ }"
 fi
 
 runs="$work/runs.$$"

@@ -18,6 +18,8 @@ use std::cell::Cell;
 
 use rendezvous::core::runtime::{GasHostConfig, GasHostNode, ScriptStep};
 use rendezvous::core::scenarios::{build_star_fabric, host_link_rack};
+use rendezvous::discovery::scenario::run_discovery;
+use rendezvous::discovery::{DiscoveryMode, ScenarioConfig, ScenarioKind, StalenessMode};
 use rendezvous::memproto::frag::DEFAULT_MTU;
 use rendezvous::netsim::SimTime;
 use rendezvous::objspace::{ObjId, Object, ObjectKind};
@@ -79,14 +81,26 @@ fn snapshot() -> (u64, u64) {
 const SERVE_TIMERS: u64 = 1;
 
 /// Bytes the fabric allocates per packet whatever it carries: the packet's
-/// shared `Bytes` node (88 B) and the switch's parse of its header (256 B).
-const FABRIC_BYTES_PER_PACKET: u64 = 344;
+/// shared `Bytes` node. The switch parses, matches and defers a packet
+/// without allocating.
+const FABRIC_BYTES_PER_PACKET: u64 = 88;
 
 /// What one fetch may allocate beyond its two image copies (the holder's
 /// packet buffers and the requester's heap) and the fabric's per-packet
 /// cost: the request, the deferred run, the reassembly table, script and
-/// cache bookkeeping. It reads 1 735 B today.
-const FETCH_SLACK_BYTES: u64 = 4 << 10;
+/// cache bookkeeping. It reads 1 423 B today; the other 177 B are margin
+/// for one small allocation.
+const FETCH_SLACK_BYTES: u64 = 1600;
+
+/// Allocations one fetch may make, all told. It makes 35 today: one more
+/// is margin.
+const FETCH_ALLOCS: u64 = 36;
+
+/// Allocations one more Figure 3 access may cost: the object it creates, its
+/// warm-up and measured accesses, and their trips through four learning,
+/// flood-deduplicating switches, 30 % of them NACKed and re-broadcast. It
+/// reads 24.5 today.
+const DISCOVERY_ALLOCS_PER_ACCESS: f64 = 25.0;
 
 #[test]
 fn one_fetch_costs_two_image_copies_and_one_serve_timer() {
@@ -144,5 +158,39 @@ fn one_fetch_costs_two_image_copies_and_one_serve_timer() {
         bytes <= budget,
         "one fetch of a {image_bytes} B image allocated {bytes} B in {allocs} allocations \
          (budget {budget} B: two copies, {packets} packets' fabric cost, {FETCH_SLACK_BYTES} B)"
+    );
+    assert!(allocs <= FETCH_ALLOCS, "one fetch made {allocs} allocations (budget {FETCH_ALLOCS})");
+}
+
+/// Allocations of one Figure 3 run with `accesses` accesses, 30 % of the
+/// objects moved and stale hits NACKed and re-broadcast (`discovery_stale`'s
+/// shape on the paper's 3-host / 4-switch testbed).
+fn figure3_allocs(accesses: usize) -> u64 {
+    let cfg = ScenarioConfig {
+        kind: ScenarioKind::Fig3Staleness { pct_moved: 30 },
+        mode: DiscoveryMode::E2E,
+        staleness: StalenessMode::NackRediscover,
+        accesses,
+        seed: 1,
+        ..ScenarioConfig::default()
+    };
+    let before = snapshot().0;
+    let out = run_discovery(&cfg);
+    let allocs = snapshot().0 - before;
+    assert_eq!(out.completed, accesses, "every access completed");
+    allocs
+}
+
+#[test]
+fn a_stale_access_costs_a_bounded_number_of_allocations() {
+    // Two runs that differ only in their access count: set-up cancels, and
+    // what is left is the marginal cost of one access.
+    let (small, large) = (200, 400);
+    let per_access =
+        (figure3_allocs(large) - figure3_allocs(small)) as f64 / (large - small) as f64;
+    assert!(
+        per_access <= DISCOVERY_ALLOCS_PER_ACCESS,
+        "one more Figure 3 access made {per_access:.2} allocations \
+         (budget {DISCOVERY_ALLOCS_PER_ACCESS})"
     );
 }
