@@ -76,15 +76,17 @@ fn layer_hint(kind: EventKind) -> Option<&'static str> {
                 None
             }
         }
-        _ => match kind.label() {
-            Some(l) if l.starts_with("gossip.") => Some("gossip"),
-            Some(l) if l.starts_with("discovery.") => Some("discovery"),
-            Some(l) if l.starts_with("memproto.") => Some("memproto"),
-            Some(l) if l.starts_with("load.") => Some("replog"),
-            _ => None,
-        },
+        _ => {
+            let label = kind.label()?;
+            LABEL_LAYERS.iter().find(|(prefix, _)| label.starts_with(prefix)).map(|&(_, l)| l)
+        }
     }
 }
+
+/// `(label prefix, layer)`: the planes whose span/mark labels pin a path.
+/// memproto emits no labels; its serve time is pinned by the defer timer.
+const LABEL_LAYERS: [(&str, &str); 3] =
+    [("gossip.", "gossip"), ("discovery.", "discovery"), ("load.", "replog")];
 
 /// Charge every segment of `path` to a protocol layer: a segment takes
 /// the layer its ending event pins (a watchdog fire is discovery time, a
@@ -360,6 +362,19 @@ mod tests {
     fn tiny() -> &'static Series {
         static TINY: OnceLock<Series> = OnceLock::new();
         TINY.get_or_init(|| sweep(&[(64, 40, 200)]))
+    }
+
+    /// A plane renamed away from its prefix would silently move its time
+    /// to the inherited layer; every prefix must still own a label.
+    #[test]
+    fn every_label_prefix_owns_a_registered_label() {
+        use rdv_netsim::trace::names::{Kind, NAMES};
+        for (prefix, _) in LABEL_LAYERS {
+            assert!(
+                NAMES.iter().any(|n| n.kind == Kind::Label && n.name.starts_with(prefix)),
+                "no registered label starts with {prefix}"
+            );
+        }
     }
 
     #[test]

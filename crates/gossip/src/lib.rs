@@ -19,27 +19,15 @@ pub use journal::{Delta, Digest, HolderFact, Journal, Origin};
 pub use path::{PeerPath, Route};
 pub use sync::{ctr, GossipConfig, GossipCtr, GossipSync};
 
-/// Every `gossip.*` counter name the subsystem emits, in slot order of
-/// [`sync::GossipCtr`]. `rdv-lint` (rule D3) parses this table and flags
-/// any `gossip.*` counter used in workspace code but not registered here.
-pub const GOSSIP_COUNTERS: [&str; 8] = [
-    "gossip.rounds",
-    "gossip.digests_sent",
-    "gossip.deltas_sent",
-    "gossip.entries_applied",
-    "gossip.relay_fallbacks",
-    "gossip.relayed",
-    "gossip.repair_hits",
-    "gossip.facts_expired",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `GossipCtr` interns exactly the table's `gossip.*` counters.
     #[test]
     fn counter_registry_matches_interned_set() {
         use rdv_netsim::stats::Counters;
+        use rdv_netsim::trace::names::{Kind, NAMES};
         let mut counters = Counters::new();
         let c = sync::ctr();
         for id in [
@@ -54,8 +42,12 @@ mod tests {
         ] {
             counters.inc_id(id);
         }
-        for name in GOSSIP_COUNTERS {
-            assert_eq!(counters.get(name), 1, "{name} must be interned under its registry name");
-        }
+        let mut registered: Vec<(&str, u64)> = NAMES
+            .iter()
+            .filter(|n| n.kind == Kind::Counter && n.name.starts_with("gossip."))
+            .map(|n| (n.name, 1))
+            .collect();
+        registered.sort_unstable();
+        assert_eq!(counters.iter().collect::<Vec<_>>(), registered);
     }
 }

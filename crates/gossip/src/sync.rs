@@ -53,7 +53,8 @@ impl Default for GossipConfig {
     }
 }
 
-/// Interned `gossip.*` counter IDs (names in [`crate::GOSSIP_COUNTERS`]).
+/// Interned `gossip.*` counter IDs (names registered in the rdv-trace name
+/// table).
 pub struct GossipCtr {
     /// `gossip.rounds`
     pub rounds: CounterId,

@@ -12,18 +12,14 @@
 //!   escapes.
 //! - **D2 `ambient-*`** — `Instant::now`, `SystemTime`, `thread_rng`,
 //!   `rand::random`, `env::var` are banned in the same crates.
-//! - **D3 `counter-name` / `event-name`** — string literals entering the
-//!   stats counter API must match the dotted lowercase scheme, `sim.*`
-//!   names must exist in the pre-interned engine registry, `load.*`
-//!   names in the traffic-plane registry (`LOAD_COUNTERS`), `gossip.*`
-//!   names in the anti-entropy registry (`GOSSIP_COUNTERS`), `obs.*` names
-//!   in the sampler tally registry (`OBS_COUNTERS`), and `flight.*` names
-//!   in the crash-recorder registry (`FLIGHT_COUNTERS`). Trace span/mark
-//!   labels (`span_begin`, `span_end`, `mark`, `mark_linked`, and the
-//!   sampler class key `sample`) follow the same scheme; `gossip.`/`load.`/
-//!   `fabric.` plane labels must additionally exist in the sampled-tracing
-//!   registry (`SPAN_LABELS`), and every entry of the rdv-trace
-//!   `EVENT_NAMES` table is scheme-checked too.
+//! - **D3 `counter-name` / `gauge-name` / `event-name`** — string
+//!   literals entering the stats counter, metrics gauge and trace label
+//!   APIs must match the dotted lowercase scheme and are checked against
+//!   the one name table, `rdv_trace::names::NAMES`, which the linter links
+//!   rather than parses: every gauge must be registered, and a counter or
+//!   label must be when the table has entries of its kind in its
+//!   namespace. D3 alone also runs over the code that reads names back
+//!   (`crates/bench/src`, `tests/`, `examples/`).
 //! - **D4 `wire-parity`** — every variant of the wire-message enums must be
 //!   handled by both the encode and decode functions.
 //! - **D5 `shard-interference`** — outside the engine's own barrier
@@ -44,6 +40,7 @@
 pub mod lexer;
 pub mod rules;
 
+use rdv_trace::names::NAMES;
 use rules::{HandlerTarget, LintConfig, ParityTarget};
 use std::fs;
 use std::io;
@@ -146,148 +143,30 @@ const HANDLER_TARGETS: &[HandlerTarget] = &[
     },
 ];
 
-/// Lint every deterministic crate under `root` (the workspace root).
-/// Returns diagnostics sorted by (file, line, rule).
+/// Code outside the deterministic crates that reads counters, gauges and
+/// labels back by name: the figures, the root tests and the examples. It
+/// gets D3 alone, so a typo there fails the lint instead of reading 0.
+const READ_SIDE_DIRS: &[&str] = &["crates/bench/src", "tests", "examples"];
+
+/// Lint every deterministic crate under `root` (the workspace root), and
+/// the read-side directories for D3. Returns diagnostics sorted by (file,
+/// line, rule).
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let stats_path = root.join("crates/netsim/src/stats.rs");
-    let sim_registry = match fs::read_to_string(&stats_path) {
-        Ok(src) => rules::parse_engine_slots(&src),
-        Err(_) => Vec::new(),
-    };
-    let metrics_path = root.join("crates/metrics/src/lib.rs");
-    let gauge_registry = match fs::read_to_string(&metrics_path) {
-        Ok(src) => rules::parse_gauge_names(&src),
-        Err(_) => Vec::new(),
-    };
-    let load_path = root.join("crates/load/src/lib.rs");
-    let load_registry = match fs::read_to_string(&load_path) {
-        Ok(src) => rules::parse_load_counters(&src),
-        Err(_) => Vec::new(),
-    };
-    let gossip_path = root.join("crates/gossip/src/lib.rs");
-    let gossip_registry = match fs::read_to_string(&gossip_path) {
-        Ok(src) => rules::parse_gossip_counters(&src),
-        Err(_) => Vec::new(),
-    };
-    let span_path = root.join("crates/trace/src/event.rs");
-    let span_registry = match fs::read_to_string(&span_path) {
-        Ok(src) => rules::parse_span_labels(&src),
-        Err(_) => Vec::new(),
-    };
-    let obs_path = root.join("crates/trace/src/sample.rs");
-    let obs_registry = match fs::read_to_string(&obs_path) {
-        Ok(src) => rules::parse_obs_counters(&src),
-        Err(_) => Vec::new(),
-    };
-    let flight_path = root.join("crates/netsim/src/flight.rs");
-    let flight_registry = match fs::read_to_string(&flight_path) {
-        Ok(src) => rules::parse_flight_counters(&src),
-        Err(_) => Vec::new(),
-    };
-    let cfg = LintConfig {
-        sim_registry,
-        gauge_registry,
-        load_registry,
-        gossip_registry,
-        span_registry,
-        obs_registry,
-        flight_registry,
-    };
-
+    let cfg = LintConfig { names: NAMES };
     let mut diags = Vec::new();
-    if cfg.sim_registry.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/netsim/src/stats.rs".to_string(),
-            line: 1,
-            rule: "D3/counter-name".to_string(),
-            message: "could not parse ENGINE_SLOTS registry; sim.* names are unverifiable"
-                .to_string(),
-        });
-    }
-    if cfg.gauge_registry.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/metrics/src/lib.rs".to_string(),
-            line: 1,
-            rule: "D3/gauge-name".to_string(),
-            message: "could not parse GAUGE_NAMES registry; gauge names are unverifiable"
-                .to_string(),
-        });
-    }
-    if cfg.load_registry.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/load/src/lib.rs".to_string(),
-            line: 1,
-            rule: "D3/counter-name".to_string(),
-            message: "could not parse LOAD_COUNTERS registry; load.* names are unverifiable"
-                .to_string(),
-        });
-    }
-    if cfg.gossip_registry.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/gossip/src/lib.rs".to_string(),
-            line: 1,
-            rule: "D3/counter-name".to_string(),
-            message: "could not parse GOSSIP_COUNTERS registry; gossip.* names are unverifiable"
-                .to_string(),
-        });
-    }
-    if cfg.span_registry.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/trace/src/event.rs".to_string(),
-            line: 1,
-            rule: "D3/event-name".to_string(),
-            message: "could not parse SPAN_LABELS registry; plane span labels are unverifiable"
-                .to_string(),
-        });
-    }
-    if cfg.obs_registry.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/trace/src/sample.rs".to_string(),
-            line: 1,
-            rule: "D3/counter-name".to_string(),
-            message: "could not parse OBS_COUNTERS registry; obs.* names are unverifiable"
-                .to_string(),
-        });
-    }
-    if cfg.flight_registry.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/netsim/src/flight.rs".to_string(),
-            line: 1,
-            rule: "D3/counter-name".to_string(),
-            message: "could not parse FLIGHT_COUNTERS registry; flight.* names are unverifiable"
-                .to_string(),
-        });
-    }
-
     for krate in DET_CRATES {
         for sub in ["src", "tests", "benches"] {
             let dir = root.join("crates").join(krate).join(sub);
             if dir.is_dir() {
-                lint_dir(root, &dir, &cfg, &mut diags)?;
+                lint_dir(root, &dir, &cfg, rules::lint_source, &mut diags)?;
             }
         }
     }
-
-    let event_rel = "crates/trace/src/event.rs";
-    match fs::read_to_string(root.join(event_rel)) {
-        Ok(src) => diags.extend(rules::lint_event_names(event_rel, &src)),
-        Err(_) => diags.push(Diagnostic {
-            file: event_rel.to_string(),
-            line: 1,
-            rule: "D3/event-name".to_string(),
-            message: "event-name table file is missing".to_string(),
-        }),
-    }
-
-    let gauge_rel = "crates/metrics/src/lib.rs";
-    match fs::read_to_string(root.join(gauge_rel)) {
-        Ok(src) => diags.extend(rules::lint_gauge_names(gauge_rel, &src)),
-        Err(_) => diags.push(Diagnostic {
-            file: gauge_rel.to_string(),
-            line: 1,
-            rule: "D3/gauge-name".to_string(),
-            message: "gauge-name table file is missing".to_string(),
-        }),
+    for rel in READ_SIDE_DIRS {
+        let dir = root.join(rel);
+        if dir.is_dir() {
+            lint_dir(root, &dir, &cfg, rules::lint_names, &mut diags)?;
+        }
     }
 
     for (rel, targets) in PARITY_TARGETS {
@@ -340,8 +219,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
 }
 
 /// Render diagnostics as a stable JSON array (one object per finding, sorted
-/// like the text output). Hand-rolled so the linter keeps its zero-dependency
-/// footprint; CI turns these into GitHub error annotations.
+/// like the text output). Hand-rolled so the linter needs no external
+/// crate; CI turns these into GitHub error annotations.
 pub fn to_json(diags: &[Diagnostic]) -> String {
     fn esc(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
@@ -375,11 +254,13 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Recursively lint `.rs` files under `dir`, in sorted path order.
+/// Recursively run `lint` over the `.rs` files under `dir`, in sorted
+/// path order.
 fn lint_dir(
     root: &Path,
     dir: &Path,
     cfg: &LintConfig,
+    lint: fn(&str, &str, &LintConfig) -> Vec<Diagnostic>,
     diags: &mut Vec<Diagnostic>,
 ) -> io::Result<()> {
     let mut entries: Vec<PathBuf> =
@@ -387,11 +268,11 @@ fn lint_dir(
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            lint_dir(root, &path, cfg, diags)?;
+            lint_dir(root, &path, cfg, lint, diags)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
             let src = fs::read_to_string(&path)?;
-            diags.extend(rules::lint_source(&rel, &src, cfg));
+            diags.extend(lint(&rel, &src, cfg));
         }
     }
     Ok(())

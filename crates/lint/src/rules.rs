@@ -6,6 +6,7 @@
 
 use crate::lexer::{tokenize, TokKind, Token};
 use crate::Diagnostic;
+use rdv_trace::names::{scheme_ok, Kind, Name};
 use std::collections::BTreeMap;
 
 /// Suppression categories accepted by `// rdv-lint: allow(<category>) -- <reason>`.
@@ -62,38 +63,71 @@ const D5_ENGINE_MEMBERS: &[&str] = &[
 
 /// Configuration shared across files.
 pub struct LintConfig {
-    /// Valid `sim.*` counter names, parsed from the netsim registry
-    /// (`ENGINE_SLOTS` in `crates/netsim/src/stats.rs`).
-    pub sim_registry: Vec<String>,
-    /// Valid gauge base names, parsed from the metrics registry
-    /// (`GAUGE_NAMES` in `crates/metrics/src/lib.rs`). Empty when the
-    /// table could not be read; membership checks are skipped then (the
-    /// workspace linter reports the missing table separately).
-    pub gauge_registry: Vec<String>,
-    /// Valid `load.*` counter names, parsed from the traffic-plane
-    /// registry (`LOAD_COUNTERS` in `crates/load/src/lib.rs`). Empty when
-    /// the table could not be read; membership checks are skipped then
-    /// (the workspace linter reports the missing table separately).
-    pub load_registry: Vec<String>,
-    /// Valid `gossip.*` counter names, parsed from the anti-entropy
-    /// registry (`GOSSIP_COUNTERS` in `crates/gossip/src/lib.rs`). Same
-    /// empty-table semantics as `load_registry`.
-    pub gossip_registry: Vec<String>,
-    /// Valid protocol-plane span labels, parsed from the sampled-tracing
-    /// registry (`SPAN_LABELS` in `crates/trace/src/event.rs`). Labels in
-    /// the `gossip.` / `load.` / `fabric.` namespaces must appear here —
-    /// the sampler's per-class keep rates key on these strings, so a typo
-    /// silently samples nothing. Same empty-table semantics as
-    /// `load_registry`.
-    pub span_registry: Vec<String>,
-    /// Valid `obs.*` counter names, parsed from the sampler tally
-    /// registry (`OBS_COUNTERS` in `crates/trace/src/sample.rs`). Same
-    /// empty-table semantics as `load_registry`.
-    pub obs_registry: Vec<String>,
-    /// Valid `flight.*` counter names, parsed from the crash-recorder
-    /// registry (`FLIGHT_COUNTERS` in `crates/netsim/src/flight.rs`).
-    /// Same empty-table semantics as `load_registry`.
-    pub flight_registry: Vec<String>,
+    /// The name table D3 checks call sites against — in the workspace,
+    /// `rdv_trace::names::NAMES`.
+    pub names: &'static [Name],
+}
+
+impl LintConfig {
+    /// D3: the finding for a name literal of `kind`, if any. Every literal
+    /// must follow the dotted lowercase scheme. A gauge must be
+    /// registered; a counter or label must be registered when the table
+    /// has entries of its kind in its namespace (first dotted segment).
+    pub fn check_name(&self, kind: Kind, literal: &str) -> Option<String> {
+        let noun = d3_rule(kind).2;
+        if !scheme_ok(literal) {
+            return Some(format!(
+                "{noun} name `{literal}` violates the dotted lowercase scheme \
+                 `[a-z0-9_]+(.[a-z0-9_]+)*`"
+            ));
+        }
+        fn namespace(name: &str) -> Option<&str> {
+            name.split_once('.').map(|(ns, _)| ns)
+        }
+        let mut of_kind = self.names.iter().filter(|n| n.kind == kind);
+        let scoped = kind == Kind::Gauge
+            || namespace(literal)
+                .is_some_and(|ns| of_kind.clone().any(|n| namespace(n.name) == Some(ns)));
+        (scoped && !of_kind.any(|n| n.name == literal)).then(|| {
+            format!(
+                "`{literal}` is not a registered {noun}; add it to NAMES in \
+                 crates/trace/src/names.rs or fix the typo"
+            )
+        })
+    }
+}
+
+/// D3 rule id, allow category and noun for names of `kind`.
+fn d3_rule(kind: Kind) -> (&'static str, &'static str, &'static str) {
+    match kind {
+        Kind::Counter => ("D3/counter-name", "counter-name", "counter"),
+        Kind::Gauge => ("D3/gauge-name", "gauge-name", "gauge"),
+        Kind::Label => ("D3/event-name", "event-name", "span label"),
+        Kind::Event => ("D3/event-name", "event-name", "trace event"),
+    }
+}
+
+/// A D3 call site at `code[i]`: a string literal passed to the stats
+/// counter API (`.add`, `.inc`, `.get`, `.intern`, `CounterId::intern`),
+/// the metrics gauge API (`.gauge`, `.rate_per_s`, `.windowed_pct`,
+/// `.windowed_ratio_pct`) or the trace label API (`.span_begin`,
+/// `.span_end`, `.mark`, `.mark_linked`, and the sampler class key
+/// `.sample`). Names built at run time are not literals and are exempt.
+fn name_site<'t>(code: &[&'t Token], i: usize) -> Option<(Kind, &'t Token)> {
+    let (kind, arg) = if seq_at(code, i, &["CounterId", ":", ":", "intern", "("]) {
+        (Kind::Counter, code.get(i + 5)?)
+    } else if seq_at(code, i, &["."]) && seq_at(code, i + 2, &["("]) {
+        let kind = match code[i + 1].text.as_str() {
+            "add" | "inc" | "get" | "intern" => Kind::Counter,
+            "gauge" | "rate_per_s" | "windowed_pct" | "windowed_ratio_pct" => Kind::Gauge,
+            "span_begin" | "span_end" | "mark" | "mark_linked" | "sample" => Kind::Label,
+            _ => return None,
+        };
+        (kind, code.get(i + 3)?)
+    } else {
+        return None;
+    };
+    (arg.kind == TokKind::StrLit).then_some((kind, arg))
 }
 
 /// Parsed allow comments: line → categories allowed on that line and the next.
@@ -186,17 +220,18 @@ fn seq_at(code: &[&Token], i: usize, pat: &[&str]) -> bool {
     })
 }
 
-/// Valid counter name: dotted segments of `[a-z0-9_]+`.
-fn counter_name_ok(name: &str) -> bool {
-    !name.is_empty()
-        && name.split('.').all(|seg| {
-            !seg.is_empty()
-                && seg.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-        })
-}
-
 /// Run D1–D3 and D5–D6 (plus allow-comment syntax checking) over one file.
 pub fn lint_source(file: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
+    lint_file(file, src, cfg, true)
+}
+
+/// Run only D3 (plus allow-comment syntax checking) over one file: for
+/// code outside the deterministic crates that reads names back.
+pub fn lint_names(file: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
+    lint_file(file, src, cfg, false)
+}
+
+fn lint_file(file: &str, src: &str, cfg: &LintConfig, all_rules: bool) -> Vec<Diagnostic> {
     let tokens = tokenize(src);
     let mut diags = Vec::new();
     let allow = collect_allows(file, &tokens, &mut diags);
@@ -209,6 +244,15 @@ pub fn lint_source(file: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
         .collect();
 
     for i in 0..code.len() {
+        if let Some((kind, arg)) = name_site(&code, i) {
+            if let Some(message) = cfg.check_name(kind, &arg.text) {
+                let (rule, category, _) = d3_rule(kind);
+                push(&mut diags, &allow, file, arg.line, rule, category, message);
+            }
+        }
+        if !all_rules {
+            continue;
+        }
         let t = code[i];
         // D1: hash-ordered collections.
         if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
@@ -383,242 +427,6 @@ pub fn lint_source(file: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
                  or use the per-node `NodeCtx` stream"
                     .to_string(),
             );
-        }
-
-        // D3: counter-name discipline. Fires on string-literal names passed to
-        // the stats API: `.add("…")`, `.inc("…")`, `.get("…")`,
-        // `CounterId::intern("…")` / `.intern("…")`.
-        let lit = if t.kind == TokKind::Punct && t.text == "." {
-            match (code.get(i + 1), code.get(i + 2), code.get(i + 3)) {
-                (Some(name), Some(open), Some(arg))
-                    if name.kind == TokKind::Ident
-                        && matches!(name.text.as_str(), "add" | "inc" | "get" | "intern")
-                        && open.text == "("
-                        && arg.kind == TokKind::StrLit =>
-                {
-                    Some(arg)
-                }
-                _ => None,
-            }
-        } else if seq_at(&code, i, &["CounterId", ":", ":", "intern", "("]) {
-            code.get(i + 5).filter(|a| a.kind == TokKind::StrLit)
-        } else {
-            None
-        };
-        if let Some(arg) = lit {
-            if !counter_name_ok(&arg.text) {
-                push(
-                    &mut diags,
-                    &allow,
-                    file,
-                    arg.line,
-                    "D3/counter-name",
-                    "counter-name",
-                    format!(
-                        "counter name `{}` violates the dotted lowercase scheme \
-                         `[a-z0-9_]+(.[a-z0-9_]+)*`",
-                        arg.text
-                    ),
-                );
-            } else if arg.text.starts_with("sim.")
-                && !cfg.sim_registry.iter().any(|n| n == &arg.text)
-            {
-                push(
-                    &mut diags,
-                    &allow,
-                    file,
-                    arg.line,
-                    "D3/counter-name",
-                    "counter-name",
-                    format!(
-                        "`{}` is not a registered engine counter (see ENGINE_SLOTS in \
-                         crates/netsim/src/stats.rs); sim.* names must be pre-interned",
-                        arg.text
-                    ),
-                );
-            } else if arg.text.starts_with("load.")
-                && !cfg.load_registry.is_empty()
-                && !cfg.load_registry.iter().any(|n| n == &arg.text)
-            {
-                push(
-                    &mut diags,
-                    &allow,
-                    file,
-                    arg.line,
-                    "D3/counter-name",
-                    "counter-name",
-                    format!(
-                        "`{}` is not a registered load-plane counter (see LOAD_COUNTERS in \
-                         crates/load/src/lib.rs); load.* names must be table-registered",
-                        arg.text
-                    ),
-                );
-            } else if arg.text.starts_with("gossip.")
-                && !cfg.gossip_registry.is_empty()
-                && !cfg.gossip_registry.iter().any(|n| n == &arg.text)
-            {
-                push(
-                    &mut diags,
-                    &allow,
-                    file,
-                    arg.line,
-                    "D3/counter-name",
-                    "counter-name",
-                    format!(
-                        "`{}` is not a registered anti-entropy counter (see GOSSIP_COUNTERS in \
-                         crates/gossip/src/lib.rs); gossip.* names must be table-registered",
-                        arg.text
-                    ),
-                );
-            } else if arg.text.starts_with("obs.")
-                && !cfg.obs_registry.is_empty()
-                && !cfg.obs_registry.iter().any(|n| n == &arg.text)
-            {
-                push(
-                    &mut diags,
-                    &allow,
-                    file,
-                    arg.line,
-                    "D3/counter-name",
-                    "counter-name",
-                    format!(
-                        "`{}` is not a registered sampler tally (see OBS_COUNTERS in \
-                         crates/trace/src/sample.rs); obs.* names must be table-registered",
-                        arg.text
-                    ),
-                );
-            } else if arg.text.starts_with("flight.")
-                && !cfg.flight_registry.is_empty()
-                && !cfg.flight_registry.iter().any(|n| n == &arg.text)
-            {
-                push(
-                    &mut diags,
-                    &allow,
-                    file,
-                    arg.line,
-                    "D3/counter-name",
-                    "counter-name",
-                    format!(
-                        "`{}` is not a registered flight-recorder counter (see FLIGHT_COUNTERS \
-                         in crates/netsim/src/flight.rs); flight.* names must be table-registered",
-                        arg.text
-                    ),
-                );
-            }
-        }
-
-        // D3: gauge-name discipline. String-literal base names entering the
-        // rdv-metrics sampling API — `.gauge("…")`, `.rate_per_s("…")`,
-        // `.windowed_pct("…")`, `.windowed_ratio_pct("…")` — follow the same
-        // dotted lowercase scheme and must be registered in `GAUGE_NAMES`.
-        // Dynamically built names (e.g. the engine's derived `rate.*`
-        // series) are not literals and are exempt by construction.
-        if t.kind == TokKind::Punct && t.text == "." {
-            if let (Some(name), Some(open), Some(arg)) =
-                (code.get(i + 1), code.get(i + 2), code.get(i + 3))
-            {
-                if name.kind == TokKind::Ident
-                    && matches!(
-                        name.text.as_str(),
-                        "gauge" | "rate_per_s" | "windowed_pct" | "windowed_ratio_pct"
-                    )
-                    && open.text == "("
-                    && arg.kind == TokKind::StrLit
-                {
-                    if !counter_name_ok(&arg.text) {
-                        push(
-                            &mut diags,
-                            &allow,
-                            file,
-                            arg.line,
-                            "D3/gauge-name",
-                            "gauge-name",
-                            format!(
-                                "gauge name `{}` violates the dotted lowercase scheme \
-                                 `[a-z0-9_]+(.[a-z0-9_]+)*`",
-                                arg.text
-                            ),
-                        );
-                    } else if !cfg.gauge_registry.is_empty()
-                        && !cfg.gauge_registry.iter().any(|n| n == &arg.text)
-                    {
-                        push(
-                            &mut diags,
-                            &allow,
-                            file,
-                            arg.line,
-                            "D3/gauge-name",
-                            "gauge-name",
-                            format!(
-                                "`{}` is not a registered gauge (see GAUGE_NAMES in \
-                                 crates/metrics/src/lib.rs); gauge base names must be \
-                                 table-registered",
-                                arg.text
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // D3: trace event-name discipline. Span and mark labels entering the
-        // rdv-trace API follow the same dotted lowercase scheme as counters:
-        // `.span_begin("…")`, `.span_end("…")`, `.mark("…")`, `.mark_linked("…")`,
-        // and the sampler's class key `.sample("…")`. Labels in the planes
-        // that committed to the sampled-tracing registry (`gossip.` /
-        // `load.` / `fabric.`) must additionally appear in `SPAN_LABELS` —
-        // the sampler's per-class keep rates key on these strings, so an
-        // unregistered label silently samples nothing.
-        if t.kind == TokKind::Punct && t.text == "." {
-            if let (Some(name), Some(open), Some(arg)) =
-                (code.get(i + 1), code.get(i + 2), code.get(i + 3))
-            {
-                if name.kind == TokKind::Ident
-                    && matches!(
-                        name.text.as_str(),
-                        "span_begin" | "span_end" | "mark" | "mark_linked" | "sample"
-                    )
-                    && open.text == "("
-                    && arg.kind == TokKind::StrLit
-                {
-                    if !counter_name_ok(&arg.text) {
-                        push(
-                            &mut diags,
-                            &allow,
-                            file,
-                            arg.line,
-                            "D3/event-name",
-                            "event-name",
-                            format!(
-                                "trace event name `{}` violates the dotted lowercase scheme \
-                                 `[a-z0-9_]+(.[a-z0-9_]+)*`",
-                                arg.text
-                            ),
-                        );
-                    } else if ["gossip.", "load.", "fabric."]
-                        .iter()
-                        .any(|p| arg.text.starts_with(p))
-                        && !cfg.span_registry.is_empty()
-                        && !cfg.span_registry.iter().any(|n| n == &arg.text)
-                    {
-                        push(
-                            &mut diags,
-                            &allow,
-                            file,
-                            arg.line,
-                            "D3/event-name",
-                            "event-name",
-                            format!(
-                                "`{}` is not a registered span label (see SPAN_LABELS in \
-                                 crates/trace/src/event.rs); gossip./load./fabric. plane \
-                                 labels must be table-registered so sampling classes \
-                                 resolve",
-                                arg.text
-                            ),
-                        );
-                    }
-                }
-            }
         }
     }
     diags
@@ -839,150 +647,6 @@ fn fn_body<'t>(code: &[&'t Token], name: &str) -> Option<(usize, Vec<&'t Token>)
         i += 1;
     }
     Some((fn_line, code[body_start..i.saturating_sub(1)].to_vec()))
-}
-
-/// Parse the engine counter registry out of `stats.rs` source: the string
-/// literals inside the `ENGINE_SLOTS` array.
-pub fn parse_engine_slots(stats_src: &str) -> Vec<String> {
-    parse_str_array(stats_src, "ENGINE_SLOTS").into_iter().map(|(name, _)| name).collect()
-}
-
-/// Parse the gauge registry out of the rdv-metrics source: the string
-/// literals inside the `GAUGE_NAMES` array.
-pub fn parse_gauge_names(metrics_src: &str) -> Vec<String> {
-    parse_str_array(metrics_src, "GAUGE_NAMES").into_iter().map(|(name, _)| name).collect()
-}
-
-/// Parse the traffic-plane counter registry out of the rdv-load source:
-/// the string literals inside the `LOAD_COUNTERS` array.
-pub fn parse_load_counters(load_src: &str) -> Vec<String> {
-    parse_str_array(load_src, "LOAD_COUNTERS").into_iter().map(|(name, _)| name).collect()
-}
-
-/// Parse the anti-entropy counter registry out of the rdv-gossip source:
-/// the string literals inside the `GOSSIP_COUNTERS` array.
-pub fn parse_gossip_counters(gossip_src: &str) -> Vec<String> {
-    parse_str_array(gossip_src, "GOSSIP_COUNTERS").into_iter().map(|(name, _)| name).collect()
-}
-
-/// Parse the sampled-tracing span-label registry out of the rdv-trace
-/// source: the string literals inside the `SPAN_LABELS` array.
-pub fn parse_span_labels(event_src: &str) -> Vec<String> {
-    parse_str_array(event_src, "SPAN_LABELS").into_iter().map(|(name, _)| name).collect()
-}
-
-/// Parse the sampler tally registry out of the rdv-trace source: the
-/// string literals inside the `OBS_COUNTERS` array.
-pub fn parse_obs_counters(sample_src: &str) -> Vec<String> {
-    parse_str_array(sample_src, "OBS_COUNTERS").into_iter().map(|(name, _)| name).collect()
-}
-
-/// Parse the crash-recorder counter registry out of the rdv-netsim
-/// source: the string literals inside the `FLIGHT_COUNTERS` array.
-pub fn parse_flight_counters(flight_src: &str) -> Vec<String> {
-    parse_str_array(flight_src, "FLIGHT_COUNTERS").into_iter().map(|(name, _)| name).collect()
-}
-
-/// D3 over the canonical gauge-name table: every entry of `GAUGE_NAMES`
-/// in `crates/metrics/src/lib.rs` must satisfy the dotted lowercase
-/// scheme. An unparseable table is itself a finding — the D3 gauge-name
-/// membership check leans on it.
-pub fn lint_gauge_names(file: &str, src: &str) -> Vec<Diagnostic> {
-    let names = parse_str_array(src, "GAUGE_NAMES");
-    if names.is_empty() {
-        return vec![Diagnostic {
-            file: file.to_string(),
-            line: 1,
-            rule: "D3/gauge-name".to_string(),
-            message: "could not parse the GAUGE_NAMES table; gauge names are unverifiable"
-                .to_string(),
-        }];
-    }
-    names
-        .into_iter()
-        .filter(|(name, _)| !counter_name_ok(name))
-        .map(|(name, line)| Diagnostic {
-            file: file.to_string(),
-            line,
-            rule: "D3/gauge-name".to_string(),
-            message: format!(
-                "gauge name `{name}` violates the dotted lowercase scheme \
-                 `[a-z0-9_]+(.[a-z0-9_]+)*`"
-            ),
-        })
-        .collect()
-}
-
-/// Collect the string literals (with their lines) inside the array literal
-/// assigned to `const_name`.
-fn parse_str_array(src: &str, const_name: &str) -> Vec<(String, usize)> {
-    let tokens = tokenize(src);
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
-    let Some(start) = code.iter().position(|t| t.text == const_name) else {
-        return Vec::new();
-    };
-    let mut names = Vec::new();
-    let mut i = start;
-    // Skip past the `=` first — the type annotation `[&str; N]` also contains
-    // brackets — then collect strings inside the array literal.
-    while i < code.len() && code[i].text != "=" {
-        i += 1;
-    }
-    while i < code.len() && code[i].text != "[" {
-        i += 1;
-    }
-    let mut depth = 0usize;
-    while i < code.len() {
-        match code[i].text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ if code[i].kind == TokKind::StrLit => {
-                names.push((code[i].text.clone(), code[i].line));
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    names
-}
-
-/// D3 over the canonical trace event-name table: every entry of
-/// `EVENT_NAMES` in `crates/trace/src/event.rs` must satisfy the dotted
-/// lowercase scheme. An unparseable table is itself a finding — the
-/// exporters and the D3 trace-label check both lean on it.
-pub fn lint_event_names(file: &str, src: &str) -> Vec<Diagnostic> {
-    let names = parse_str_array(src, "EVENT_NAMES");
-    if names.is_empty() {
-        return vec![Diagnostic {
-            file: file.to_string(),
-            line: 1,
-            rule: "D3/event-name".to_string(),
-            message: "could not parse the EVENT_NAMES table; engine event names are \
-                      unverifiable"
-                .to_string(),
-        }];
-    }
-    names
-        .into_iter()
-        .filter(|(name, _)| !counter_name_ok(name))
-        .map(|(name, line)| Diagnostic {
-            file: file.to_string(),
-            line,
-            rule: "D3/event-name".to_string(),
-            message: format!(
-                "event name `{name}` violates the dotted lowercase scheme \
-                 `[a-z0-9_]+(.[a-z0-9_]+)*`"
-            ),
-        })
-        .collect()
 }
 
 /// Keep diagnostics deterministic and readable: sort by file, line, rule.

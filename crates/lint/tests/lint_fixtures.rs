@@ -5,6 +5,7 @@ use rdv_lint::rules::{
     enum_variants_in, lint_enum_parity, lint_handler_parity, lint_source, LintConfig, ParityTarget,
 };
 use rdv_lint::{lint_workspace, to_json, Diagnostic};
+use rdv_trace::names::{Kind, Name, NAMES};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -12,18 +13,29 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+const fn name(name: &'static str, kind: Kind) -> Name {
+    Name { name, kind }
+}
+
 fn stub_cfg() -> LintConfig {
-    LintConfig {
-        sim_registry: vec!["sim.events".to_string()],
-        gauge_registry: vec!["link.queue_bytes".to_string(), "transport.inflight".to_string()],
-        load_registry: ["load.arrivals", "load.completions", "load.failures"]
-            .map(String::from)
-            .to_vec(),
-        gossip_registry: ["gossip.rounds", "gossip.digests_sent"].map(String::from).to_vec(),
-        span_registry: ["gossip.round", "load.batch", "fabric.storm"].map(String::from).to_vec(),
-        obs_registry: ["obs.spans_sampled", "obs.spans_skipped"].map(String::from).to_vec(),
-        flight_registry: ["flight.dumps", "flight.events"].map(String::from).to_vec(),
-    }
+    const STUB: &[Name] = &[
+        name("sim.events", Kind::Counter),
+        name("load.arrivals", Kind::Counter),
+        name("load.completions", Kind::Counter),
+        name("load.failures", Kind::Counter),
+        name("gossip.rounds", Kind::Counter),
+        name("gossip.digests_sent", Kind::Counter),
+        name("obs.spans_sampled", Kind::Counter),
+        name("obs.spans_skipped", Kind::Counter),
+        name("flight.dumps", Kind::Counter),
+        name("flight.events", Kind::Counter),
+        name("link.queue_bytes", Kind::Gauge),
+        name("transport.inflight", Kind::Gauge),
+        name("gossip.round", Kind::Label),
+        name("load.batch", Kind::Label),
+        name("fabric.storm", Kind::Label),
+    ];
+    LintConfig { names: STUB }
 }
 
 /// (line, rule) pairs, in output order.
@@ -80,7 +92,7 @@ fn d3_enforces_name_scheme_and_sim_registry() {
         "good names (lines 8–9) and the allowed legacy name (line 11) must pass; \
          got: {diags:#?}"
     );
-    assert!(diags[3].message.contains("not a registered engine counter"));
+    assert!(diags[3].message.contains("not a registered counter"));
 }
 
 #[test]
@@ -119,32 +131,25 @@ fn d3_enforces_gauge_name_scheme_and_registry() {
 
 #[test]
 fn d3_covers_the_sharded_engine_names() {
-    // Same D3 rules, registries extended the way the real workspace's are:
-    // the shard counters live in ENGINE_SLOTS, the shard gauges in
-    // GAUGE_NAMES. Unregistered `sim.shard.*` / `shard.*` names must fire.
-    let cfg = LintConfig {
-        sim_registry: [
-            "sim.events",
-            "sim.shard.windows",
-            "sim.shard.xshard_packets",
-            "sim.shard.worker_spawns",
-        ]
-        .map(String::from)
-        .to_vec(),
-        gauge_registry: ["shard.queue_events", "shard.clock_ns"].map(String::from).to_vec(),
-        load_registry: Vec::new(),
-        gossip_registry: Vec::new(),
-        span_registry: Vec::new(),
-        obs_registry: Vec::new(),
-        flight_registry: Vec::new(),
-    };
+    // Same D3 rule, the table extended the way the real one is: shard
+    // counters among the engine slots, shard gauges among the gauges.
+    // Unregistered `sim.shard.*` / `shard.*` names must fire.
+    const SHARDS: &[Name] = &[
+        name("sim.events", Kind::Counter),
+        name("sim.shard.windows", Kind::Counter),
+        name("sim.shard.xshard_packets", Kind::Counter),
+        name("sim.shard.worker_spawns", Kind::Counter),
+        name("shard.queue_events", Kind::Gauge),
+        name("shard.clock_ns", Kind::Gauge),
+    ];
+    let cfg = LintConfig { names: SHARDS };
     let diags = lint_source("d3_shards.rs", &fixture("d3_shards.rs"), &cfg);
     assert_eq!(
         locs(&diags),
         vec![(3, "D3/counter-name"), (4, "D3/gauge-name")],
         "registered shard names (lines 5–9) must pass; got: {diags:#?}"
     );
-    assert!(diags[0].message.contains("not a registered engine counter"));
+    assert!(diags[0].message.contains("not a registered counter"));
     assert!(diags[1].message.contains("not a registered gauge"));
 }
 
@@ -156,7 +161,7 @@ fn d3_enforces_load_counter_registry() {
         vec![(3, "D3/counter-name"), (4, "D3/counter-name")],
         "registered names (lines 5–7) and the allowed shim (line 9) must pass; got: {diags:#?}"
     );
-    assert!(diags[0].message.contains("not a registered load-plane counter"));
+    assert!(diags[0].message.contains("not a registered counter"));
     assert!(diags[1].message.contains("dotted lowercase"));
 }
 
@@ -175,99 +180,29 @@ fn d3_enforces_obs_flight_and_span_label_registries() {
         "registered names (lines 10–15), the unscoped discovery label (line 16), and \
          the allowed shims (lines 17–20) must pass; got: {diags:#?}"
     );
-    assert!(diags[0].message.contains("not a registered sampler tally"));
-    assert!(diags[1].message.contains("not a registered flight-recorder counter"));
+    assert!(diags[0].message.contains("not a registered counter"));
+    assert!(diags[1].message.contains("not a registered counter"));
     assert!(diags[2].message.contains("not a registered span label"));
 }
 
-/// The observability names the engine and protocol planes actually emit
-/// are present in the real registries the workspace lint parses —
-/// renaming a span label or a sampler/flight counter without updating
-/// its table breaks here first.
 #[test]
-fn real_registries_carry_the_observability_names() {
-    use rdv_lint::rules::{parse_flight_counters, parse_obs_counters, parse_span_labels};
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
-    let event = std::fs::read_to_string(root.join("crates/trace/src/event.rs")).unwrap();
-    let spans = parse_span_labels(&event);
-    for name in ["gossip.round", "gossip.sync", "load.batch", "load.head_advance", "fabric.storm"] {
-        assert!(spans.iter().any(|s| s == name), "{name} missing from SPAN_LABELS");
-    }
-    let sample = std::fs::read_to_string(root.join("crates/trace/src/sample.rs")).unwrap();
-    let obs = parse_obs_counters(&sample);
-    for name in ["obs.spans_sampled", "obs.spans_skipped"] {
-        assert!(obs.iter().any(|s| s == name), "{name} missing from OBS_COUNTERS");
-    }
-    let flight = std::fs::read_to_string(root.join("crates/netsim/src/flight.rs")).unwrap();
-    let counters = parse_flight_counters(&flight);
-    for name in ["flight.dumps", "flight.events"] {
-        assert!(counters.iter().any(|s| s == name), "{name} missing from FLIGHT_COUNTERS");
-    }
-}
-
-/// The load-plane counters the harness actually emits are present in the
-/// real registry the workspace lint parses — renaming a `load.*` tally
-/// without updating `LOAD_COUNTERS` breaks here first.
-#[test]
-fn real_registry_carries_the_load_counters() {
-    use rdv_lint::rules::parse_load_counters;
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
-    let src = std::fs::read_to_string(root.join("crates/load/src/lib.rs")).unwrap();
-    let counters = parse_load_counters(&src);
-    for name in [
-        "load.arrivals",
-        "load.batches",
-        "load.entries",
-        "load.completions",
-        "load.failures",
-        "load.churn_joins",
-        "load.churn_leaves",
-    ] {
-        assert!(counters.iter().any(|c| c == name), "{name} missing from LOAD_COUNTERS");
-    }
-}
-
-/// The shard names the engine actually emits are present in the real
-/// registries the workspace lint parses — if someone renames a slot, this
-/// pins the D3 contract to the sharded engine's telemetry.
-#[test]
-fn real_registries_carry_the_shard_names() {
-    use rdv_lint::rules::{parse_engine_slots, parse_gauge_names};
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
-    let stats = std::fs::read_to_string(root.join("crates/netsim/src/stats.rs")).unwrap();
-    let slots = parse_engine_slots(&stats);
-    for name in ["sim.shard.windows", "sim.shard.xshard_packets", "sim.shard.worker_spawns"] {
-        assert!(slots.iter().any(|s| s == name), "{name} missing from ENGINE_SLOTS");
-    }
-    let metrics = std::fs::read_to_string(root.join("crates/metrics/src/lib.rs")).unwrap();
-    let gauges = parse_gauge_names(&metrics);
-    for name in ["shard.queue_events", "shard.clock_ns"] {
-        assert!(gauges.iter().any(|g| g == name), "{name} missing from GAUGE_NAMES");
-    }
-}
-
-#[test]
-fn gauge_name_table_is_validated() {
-    use rdv_lint::rules::lint_gauge_names;
-    let bad =
-        "pub const GAUGE_NAMES: [&str; 2] = [\n    \"link.queue_bytes\",\n    \"Bad.Gauge\",\n];\n";
-    let diags = lint_gauge_names("lib.rs", bad);
-    assert_eq!(locs(&diags), vec![(3, "D3/gauge-name")], "got: {diags:#?}");
-    let missing = "pub const OTHER: &[&str] = &[\"x\"];\n";
-    let diags = lint_gauge_names("lib.rs", missing);
-    assert_eq!(locs(&diags), vec![(1, "D3/gauge-name")], "unparseable table is a finding");
-}
-
-#[test]
-fn event_name_table_is_validated() {
-    use rdv_lint::rules::lint_event_names;
-    let bad =
-        "pub const EVENT_NAMES: &[&str] = &[\n    \"packet.enqueue\",\n    \"Bad.Name\",\n];\n";
-    let diags = lint_event_names("event.rs", bad);
-    assert_eq!(locs(&diags), vec![(3, "D3/event-name")], "got: {diags:#?}");
-    let missing = "pub const OTHER: &[&str] = &[\"x\"];\n";
-    let diags = lint_event_names("event.rs", missing);
-    assert_eq!(locs(&diags), vec![(1, "D3/event-name")], "unparseable table is a finding");
+fn d3_checks_the_runtime_discovery_controller_and_transport_names() {
+    let diags = lint_source("d3_names.rs", &fixture("d3_names.rs"), &LintConfig { names: NAMES });
+    assert_eq!(
+        locs(&diags),
+        vec![
+            (4, "D3/event-name"),
+            (5, "D3/event-name"),
+            (6, "D3/event-name"),
+            (7, "D3/event-name"),
+            (8, "D3/counter-name"),
+            (9, "D3/counter-name"),
+        ],
+        "registered names (lines 10–16), an undotted counter (line 17) and a label in a \
+         namespace the table has no labels in (line 18) must pass; got: {diags:#?}"
+    );
+    assert!(diags[0].message.contains("not a registered span label"));
+    assert!(diags[4].message.contains("not a registered counter"));
 }
 
 #[test]

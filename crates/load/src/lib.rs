@@ -55,23 +55,3 @@ pub use harness::{Blip, LoadFabricSpec, LoadRun};
 pub use replog::{Batch, ReplogSpec};
 pub use slo::{nearest_rank, SloPoint, SloSeries};
 pub use zipf::Zipf;
-
-/// Canonical `load.*` counter names. Every string literal passed to the
-/// stats counter API with a `load.` prefix must appear here — rdv-lint
-/// parses this table from source and cross-checks call sites, exactly as
-/// it does for the engine's `ENGINE_SLOTS` and the metrics plane's
-/// `GAUGE_NAMES`.
-pub const LOAD_COUNTERS: [&str; 7] = [
-    "load.arrivals",
-    "load.batches",
-    "load.entries",
-    "load.completions",
-    "load.failures",
-    "load.churn_joins",
-    "load.churn_leaves",
-];
-
-/// Whether `name` is one of the canonical [`LOAD_COUNTERS`].
-pub fn is_registered_counter(name: &str) -> bool {
-    LOAD_COUNTERS.contains(&name)
-}

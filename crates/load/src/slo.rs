@@ -4,7 +4,7 @@
 //! the completion latencies inside each sample window, alongside the
 //! offered and achieved (goodput) rates. The series are plain data and
 //! can be emitted into the rdv-metrics gauge plane (`load.*` gauges,
-//! D3-validated against `GAUGE_NAMES`), so `figures --metrics` renders
+//! D3-validated against the name table), so `figures --metrics` renders
 //! them with the same exporters as every engine gauge.
 
 use rdv_metrics::MetricSet;

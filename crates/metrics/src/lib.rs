@@ -39,44 +39,3 @@ pub mod export;
 
 pub use monitor::{AuditScope, Violation};
 pub use set::{MetricSample, MetricSet, MetricsConfig, Series};
-
-/// Canonical gauge base names. Every string literal passed to
-/// [`MetricSample::gauge`] / [`MetricSample::rate_per_s`] /
-/// [`MetricSample::windowed_pct`] / [`MetricSample::windowed_ratio_pct`]
-/// must appear here — rdv-lint parses this table from source and
-/// cross-checks call sites, exactly as it does for `ENGINE_SLOTS`
-/// counters. Full gauge names are `<base>.<instance>` (e.g.
-/// `link.queue_bytes.l0`); derived counter rates are named
-/// `rate.<counter>` and are registered dynamically by the engine.
-pub const GAUGE_NAMES: [&str; 25] = [
-    "link.queue_bytes",
-    "link.util_pct",
-    "node.pending_timers",
-    "engine.inflight_packets",
-    "transport.inflight",
-    "transport.flows",
-    "memproto.cache_objects",
-    "memproto.cache_bytes",
-    "memproto.cache_hit_pct",
-    "discovery.directory_size",
-    "discovery.destcache_entries",
-    "discovery.destcache_hit_pct",
-    "discovery.pending_accesses",
-    "discovery.broadcast_rate",
-    "core.placement_queue",
-    "shard.queue_events",
-    "shard.clock_ns",
-    "load.offered_per_s",
-    "load.goodput_per_s",
-    "load.p50_us",
-    "load.p99_us",
-    "load.p999_us",
-    "gossip.journal_entries",
-    "gossip.sync_rate",
-    "gossip.repair_hits",
-];
-
-/// Whether `base` is one of the canonical [`GAUGE_NAMES`].
-pub fn is_registered_base(base: &str) -> bool {
-    GAUGE_NAMES.contains(&base)
-}

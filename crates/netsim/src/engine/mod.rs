@@ -1403,13 +1403,13 @@ impl Sim {
             // of ENGINE_SLOTS is excluded — those values depend on
             // --shards, and sampled output must not.
             let mut rate_name = String::new();
-            for (name, id) in ENGINE_SLOTS[..ENGINE_OUTPUT_SLOTS]
+            for (slot, id) in ENGINE_SLOTS[..ENGINE_OUTPUT_SLOTS]
                 .iter()
                 .zip(ENGINE_SLOT_IDS[..ENGINE_OUTPUT_SLOTS].iter())
             {
                 rate_name.clear();
                 rate_name.push_str("rate.");
-                rate_name.push_str(name);
+                rate_name.push_str(slot.name);
                 m.rate_per_s(&rate_name, self.counters.get_id(*id));
             }
             if self.shard_telemetry {
@@ -1484,7 +1484,7 @@ impl Sim {
         let snapshot: Vec<(&'static str, u64)> = ENGINE_SLOTS[..ENGINE_OUTPUT_SLOTS]
             .iter()
             .zip(ENGINE_SLOT_IDS[..ENGINE_OUTPUT_SLOTS].iter())
-            .map(|(name, id)| (*name, self.counters.get_id(*id)))
+            .map(|(slot, id)| (slot.name, self.counters.get_id(*id)))
             .collect();
         set.check_monotonic(at, &snapshot, ev);
         set.begin_audit();

@@ -1,5 +1,5 @@
-//! Crash flight recorder: ring namespaces, counter names, and the
-//! postmortem rendering helpers.
+//! Crash flight recorder: ring namespaces and the postmortem rendering
+//! helpers.
 //!
 //! The storage half lives in `rdv-trace` ([`EventRing`]): a bounded,
 //! zero-alloc-steady-state event ring whose ids carry a namespace in their
@@ -18,13 +18,6 @@ use std::fmt::Write as _;
 
 use rdv_trace::ring::{SEQ_BITS, SEQ_MASK};
 use rdv_trace::{EventId, EventKind, EventRing, TraceEvent, ENGINE_NODE};
-
-/// Counter names the flight recorder owns. `flight.dumps` counts rendered
-/// postmortems; `flight.events` sums the events the rings had captured at
-/// each dump. Neither moves on a clean run — arming the recorder changes
-/// zero output bytes — and rdv-lint D3 validates `flight.*` counter names
-/// against this registry.
-pub const FLIGHT_COUNTERS: [&str; 2] = ["flight.dumps", "flight.events"];
 
 /// Namespace of the coordinator ring (fault events, external schedules).
 pub(crate) const COORD_BASE: u64 = 0xFFFF << SEQ_BITS;
@@ -126,15 +119,6 @@ pub(crate) fn render_ancestry(rings: &[&EventRing], anchor: EventId, out: &mut S
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flight_counter_names_are_dotted_and_prefixed() {
-        assert_eq!(FLIGHT_COUNTERS.len(), 2);
-        for name in FLIGHT_COUNTERS {
-            assert!(name.starts_with("flight."), "{name} must live in the flight.* namespace");
-            assert!(name.is_ascii() && !name.contains(' '));
-        }
-    }
 
     #[test]
     fn ring_labels_name_shards_and_coordinator() {

@@ -67,7 +67,6 @@ pub use engine::{
     SimConfig,
 };
 pub use fault::{FaultEvent, FaultPlan};
-pub use flight::FLIGHT_COUNTERS;
 pub use link::LinkSpec;
 pub use node::{Node, NodeCtx, NodeId, PortId};
 pub use packet::Packet;

@@ -7,6 +7,7 @@
 //! for cold paths and tests, wrong for per-event code.
 
 use rdv_det::DetMap;
+use rdv_trace::names::{Name, ENGINE_SLOT_COUNT, NAMES};
 use std::sync::{Mutex, OnceLock};
 
 /// Handle to an interned counter name: a dense index into the process-wide
@@ -60,31 +61,15 @@ pub const SIM_SHARD_XSHARD_PACKETS: CounterId = CounterId(14);
 /// windows (execution statistic, see [`SIM_SHARD_WINDOWS`]).
 pub const SIM_SHARD_WORKER_SPAWNS: CounterId = CounterId(15);
 
-/// Names behind the fixed engine slots above, in slot order.
+/// Names behind the fixed engine slots above, in slot order: the
+/// leading entries of the name table.
 ///
 /// The first [`ENGINE_OUTPUT_SLOTS`] entries are *run output*: identical
 /// for a given seed regardless of `--shards`, folded into
 /// `Sim::counters`, rate-derived and monotonicity-checked by the metrics
 /// plane. The tail entries are execution statistics (how the run was
 /// computed, not what it computed) and live only in `Sim::exec_stats`.
-pub(crate) const ENGINE_SLOTS: [&str; 16] = [
-    "sim.events",
-    "sim.packets_sent",
-    "sim.packets_delivered",
-    "sim.packets_dropped",
-    "sim.packets_dropped.bad_port",
-    "sim.packets_lost",
-    "sim.timers",
-    "sim.faults_applied",
-    "sim.packets_dropped.link_down",
-    "sim.packets_dropped.partition",
-    "sim.packets_dropped.dead_node",
-    "sim.deliveries_dropped.crash",
-    "sim.timers_dropped.crash",
-    "sim.shard.windows",
-    "sim.shard.xshard_packets",
-    "sim.shard.worker_spawns",
-];
+pub(crate) const ENGINE_SLOTS: &[Name] = NAMES.split_at(ENGINE_SLOT_COUNT).0;
 
 /// How many [`ENGINE_SLOTS`] entries are run output (see there); the rest
 /// are `--shards`-dependent execution statistics.
@@ -122,10 +107,10 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| {
         let mut reg =
             Registry { by_name: DetMap::with_capacity(64), names: Vec::with_capacity(64) };
-        for name in ENGINE_SLOTS {
+        for slot in ENGINE_SLOTS {
             let idx = reg.names.len() as u32;
-            reg.names.push(name);
-            reg.by_name.insert(name, idx);
+            reg.names.push(slot.name);
+            reg.by_name.insert(slot.name, idx);
         }
         Mutex::new(reg)
     })
@@ -426,7 +411,7 @@ mod tests {
         }
         assert!(ENGINE_OUTPUT_SLOTS <= ENGINE_SLOTS.len());
         assert!(
-            ENGINE_SLOTS[ENGINE_OUTPUT_SLOTS..].iter().all(|n| n.starts_with("sim.shard.")),
+            ENGINE_SLOTS[ENGINE_OUTPUT_SLOTS..].iter().all(|n| n.name.starts_with("sim.shard.")),
             "every non-output slot is an execution statistic"
         );
     }

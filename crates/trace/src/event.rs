@@ -1,5 +1,4 @@
-//! The trace event model: ids, kinds, and the canonical dotted-lowercase
-//! name table.
+//! The trace event model: ids and kinds.
 //!
 //! Every event carries a sim-time timestamp (nanoseconds — never wall
 //! clock), the node it happened on, and up to two causal edges:
@@ -13,8 +12,8 @@
 //!   span-end, the original send behind a retransmit.
 //!
 //! Kind names follow the same dotted-lowercase scheme as counter names
-//! (rdv-lint rule D3) and are all listed in [`EVENT_NAMES`], which the
-//! linter parses and validates.
+//! and are all registered as [`crate::names::Kind::Event`] entries of the
+//! one name table, whose unit test validates them.
 
 /// Identifies one recorded event. Ids are dense sequence numbers assigned
 /// in recording order, so they are stable per seed: the same run always
@@ -199,51 +198,6 @@ impl EventKind {
     }
 }
 
-/// Every canonical engine-level event name, in declaration order. rdv-lint
-/// parses this table and checks each entry against the D3 dotted-lowercase
-/// scheme; a unit test asserts [`EventKind::name`] never returns a string
-/// outside it.
-pub const EVENT_NAMES: &[&str] = &[
-    "packet.enqueue",
-    "packet.transmit",
-    "packet.deliver",
-    "packet.drop.bad_port",
-    "packet.drop.link_down",
-    "packet.drop.dead_node",
-    "packet.drop.partition",
-    "packet.drop.loss",
-    "packet.drop.queue_full",
-    "packet.drop.crash",
-    "timer.set",
-    "timer.fire",
-    "timer.drop",
-    "fault.link_state",
-    "fault.loss_override",
-    "fault.partition_on",
-    "fault.partition_off",
-    "fault.crash",
-    "fault.restart",
-    "span.begin",
-    "span.end",
-    "mark",
-];
-
-/// Span and mark labels of the gossip, load, and fabric observability
-/// planes, in declaration order. rdv-lint parses this table (rule D3):
-/// every `gossip.*` / `load.*` / `fabric.*` label passed to `span_begin`
-/// / `span_end` / `mark` / `mark_linked` must appear here, so a typo'd
-/// label fails the lint instead of silently fragmenting a trace join.
-pub const SPAN_LABELS: [&str; 8] = [
-    "gossip.round",
-    "gossip.sync",
-    "gossip.digest",
-    "gossip.delta",
-    "gossip.repair",
-    "load.batch",
-    "load.head_advance",
-    "fabric.storm",
-];
-
 /// The node index used for engine-level events that belong to no node
 /// (fault applications, external schedules).
 pub const ENGINE_NODE: u32 = u32::MAX;
@@ -267,29 +221,7 @@ pub struct TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dotted_lowercase(name: &str) -> bool {
-        !name.is_empty()
-            && name.split('.').all(|seg| {
-                !seg.is_empty()
-                    && seg.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-            })
-    }
-
-    #[test]
-    fn every_event_name_is_dotted_lowercase() {
-        for name in EVENT_NAMES {
-            assert!(dotted_lowercase(name), "event name {name:?} violates the D3 scheme");
-        }
-    }
-
-    #[test]
-    fn event_names_are_unique_and_sorted_by_family() {
-        let mut seen = std::collections::BTreeSet::new();
-        for name in EVENT_NAMES {
-            assert!(seen.insert(*name), "duplicate event name {name:?}");
-        }
-    }
+    use crate::names::{Kind, NAMES};
 
     #[test]
     fn kind_names_all_come_from_the_table() {
@@ -317,30 +249,10 @@ mod tests {
             EventKind::SpanEnd { name: "x.y" },
             EventKind::Mark { name: "x.y", detail: 0 },
         ];
-        for kind in kinds {
-            assert!(
-                EVENT_NAMES.contains(&kind.name()),
-                "{:?} names itself {:?}, which is not in EVENT_NAMES",
-                kind,
-                kind.name()
-            );
-        }
-        assert_eq!(kinds.len(), EVENT_NAMES.len(), "EVENT_NAMES has entries no kind produces");
-    }
-
-    #[test]
-    fn span_labels_are_dotted_lowercase_unique_and_scoped() {
-        let mut seen = std::collections::BTreeSet::new();
-        for label in SPAN_LABELS {
-            assert!(dotted_lowercase(label), "span label {label:?} violates the D3 scheme");
-            assert!(seen.insert(label), "duplicate span label {label:?}");
-            assert!(
-                label.starts_with("gossip.")
-                    || label.starts_with("load.")
-                    || label.starts_with("fabric."),
-                "registry covers the gossip/load/fabric planes only, got {label:?}"
-            );
-        }
+        let table: Vec<&str> =
+            NAMES.iter().filter(|n| n.kind == Kind::Event).map(|n| n.name).collect();
+        let produced: Vec<&str> = kinds.iter().map(EventKind::name).collect();
+        assert_eq!(produced, table, "kind names and the table's events, in declaration order");
     }
 
     #[test]

@@ -37,14 +37,13 @@ mod tracer;
 
 pub mod critical;
 pub mod export;
+pub mod names;
 pub mod ring;
 pub mod sample;
 
 pub use critical::{CriticalPath, PathBreakdown, Segment, CATEGORIES};
 pub use ctx::TraceCtx;
-pub use event::{
-    DropReason, EventId, EventKind, FaultKind, TraceEvent, ENGINE_NODE, EVENT_NAMES, SPAN_LABELS,
-};
+pub use event::{DropReason, EventId, EventKind, FaultKind, TraceEvent, ENGINE_NODE};
 pub use ring::EventRing;
-pub use sample::{SampleSpec, Sampler, OBS_COUNTERS};
+pub use sample::{SampleSpec, Sampler};
 pub use tracer::{Recorder, Tracer, DEFAULT_CAPACITY};

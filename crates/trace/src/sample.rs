@@ -16,12 +16,11 @@
 //! operation root, and only rooted chains are recorded (the engine skips
 //! causeless events, so unsampled operations cost one branch each).
 //!
-//! The sampler's tallies surface as the [`OBS_COUNTERS`] pair so a run
-//! can report its effective sampling rate.
+//! The sampler's tallies surface as the `obs.spans_sampled` /
+//! `obs.spans_skipped` counters so a run can report its effective
+//! sampling rate.
 
-/// Counter names the observability plane emits — D3-validated: every
-/// `obs.*` literal entering the stats API must appear here.
-pub const OBS_COUNTERS: [&str; 2] = ["obs.spans_sampled", "obs.spans_skipped"];
+use crate::names::{is_registered, Kind};
 
 /// Sampling policy: a seed, a default rate, and per-op-class overrides.
 #[derive(Debug, Clone)]
@@ -32,6 +31,7 @@ pub struct SampleSpec {
     /// Keep rate in permille for classes without an override.
     pub default_permille: u16,
     /// `(class, keep-permille)` overrides, e.g. `("gossip.round", 10)`.
+    /// Each class must be a registered label ([`crate::names`]).
     pub classes: Vec<(&'static str, u16)>,
 }
 
@@ -55,7 +55,17 @@ pub struct Sampler {
 
 impl Sampler {
     /// Build a sampler from a spec.
+    ///
+    /// # Panics
+    /// If a class override is not a registered label: a mistyped class
+    /// would otherwise sample silently at the default rate.
     pub fn new(spec: SampleSpec) -> Sampler {
+        for (class, _) in &spec.classes {
+            assert!(
+                is_registered(Kind::Label, class),
+                "sampling class `{class}` is not a registered label (crates/trace/src/names.rs)"
+            );
+        }
         Sampler { spec, sampled: 0, skipped: 0 }
     }
 
@@ -158,11 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn obs_counter_names_are_dotted_lowercase() {
-        for name in OBS_COUNTERS {
-            assert!(name
-                .split('.')
-                .all(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_lowercase() || b == b'_')));
-        }
+    #[should_panic(expected = "sampling class `gossip.rnd` is not a registered label")]
+    fn a_mistyped_class_is_refused() {
+        Sampler::new(SampleSpec { classes: vec![("gossip.rnd", 10)], ..spec() });
+    }
+
+    #[test]
+    fn a_registered_class_is_accepted() {
+        let s = Sampler::new(SampleSpec { classes: vec![("gossip.round", 10)], ..spec() });
+        assert_eq!(s.permille_for("gossip.round"), 10);
     }
 }

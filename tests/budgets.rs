@@ -16,6 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rdv_load::{Blip, LoadFabricSpec, LoadRun, OpenLoopSpec, ReplogSpec};
 use rendezvous::core::runtime::{GasHostConfig, GasHostNode, ScriptStep};
 use rendezvous::core::scenarios::{build_star_fabric, host_link_rack};
 use rendezvous::discovery::scenario::run_discovery;
@@ -101,6 +102,20 @@ const FETCH_ALLOCS: u64 = 36;
 /// flood-deduplicating switches, 30 % of them NACKed and re-broadcast. It
 /// reads 24.5 today.
 const DISCOVERY_ALLOCS_PER_ACCESS: f64 = 25.0;
+
+/// Allocations one more completed batch of the gossip shape may cost: the
+/// batch, its trip through the switch and the holder, and the share of
+/// anti-entropy rounds the 29 bystanders run meanwhile. It reads 62.4
+/// today; 1.6 is margin.
+const GOSSIP_ALLOCS_PER_OP: f64 = 64.0;
+
+/// Engine events per extra completed batch of the gossip shape. It reads
+/// 30.2 today.
+const GOSSIP_EVENTS_PER_OP: f64 = 31.0;
+
+/// Timers fired per extra completed batch of the gossip shape. It reads
+/// 14.1 today.
+const GOSSIP_TIMERS_PER_OP: f64 = 14.5;
 
 #[test]
 fn one_fetch_costs_two_image_copies_and_one_serve_timer() {
@@ -192,5 +207,71 @@ fn a_stale_access_costs_a_bounded_number_of_allocations() {
         per_access <= DISCOVERY_ALLOCS_PER_ACCESS,
         "one more Figure 3 access made {per_access:.2} allocations \
          (budget {DISCOVERY_ALLOCS_PER_ACCESS})"
+    );
+}
+
+/// Counts of one `gossip_256`-shaped run.
+struct GossipRun {
+    allocs: u64,
+    events: u64,
+    timers: u64,
+    completions: u64,
+}
+
+/// One `gossip_256`-shaped run: the replicated log through a blip on the
+/// small fabric, with 29 bystanders in anti-entropy every 40 µs, open for
+/// `open_ms` (the inputs of the benchmark's composition-equivalence test).
+fn gossip_run(open_ms: u64) -> GossipRun {
+    let replog = ReplogSpec::small();
+    let mut open = OpenLoopSpec::flat(1000, replog.heads, 400_000, SimTime::from_millis(open_ms));
+    open.zipf_skew_permille = 900;
+    let blip = Blip {
+        at: SimTime::from_micros(300),
+        dur: SimTime::from_micros(200),
+        partition_holder: Some(0),
+        crash_holder: Some(1),
+    };
+    let fabric = LoadFabricSpec {
+        shards: 1,
+        bystanders: 29,
+        gossip_period: Some(SimTime::from_micros(40)),
+        ..LoadFabricSpec::small()
+    };
+    let before = snapshot().0;
+    let run = LoadRun::execute(&fabric, &open, &replog, Some(&blip), 13, false);
+    let allocs = snapshot().0 - before;
+    assert_eq!(run.failed, 0, "every batch completed");
+    GossipRun {
+        allocs,
+        events: run.counters.get("sim.events"),
+        timers: run.counters.get("sim.timers"),
+        completions: run.completions.len() as u64,
+    }
+}
+
+#[test]
+fn a_gossip_op_costs_a_bounded_number_of_allocations_events_and_timers() {
+    // Two runs that differ only in how long the log stays open: set-up and
+    // the blip cancel, and what is left is the marginal cost of one more
+    // completed batch with the anti-entropy running underneath it.
+    let (small, large) = (gossip_run(1), gossip_run(2));
+    let per_op = |count: fn(&GossipRun) -> u64| {
+        (count(&large) - count(&small)) as f64 / (large.completions - small.completions) as f64
+    };
+    let allocs = per_op(|r| r.allocs);
+    let events = per_op(|r| r.events);
+    let timers = per_op(|r| r.timers);
+    assert!(
+        allocs <= GOSSIP_ALLOCS_PER_OP,
+        "one more gossip-shape completion made {allocs:.2} allocations \
+         (budget {GOSSIP_ALLOCS_PER_OP})"
+    );
+    assert!(
+        events <= GOSSIP_EVENTS_PER_OP,
+        "one more gossip-shape completion cost {events:.2} events (budget {GOSSIP_EVENTS_PER_OP})"
+    );
+    assert!(
+        timers <= GOSSIP_TIMERS_PER_OP,
+        "one more gossip-shape completion fired {timers:.2} timers (budget {GOSSIP_TIMERS_PER_OP})"
     );
 }
