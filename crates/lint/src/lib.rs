@@ -158,14 +158,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
         for sub in ["src", "tests", "benches"] {
             let dir = root.join("crates").join(krate).join(sub);
             if dir.is_dir() {
-                lint_dir(root, &dir, &cfg, rules::lint_source, &mut diags)?;
+                lint_dir(root, &dir, &cfg, false, &mut diags)?;
             }
         }
     }
     for rel in READ_SIDE_DIRS {
         let dir = root.join(rel);
         if dir.is_dir() {
-            lint_dir(root, &dir, &cfg, rules::lint_names, &mut diags)?;
+            lint_dir(root, &dir, &cfg, true, &mut diags)?;
         }
     }
 
@@ -254,13 +254,13 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Recursively run `lint` over the `.rs` files under `dir`, in sorted
-/// path order.
+/// Recursively lint the `.rs` files under `dir`, in sorted path order:
+/// every per-file rule, or with `d3_only` just D3.
 fn lint_dir(
     root: &Path,
     dir: &Path,
     cfg: &LintConfig,
-    lint: fn(&str, &str, &LintConfig) -> Vec<Diagnostic>,
+    d3_only: bool,
     diags: &mut Vec<Diagnostic>,
 ) -> io::Result<()> {
     let mut entries: Vec<PathBuf> =
@@ -268,11 +268,11 @@ fn lint_dir(
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            lint_dir(root, &path, cfg, lint, diags)?;
+            lint_dir(root, &path, cfg, d3_only, diags)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
             let src = fs::read_to_string(&path)?;
-            diags.extend(lint(&rel, &src, cfg));
+            diags.extend(rules::lint_file(&rel, &src, cfg, d3_only));
         }
     }
     Ok(())

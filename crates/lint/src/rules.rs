@@ -102,8 +102,7 @@ fn d3_rule(kind: Kind) -> (&'static str, &'static str, &'static str) {
     match kind {
         Kind::Counter => ("D3/counter-name", "counter-name", "counter"),
         Kind::Gauge => ("D3/gauge-name", "gauge-name", "gauge"),
-        Kind::Label => ("D3/event-name", "event-name", "span label"),
-        Kind::Event => ("D3/event-name", "event-name", "trace event"),
+        Kind::Label | Kind::Event => ("D3/event-name", "event-name", "span label"),
     }
 }
 
@@ -222,16 +221,12 @@ fn seq_at(code: &[&Token], i: usize, pat: &[&str]) -> bool {
 
 /// Run D1–D3 and D5–D6 (plus allow-comment syntax checking) over one file.
 pub fn lint_source(file: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
-    lint_file(file, src, cfg, true)
-}
-
-/// Run only D3 (plus allow-comment syntax checking) over one file: for
-/// code outside the deterministic crates that reads names back.
-pub fn lint_names(file: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
     lint_file(file, src, cfg, false)
 }
 
-fn lint_file(file: &str, src: &str, cfg: &LintConfig, all_rules: bool) -> Vec<Diagnostic> {
+/// [`lint_source`], or with `d3_only` just D3 and allow-comment syntax: for
+/// code outside the deterministic crates that reads names back.
+pub(crate) fn lint_file(file: &str, src: &str, cfg: &LintConfig, d3_only: bool) -> Vec<Diagnostic> {
     let tokens = tokenize(src);
     let mut diags = Vec::new();
     let allow = collect_allows(file, &tokens, &mut diags);
@@ -250,7 +245,7 @@ fn lint_file(file: &str, src: &str, cfg: &LintConfig, all_rules: bool) -> Vec<Di
                 push(&mut diags, &allow, file, arg.line, rule, category, message);
             }
         }
-        if !all_rules {
+        if d3_only {
             continue;
         }
         let t = code[i];

@@ -5,7 +5,7 @@ use rdv_lint::rules::{
     enum_variants_in, lint_enum_parity, lint_handler_parity, lint_source, LintConfig, ParityTarget,
 };
 use rdv_lint::{lint_workspace, to_json, Diagnostic};
-use rdv_trace::names::{Kind, Name, NAMES};
+use rdv_trace::names::{is_registered, Kind, Name, NAMES};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -36,6 +36,11 @@ fn stub_cfg() -> LintConfig {
         name("fabric.storm", Kind::Label),
     ];
     LintConfig { names: STUB }
+}
+
+/// The D3 message for a well-formed name the table lacks, with its fix hint.
+fn unregistered(noun: &str) -> String {
+    format!("is not a registered {noun}; add it to NAMES in crates/trace/src/names.rs")
 }
 
 /// (line, rule) pairs, in output order.
@@ -92,7 +97,7 @@ fn d3_enforces_name_scheme_and_sim_registry() {
         "good names (lines 8–9) and the allowed legacy name (line 11) must pass; \
          got: {diags:#?}"
     );
-    assert!(diags[3].message.contains("not a registered counter"));
+    assert!(diags[3].message.contains(&unregistered("counter")));
 }
 
 #[test]
@@ -126,7 +131,7 @@ fn d3_enforces_gauge_name_scheme_and_registry() {
          (line 12) must pass; got: {diags:#?}"
     );
     assert!(diags[0].message.contains("dotted lowercase"));
-    assert!(diags[3].message.contains("not a registered gauge"));
+    assert!(diags[3].message.contains(&unregistered("gauge")));
 }
 
 #[test]
@@ -149,8 +154,8 @@ fn d3_covers_the_sharded_engine_names() {
         vec![(3, "D3/counter-name"), (4, "D3/gauge-name")],
         "registered shard names (lines 5–9) must pass; got: {diags:#?}"
     );
-    assert!(diags[0].message.contains("not a registered counter"));
-    assert!(diags[1].message.contains("not a registered gauge"));
+    assert!(diags[0].message.contains(&unregistered("counter")));
+    assert!(diags[1].message.contains(&unregistered("gauge")));
 }
 
 #[test]
@@ -161,7 +166,7 @@ fn d3_enforces_load_counter_registry() {
         vec![(3, "D3/counter-name"), (4, "D3/counter-name")],
         "registered names (lines 5–7) and the allowed shim (line 9) must pass; got: {diags:#?}"
     );
-    assert!(diags[0].message.contains("not a registered counter"));
+    assert!(diags[0].message.contains(&unregistered("counter")));
     assert!(diags[1].message.contains("dotted lowercase"));
 }
 
@@ -180,9 +185,9 @@ fn d3_enforces_obs_flight_and_span_label_registries() {
         "registered names (lines 10–15), the unscoped discovery label (line 16), and \
          the allowed shims (lines 17–20) must pass; got: {diags:#?}"
     );
-    assert!(diags[0].message.contains("not a registered counter"));
-    assert!(diags[1].message.contains("not a registered counter"));
-    assert!(diags[2].message.contains("not a registered span label"));
+    assert!(diags[0].message.contains(&unregistered("counter")));
+    assert!(diags[1].message.contains(&unregistered("counter")));
+    assert!(diags[2].message.contains(&unregistered("span label")));
 }
 
 #[test]
@@ -201,8 +206,39 @@ fn d3_checks_the_runtime_discovery_controller_and_transport_names() {
         "registered names (lines 10–16), an undotted counter (line 17) and a label in a \
          namespace the table has no labels in (line 18) must pass; got: {diags:#?}"
     );
-    assert!(diags[0].message.contains("not a registered span label"));
-    assert!(diags[4].message.contains("not a registered counter"));
+    assert!(diags[0].message.contains(&unregistered("span label")));
+    assert!(diags[4].message.contains(&unregistered("counter")));
+}
+
+/// The code that reads names back (figures, root tests, examples) gets D3
+/// and nothing else: a mistyped counter there fires, a `HashMap` does not.
+#[test]
+fn read_side_dirs_get_d3_only() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("read_side_workspace");
+    let _ = std::fs::remove_dir_all(&root);
+    let src = "use std::collections::HashMap;\n\
+               fn timers(counters: &Counters, _seen: HashMap<u64, u64>) -> u64 {\n    \
+               counters.get(\"sim.timerz\")\n}\n";
+    let read_side = ["crates/bench/src/figure.rs", "examples/demo.rs", "tests/budgets.rs"];
+    for rel in read_side {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, src).unwrap();
+    }
+    // The D4/D7 targets are absent from this tree; only the read side counts.
+    let diags: Vec<Diagnostic> = lint_workspace(&root)
+        .expect("workspace walk")
+        .into_iter()
+        .filter(|d| read_side.contains(&d.file.as_str()))
+        .collect();
+    let found: Vec<(&str, usize, &str)> =
+        diags.iter().map(|d| (d.file.as_str(), d.line, d.rule.as_str())).collect();
+    assert_eq!(
+        found,
+        read_side.map(|f| (f, 3, "D3/counter-name")),
+        "each read-side file gets the D3 typo and no D1; got: {diags:#?}"
+    );
+    assert!(diags[0].message.contains(&unregistered("counter")));
 }
 
 #[test]
@@ -325,6 +361,47 @@ fn malformed_allow_comments_are_diagnostics() {
 fn clean_fixture_has_zero_findings() {
     let diags = lint_source("clean.rs", &fixture("clean.rs"), &stub_cfg());
     assert!(diags.is_empty(), "strings/comments must never fire: {diags:#?}");
+}
+
+/// The observability names the engine and protocol planes emit are in the
+/// table. `obs.*` and `flight.*` hold only these, so dropping them would
+/// also switch D3 off for their namespaces; this breaks first.
+#[test]
+fn real_registries_carry_the_observability_names() {
+    for name in ["gossip.round", "gossip.sync", "load.batch", "load.head_advance", "fabric.storm"] {
+        assert!(is_registered(Kind::Label, name), "label {name} missing from NAMES");
+    }
+    for name in ["obs.spans_sampled", "obs.spans_skipped", "flight.dumps", "flight.events"] {
+        assert!(is_registered(Kind::Counter, name), "counter {name} missing from NAMES");
+    }
+}
+
+/// The load-plane counters the harness emits are in the table; they are
+/// the whole `load.*` counter namespace.
+#[test]
+fn real_registry_carries_the_load_counters() {
+    for name in [
+        "load.arrivals",
+        "load.batches",
+        "load.entries",
+        "load.completions",
+        "load.failures",
+        "load.churn_joins",
+        "load.churn_leaves",
+    ] {
+        assert!(is_registered(Kind::Counter, name), "counter {name} missing from NAMES");
+    }
+}
+
+/// The shard names the sharded engine emits are in the table.
+#[test]
+fn real_registries_carry_the_shard_names() {
+    for name in ["sim.shard.windows", "sim.shard.xshard_packets", "sim.shard.worker_spawns"] {
+        assert!(is_registered(Kind::Counter, name), "counter {name} missing from NAMES");
+    }
+    for name in ["shard.queue_events", "shard.clock_ns"] {
+        assert!(is_registered(Kind::Gauge, name), "gauge {name} missing from NAMES");
+    }
 }
 
 /// The acceptance criterion: the migrated workspace itself lints clean.
