@@ -274,7 +274,7 @@ impl Node for F7Host {
     }
 
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
-        let Ok(msg) = Msg::decode(&packet.payload) else { return };
+        let Ok(msg) = Msg::decode_bytes(&packet.payload) else { return };
         match &msg.body {
             MsgBody::GossipDigest { .. } | MsgBody::GossipDelta { .. } => {
                 if let Some(sync) = self.sync.as_mut() {

@@ -843,7 +843,7 @@ impl Node for HostNode {
     }
 
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
-        let Ok(msg) = Msg::decode(&packet.payload) else {
+        let Ok(msg) = Msg::decode_bytes(&packet.payload) else {
             self.counters.inc_id(ctr().decode_errors);
             return;
         };

@@ -12,6 +12,7 @@
 //! as its final value under the winner's origin, and merging the sender's
 //! version vector records the dominated sequences as covered.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use rdv_crdt::sorted::{decode_pairs, max_into};
@@ -71,10 +72,10 @@ pub struct Digest {
     pub members_fp: u64,
 }
 
-impl Digest {
-    fn seen(&self, replica: u64) -> u64 {
-        self.vv.binary_search_by_key(&replica, |e| e.0).map_or(0, |at| self.vv[at].1)
-    }
+/// The max origin sequence of `replica` that the version vector `vv`
+/// (ascending by replica) has incorporated.
+fn seen(vv: &[(u64, u64)], replica: u64) -> u64 {
+    vv.binary_search_by_key(&replica, |e| e.0).map_or(0, |at| vv[at].1)
 }
 
 impl Encode for Digest {
@@ -158,10 +159,11 @@ pub struct Journal {
     /// Shared with the deltas that ship it; copied on the next write only
     /// while one of those is still alive.
     members: Arc<OrSet<u128>>,
-    /// Always `orset_fingerprint(&members)`: refreshed wherever `members`
-    /// can change (join, leave, an apply whose merge learned something), so
-    /// digests and delta decisions read it instead of re-hashing the set.
-    members_fp: u64,
+    /// `orset_fingerprint(&members)` once read since `members` last changed.
+    /// A join, a leave or an apply whose merge learned something clears
+    /// it; the next digest, delta or `is_ahead_of` hashes the set again, so
+    /// a burst of learning merges between two rounds costs one hash.
+    members_fp: Cell<Option<u64>>,
     /// `(replica, max origin sequence incorporated)`, ascending by replica.
     vv: Vec<(u64, u64)>,
 }
@@ -176,7 +178,7 @@ impl Journal {
             last_stamp: 0,
             holders: DetMap::new(),
             members: Arc::default(),
-            members_fp: orset_fingerprint(&OrSet::new()),
+            members_fp: Cell::new(None),
             vv: Vec::new(),
         }
     }
@@ -258,13 +260,13 @@ impl Journal {
     /// Add `inbox` to the membership OR-set.
     pub fn join_member(&mut self, inbox: ObjId) {
         Arc::make_mut(&mut self.members).add(self.replica, inbox.as_u128());
-        self.members_fp = orset_fingerprint(&self.members);
+        self.members_fp.set(None);
     }
 
     /// Remove `inbox` from the membership OR-set (add-wins on races).
     pub fn leave_member(&mut self, inbox: ObjId) {
         Arc::make_mut(&mut self.members).remove(&inbox.as_u128());
-        self.members_fp = orset_fingerprint(&self.members);
+        self.members_fp.set(None);
     }
 
     /// Whether `inbox` is a current member.
@@ -277,33 +279,57 @@ impl Journal {
         self.members.len()
     }
 
-    /// Fingerprint of the membership OR-set alone (the digest field).
+    /// Fingerprint of the membership OR-set alone (the digest field),
+    /// hashed on the first read after a change and kept until the next.
     pub fn members_fingerprint(&self) -> u64 {
-        self.members_fp
+        self.members_fp.get().unwrap_or_else(|| {
+            let fp = orset_fingerprint(&self.members);
+            self.members_fp.set(Some(fp));
+            fp
+        })
+    }
+
+    /// Whether our live members are element for element those of
+    /// `shipped`: what comparing the two sets' fingerprints answers,
+    /// without hashing either.
+    pub(crate) fn members_match(&self, shipped: &OrSet<u128>) -> bool {
+        self.members.len() == shipped.len() && self.members.iter().eq(shipped.iter())
     }
 
     /// The digest (version vector + membership fingerprint) for the first
     /// leg of an anti-entropy exchange.
     pub fn digest(&self) -> Digest {
-        Digest { vv: self.vv.clone(), members_fp: self.members_fp }
+        Digest { vv: self.vv.clone(), members_fp: self.members_fingerprint() }
     }
 
     /// Whether this journal holds anything `theirs` is missing.
     pub fn is_ahead_of(&self, theirs: &Digest) -> bool {
-        self.holders.values().any(|e| e.origin.1 > theirs.seen(e.origin.0))
-            || self.members_fp != theirs.members_fp
+        self.holds_unseen(&theirs.vv) || self.members_fingerprint() != theirs.members_fp
+    }
+
+    /// Whether some holder fact has an origin the version vector `vv` has
+    /// not incorporated.
+    pub(crate) fn holds_unseen(&self, vv: &[(u64, u64)]) -> bool {
+        self.holders.values().any(|e| e.origin.1 > seen(vv, e.origin.0))
     }
 
     /// The entries `theirs` is missing, as a delta ready to ship.
     pub fn delta_since(&self, theirs: &Digest, want_reply: bool) -> Delta {
+        let members = self.members_fingerprint() != theirs.members_fp;
+        self.delta_for(&theirs.vv, members, want_reply)
+    }
+
+    /// The entries a peer at version vector `vv` is missing, with the full
+    /// membership set when `members` is set.
+    pub(crate) fn delta_for(&self, vv: &[(u64, u64)], members: bool, want_reply: bool) -> Delta {
         let mut entries: Vec<(u128, LwwRegister<HolderFact>, Origin)> = self
             .holders
             .iter()
-            .filter(|(_, e)| e.origin.1 > theirs.seen(e.origin.0))
+            .filter(|(_, e)| e.origin.1 > seen(vv, e.origin.0))
             .map(|(obj, e)| (*obj, e.fact.clone(), e.origin))
             .collect();
         entries.sort_unstable_by_key(|(obj, _, _)| *obj);
-        let members = (self.members_fp != theirs.members_fp).then(|| Arc::clone(&self.members));
+        let members = members.then(|| Arc::clone(&self.members));
         Delta { vv: self.vv.clone(), entries, members, want_reply }
     }
 
@@ -344,11 +370,12 @@ impl Journal {
         }
         if let Some(members) = &delta.members {
             // `join` only reads until it finds something new and says
-            // whether it did: a redundant set costs three walks, no re-hash.
+            // whether it did: a redundant set costs three walks. A set that
+            // taught us something is hashed at the next read, not here.
             if !Arc::ptr_eq(&self.members, members)
                 && Arc::make_mut(&mut self.members).join(members)
             {
-                self.members_fp = orset_fingerprint(&self.members);
+                self.members_fp.set(None);
             }
         }
         max_into(&mut self.vv, &delta.vv);
@@ -385,18 +412,38 @@ impl std::ops::Index<&u128> for Journal {
 /// Canonical fingerprint of an OR-set of inboxes: FNV-1a over the live
 /// elements' little-endian bytes, in element order.
 pub fn orset_fingerprint(set: &OrSet<u128>) -> u64 {
-    set.iter().fold(FNV_OFFSET, |h, e| fnv1a(h, &e.to_le_bytes()))
+    set.iter().fold(FNV_OFFSET, |h, e| fnv1a_u128(h, *e))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=16`.
+const FNV_PRIME_POW: [u64; 17] = {
+    let mut pow = [1u64; 17];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 /// Continue the FNV-1a hash `h` over `bytes`.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// `fnv1a(h, &e.to_le_bytes())`, with the high zero bytes folded: a zero
+/// byte's xor is a no-op, so `k` of them are one multiply by `FNV_PRIME^k`.
+/// An inbox ID's top twelve bytes are zero, which leaves four byte steps.
+fn fnv1a_u128(h: u64, e: u128) -> u64 {
+    let zeros = e.leading_zeros() as usize / 8;
+    fnv1a(h, &e.to_le_bytes()[..16 - zeros]).wrapping_mul(FNV_PRIME_POW[zeros])
 }
 
 #[cfg(test)]
@@ -534,6 +581,34 @@ mod tests {
 
         // Idempotent: nothing else crosses the cutoff.
         assert_eq!(a.expire_tombstones(1_000, 500), 0);
+    }
+
+    #[test]
+    fn folded_hash_equals_the_byte_loop() {
+        let mut values = vec![0, 1, 0xFF, 0x100, 1 << 127, u128::MAX];
+        for base in [0x10AD_0000u128, 0x10AD_8000, 0x10AD_A000] {
+            values.extend([base, base + 1, base + 0x7F, base + 0x1FFF]);
+        }
+        // splitmix64, two draws per full-width value.
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..256 {
+            let wide = (u128::from(next()) << 64) | u128::from(next());
+            // Every width from 0 to 16 significant bytes.
+            values.extend([wide, wide >> (wide % 128)]);
+        }
+        let (mut folded, mut looped) = (FNV_OFFSET, FNV_OFFSET);
+        for v in values {
+            assert_eq!(fnv1a_u128(FNV_OFFSET, v), fnv1a(FNV_OFFSET, &v.to_le_bytes()), "{v:#x}");
+            folded = fnv1a_u128(folded, v);
+            looped = fnv1a(looped, &v.to_le_bytes());
+            assert_eq!(folded, looped, "chained through {v:#x}");
+        }
     }
 
     #[test]

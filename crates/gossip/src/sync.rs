@@ -16,14 +16,16 @@
 //!    empty, because the reply doubles as the liveness ack that keeps the
 //!    relay path trusted.
 //! 3. A applies, and answers with a reciprocal delta only if B's version
-//!    vector shows B behind (`want_reply` stops the ping-pong there).
+//!    vector shows B behind, or B's shipped membership set differs from
+//!    A's joined one (`want_reply` stops the ping-pong there).
 
 use rdv_memproto::msg::{Msg, MsgBody};
+use rdv_memproto::Bytes;
 use rdv_netsim::stats::{CounterId, Counters};
 use rdv_netsim::SimTime;
 use rdv_objspace::ObjId;
 
-use crate::journal::{orset_fingerprint, Delta, Digest, Journal};
+use crate::journal::{Delta, Digest, Journal};
 use crate::path::{PeerPath, Route};
 
 /// Pacing and fallback knobs for the round machine.
@@ -145,7 +147,7 @@ impl GossipSync {
         counters.inc_id(ctr().rounds);
         let round = self.round;
         self.round += 1;
-        let digest = rdv_wire::encode_to_vec(&self.journal.digest());
+        let digest = Bytes::from(rdv_wire::encode_to_vec(&self.journal.digest()));
         let mut out = Vec::new();
         for k in 0..self.cfg.fanout.min(self.peers.len()) {
             let idx = ((round as usize) * self.cfg.fanout + k) % self.peers.len();
@@ -207,7 +209,7 @@ impl GossipSync {
                     MsgBody::GossipDelta {
                         round: *round,
                         target: msg.header.src,
-                        data: rdv_wire::encode_to_vec(&delta),
+                        data: rdv_wire::encode_to_vec(&delta).into(),
                     },
                 )]
             }
@@ -226,7 +228,6 @@ impl GossipSync {
                 let Ok(delta) = rdv_wire::decode_from_slice::<Delta>(data) else {
                     return Vec::new();
                 };
-                let their_members_fp = delta.members.as_deref().map(orset_fingerprint);
                 let applied = self.journal.apply(&delta);
                 counters.add_id(ctr().entries_applied, applied as u64);
                 if let Some(path) = self.peers.iter_mut().find(|p| p.peer == msg.header.src) {
@@ -235,19 +236,20 @@ impl GossipSync {
                 if !delta.want_reply {
                     return Vec::new();
                 }
-                // Reciprocate only if their version vector shows them
-                // behind. Their membership fingerprint is the one of the
-                // set they shipped (their full state); if they shipped
-                // none, the fingerprints matched at digest time.
-                let theirs = Digest {
-                    vv: delta.vv,
-                    members_fp: their_members_fp
-                        .unwrap_or_else(|| self.journal.members_fingerprint()),
-                };
-                if !self.journal.is_ahead_of(&theirs) {
+                // Reciprocate only if they are behind: their version vector
+                // lacks an origin we hold, or the set they shipped (their
+                // full state, sent because the fingerprints differed) is not
+                // element for element our joined one. If they shipped none,
+                // the fingerprints matched at digest time and the apply left
+                // our set as it was.
+                let members = delta
+                    .members
+                    .as_deref()
+                    .is_some_and(|theirs| !self.journal.members_match(theirs));
+                if !members && !self.journal.holds_unseen(&delta.vv) {
                     return Vec::new();
                 }
-                let reply = self.journal.delta_since(&theirs, false);
+                let reply = self.journal.delta_for(&delta.vv, members, false);
                 counters.inc_id(ctr().deltas_sent);
                 vec![Msg::new(
                     msg.header.src,
@@ -255,7 +257,7 @@ impl GossipSync {
                     MsgBody::GossipDelta {
                         round: *round,
                         target: msg.header.src,
-                        data: rdv_wire::encode_to_vec(&reply),
+                        data: rdv_wire::encode_to_vec(&reply).into(),
                     },
                 )]
             }

@@ -35,6 +35,9 @@ pub mod frag;
 pub mod msg;
 pub mod transport;
 
+/// The shared byte buffer of [`MsgBody`]'s payload fields that can stay a
+/// view of the arrived packet (a fragment's body, a gossip frame).
+pub use bytes::Bytes;
 pub use cache::{CacheState, ObjectCache};
 pub use coherence::{DirAction, Directory};
 pub use frag::{Fragment, Reassembler, DEFAULT_MTU};

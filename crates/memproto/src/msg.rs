@@ -182,8 +182,9 @@ pub enum MsgBody {
         round: u64,
         /// The gossip peer this digest is ultimately for.
         target: ObjId,
-        /// Encoded `rdv_gossip::Digest`.
-        data: Vec<u8>,
+        /// Encoded `rdv_gossip::Digest` (after [`Msg::decode_bytes`], a
+        /// view of the arrived packet).
+        data: Bytes,
     },
     /// Journal-synchronized discovery: anti-entropy delta — the holder
     /// facts a digest showed missing, merged CRDT-wise at `target`.
@@ -192,8 +193,9 @@ pub enum MsgBody {
         round: u64,
         /// The gossip peer this delta is ultimately for.
         target: ObjId,
-        /// Encoded `rdv_gossip::Delta`.
-        data: Vec<u8>,
+        /// Encoded `rdv_gossip::Delta` (after [`Msg::decode_bytes`], a
+        /// view of the arrived packet).
+        data: Bytes,
     },
     /// Rendezvous invocation request: run code object `code` with the
     /// destination object as its primary argument (see `rdv-core`).
@@ -402,7 +404,8 @@ impl MsgBody {
 
     /// Decode body fields for `msg_type`. `share` turns a byte range of
     /// `r`'s buffer into owned bytes — a copy, or a view of the packet —
-    /// for the one field that is kept as [`Bytes`], a fragment's body.
+    /// for the one field a body keeps as [`Bytes`]: a fragment's body, or
+    /// a gossip digest or delta.
     fn decode_fields(
         msg_type: u8,
         r: &mut WireReader<'_>,
@@ -457,16 +460,17 @@ impl MsgBody {
                 MsgBody::DiscoverResp { req: r.get_uvarint()?, holder_inbox: ObjId::decode(r)? }
             }
             0x12 => MsgBody::Advertise { obj: ObjId::decode(r)? },
-            0x13 => MsgBody::GossipDigest {
-                round: r.get_uvarint()?,
-                target: ObjId::decode(r)?,
-                data: r.get_len_prefixed(MAX)?.to_vec(),
-            },
-            0x14 => MsgBody::GossipDelta {
-                round: r.get_uvarint()?,
-                target: ObjId::decode(r)?,
-                data: r.get_len_prefixed(MAX)?.to_vec(),
-            },
+            0x13 | 0x14 => {
+                let round = r.get_uvarint()?;
+                let target = ObjId::decode(r)?;
+                let len = r.get_len_prefixed(MAX)?.len();
+                let data = share(r.position() - len..r.position());
+                if msg_type == 0x13 {
+                    MsgBody::GossipDigest { round, target, data }
+                } else {
+                    MsgBody::GossipDelta { round, target, data }
+                }
+            }
             0x20 => MsgBody::Invoke {
                 req: r.get_uvarint()?,
                 code: ObjId::decode(r)?,
@@ -622,8 +626,8 @@ mod tests {
             MsgBody::DiscoverReq { req: n },
             MsgBody::DiscoverResp { req: n, holder_inbox: obj },
             MsgBody::Advertise { obj },
-            MsgBody::GossipDigest { round: n, target: obj, data: data.clone() },
-            MsgBody::GossipDelta { round: n, target: obj, data: data.clone() },
+            MsgBody::GossipDigest { round: n, target: obj, data: data.clone().into() },
+            MsgBody::GossipDelta { round: n, target: obj, data: data.clone().into() },
             MsgBody::Invoke { req: n, code: obj, args: vec![ObjId(1), obj] },
             MsgBody::InvokeResult { req: n, result: data.clone() },
             MsgBody::RelData { seq: n, ack: n / 2, inner: data },
@@ -780,6 +784,30 @@ mod tests {
                 assert!(!inside(&frag.data), "the slice decoder copies")
             }
             other => panic!("wrong body {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_decoded_gossip_frame_is_a_view_of_the_packet() {
+        let frame = Bytes::from(vec![0x5A; 300]);
+        for body in [
+            MsgBody::GossipDigest { round: 3, target: ObjId(9), data: frame.clone() },
+            MsgBody::GossipDelta { round: 3, target: ObjId(9), data: frame.clone() },
+        ] {
+            let packet = Bytes::from(Msg::new(ObjId(1), ObjId(2), body).encode());
+            let inside = |data: &Bytes| crate::frag::tests::within(data, &packet);
+            match Msg::decode_bytes(&packet).unwrap().body {
+                MsgBody::GossipDigest { data, .. } | MsgBody::GossipDelta { data, .. } => {
+                    assert!(data == frame && inside(&data))
+                }
+                other => panic!("wrong body {other:?}"),
+            }
+            match Msg::decode(&packet).unwrap().body {
+                MsgBody::GossipDigest { data, .. } | MsgBody::GossipDelta { data, .. } => {
+                    assert!(data == frame && !inside(&data), "the slice decoder copies")
+                }
+                other => panic!("wrong body {other:?}"),
+            }
         }
     }
 

@@ -46,6 +46,7 @@ impl WireWriter {
     }
 
     /// Write a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -61,11 +62,13 @@ impl WireWriter {
     }
 
     /// Write a little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write a little-endian `u128` (object IDs).
+    #[inline]
     pub fn put_u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -81,6 +84,7 @@ impl WireWriter {
     }
 
     /// Write a LEB128 varint.
+    #[inline]
     pub fn put_uvarint(&mut self, v: u64) {
         varint::write_uvarint(&mut self.buf, v);
     }
@@ -91,6 +95,7 @@ impl WireWriter {
     }
 
     /// Write raw bytes verbatim (no length prefix).
+    #[inline]
     pub fn put_bytes(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
     }
@@ -116,11 +121,13 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes remaining to be read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Absolute read position.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
@@ -130,6 +137,7 @@ impl<'a> WireReader<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(WireError::UnexpectedEof { needed: n, available: self.remaining() });
@@ -140,6 +148,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> WireResult<u8> {
         Ok(self.take(1)?[0])
     }
@@ -157,6 +166,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> WireResult<u64> {
         let b = self.take(8)?;
         let mut arr = [0u8; 8];
@@ -165,6 +175,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read a little-endian `u128`.
+    #[inline]
     pub fn get_u128(&mut self) -> WireResult<u128> {
         let b = self.take(16)?;
         let mut arr = [0u8; 16];
@@ -183,6 +194,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read a LEB128 varint.
+    #[inline]
     pub fn get_uvarint(&mut self) -> WireResult<u64> {
         let (v, n) = varint::read_uvarint(&self.buf[self.pos..])?;
         self.pos += n;
@@ -214,6 +226,7 @@ impl<'a> WireReader<'a> {
     /// take at least `min_entry_bytes` on the wire. A count the remaining
     /// bytes cannot hold is rejected here, before anything is reserved for
     /// it, so a hostile prefix never sizes an allocation.
+    #[inline]
     pub fn get_count(&mut self, min_entry_bytes: usize) -> WireResult<usize> {
         let n = self.get_uvarint()?;
         let available = self.remaining();

@@ -51,6 +51,7 @@ pub fn decode_from_slice<T: Decode>(data: &[u8]) -> WireResult<T> {
 macro_rules! impl_fixed {
     ($ty:ty, $put:ident, $get:ident, $len:expr) => {
         impl Encode for $ty {
+            #[inline]
             fn encode(&self, w: &mut WireWriter) {
                 w.$put(*self);
             }
@@ -59,6 +60,7 @@ macro_rules! impl_fixed {
             }
         }
         impl Decode for $ty {
+            #[inline]
             fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
                 r.$get()
             }
@@ -76,6 +78,7 @@ impl_fixed!(f64, put_f64, get_f64, 8);
 // u64 and signed types ride varints: most values in this system are small
 // (offsets, counts, sim timestamps), so varints dominate fixed width.
 impl Encode for u64 {
+    #[inline]
     fn encode(&self, w: &mut WireWriter) {
         w.put_uvarint(*self);
     }
@@ -84,6 +87,7 @@ impl Encode for u64 {
     }
 }
 impl Decode for u64 {
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         r.get_uvarint()
     }

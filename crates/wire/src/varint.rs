@@ -10,6 +10,7 @@ use crate::error::{WireError, WireResult};
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Append the LEB128 encoding of `value` to `out`. Returns bytes written.
+#[inline]
 pub fn write_uvarint(out: &mut Vec<u8>, mut value: u64) -> usize {
     let mut n = 0;
     loop {
@@ -27,6 +28,7 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut value: u64) -> usize {
 /// Decode a LEB128 `u64` from the front of `input`.
 ///
 /// Returns the value and the number of bytes consumed.
+#[inline]
 pub fn read_uvarint(input: &[u8]) -> WireResult<(u64, usize)> {
     let mut value: u64 = 0;
     let mut shift = 0u32;

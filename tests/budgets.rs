@@ -105,9 +105,9 @@ const DISCOVERY_ALLOCS_PER_ACCESS: f64 = 25.0;
 
 /// Allocations one more completed batch of the gossip shape may cost: the
 /// batch, its trip through the switch and the holder, and the share of
-/// anti-entropy rounds the 29 bystanders run meanwhile. It reads 62.4
-/// today; 1.6 is margin.
-const GOSSIP_ALLOCS_PER_OP: f64 = 64.0;
+/// anti-entropy rounds the 29 bystanders run meanwhile. It reads 59.3
+/// today; 1.7 is margin.
+const GOSSIP_ALLOCS_PER_OP: f64 = 61.0;
 
 /// Engine events per extra completed batch of the gossip shape. It reads
 /// 30.2 today.
