@@ -1254,7 +1254,7 @@ impl Node for GasHostNode {
                 // Small-read service (used by examples).
                 let reply = match self.store.get(target) {
                     Ok(obj) => {
-                        let end = (offset + len).min(obj.heap_len());
+                        let end = offset.saturating_add(len).min(obj.heap_len());
                         let data = if offset < end {
                             obj.read(offset, end - offset).map(<[u8]>::to_vec).unwrap_or_default()
                         } else {

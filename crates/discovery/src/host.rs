@@ -588,7 +588,7 @@ impl HostNode {
                 // was *addressed to* (inbox-routed stale unicast) NACKs it.
                 let reply = match self.store.get(target) {
                     Ok(obj) => {
-                        let end = (offset + len).min(obj.heap_len());
+                        let end = offset.saturating_add(len).min(obj.heap_len());
                         let data = if offset < end {
                             obj.read(offset, end - offset).map(<[u8]>::to_vec)
                         } else {

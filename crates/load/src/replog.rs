@@ -8,6 +8,8 @@
 //! operation) when the window closes. Contention concentrates on the
 //! Zipf-hot log heads — the scale asymmetry ISSUE 7 wants exercised.
 
+use std::collections::VecDeque;
+
 use crate::arrivals::ArrivalSchedule;
 use rdv_netsim::SimTime;
 
@@ -54,48 +56,52 @@ impl Batch {
 
 /// Fold an arrival schedule into flushed batches, sorted by
 /// `(at, writer, head)` — a pure, deterministic function of its inputs.
+///
+/// One pass: every batch stays open for the same window, so batches close
+/// in the order they opened, and a FIFO of open slots yields each one due
+/// to flush without looking at the others.
 pub fn batches(schedule: &ArrivalSchedule, spec: &ReplogSpec) -> Vec<Batch> {
     assert!(spec.writers >= 1, "need at least one writer");
     assert!(spec.heads >= 1, "need at least one log head");
-    // Open batches keyed densely by writer * heads + head.
-    let slots = spec.writers as usize * spec.heads as usize;
-    let mut open: Vec<Option<(SimTime, u32)>> = vec![None; slots]; // (opened_at, entries)
-    let mut out = Vec::new();
+    debug_assert!(schedule.arrivals.windows(2).all(|w| w[0].at <= w[1].at), "time-sorted");
+    let heads = spec.heads as usize;
     let window = spec.batch_window.as_nanos();
-
-    let flush = |open: &mut Vec<Option<(SimTime, u32)>>, slot: usize, out: &mut Vec<Batch>| {
-        if let Some((opened, entries)) = open[slot].take() {
-            out.push(Batch {
-                at: SimTime::from_nanos(opened.as_nanos() + window),
-                writer: (slot / spec.heads as usize) as u32,
-                head: (slot % spec.heads as usize) as u32,
-                entries,
-            });
-        }
+    // Open batches keyed densely by writer * heads + head:
+    // (opened_at ns, entries).
+    let mut open: Vec<Option<(u64, u32)>> = vec![None; spec.writers as usize * heads];
+    // Open slots, oldest first.
+    let mut fifo: VecDeque<usize> = VecDeque::new();
+    let mut out = Vec::new();
+    let batch = |slot: usize, (opened, entries): (u64, u32)| Batch {
+        at: SimTime::from_nanos(opened + window),
+        writer: (slot / heads) as u32,
+        head: (slot % heads) as u32,
+        entries,
     };
 
     for a in &schedule.arrivals {
+        let now = a.at.as_nanos();
         // Flush every batch whose window closed before this arrival.
-        // Arrivals are time-sorted, so a linear scan per arrival keeps
-        // flush order deterministic; slot order breaks flush-time ties.
-        for slot in 0..slots {
-            if let Some((opened, _)) = open[slot] {
-                if opened.as_nanos() + window <= a.at.as_nanos() {
-                    flush(&mut open, slot, &mut out);
-                }
-            }
+        while let Some(&slot) = fifo.front() {
+            let Some(b) = open[slot].filter(|&(opened, _)| opened + window <= now) else { break };
+            open[slot] = None;
+            fifo.pop_front();
+            out.push(batch(slot, b));
         }
         let writer = a.client % spec.writers;
         let head = a.obj % spec.heads;
-        let slot = writer as usize * spec.heads as usize + head as usize;
+        let slot = writer as usize * heads + head as usize;
         match &mut open[slot] {
             Some((_, entries)) => *entries += 1,
-            None => open[slot] = Some((a.at, 1)),
+            None => {
+                open[slot] = Some((now, 1));
+                fifo.push_back(slot);
+            }
         }
     }
-    for slot in 0..slots {
-        flush(&mut open, slot, &mut out);
-    }
+    out.extend(
+        fifo.into_iter().map(|slot| batch(slot, open[slot].expect("queued slots are open"))),
+    );
     out.sort_by_key(|b| (b.at, b.writer, b.head));
     out
 }
@@ -103,7 +109,7 @@ pub fn batches(schedule: &ArrivalSchedule, spec: &ReplogSpec) -> Vec<Batch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::{Arrival, ArrivalSchedule};
+    use crate::arrivals::{Arrival, ArrivalSchedule, OpenLoopSpec};
 
     fn sched(arrivals: Vec<(u64, u32, u32)>) -> ArrivalSchedule {
         ArrivalSchedule {
@@ -119,6 +125,99 @@ mod tests {
 
     fn spec() -> ReplogSpec {
         ReplogSpec { writers: 2, heads: 2, entry_bytes: 64, batch_window: SimTime::from_micros(10) }
+    }
+
+    /// The fold as a per-arrival scan of every slot: the reference
+    /// [`batches`] must match.
+    fn batches_by_scan(schedule: &ArrivalSchedule, spec: &ReplogSpec) -> Vec<Batch> {
+        let slots = spec.writers as usize * spec.heads as usize;
+        let mut open: Vec<Option<(SimTime, u32)>> = vec![None; slots];
+        let mut out = Vec::new();
+        let window = spec.batch_window.as_nanos();
+        let flush = |open: &mut Vec<Option<(SimTime, u32)>>, slot: usize, out: &mut Vec<Batch>| {
+            if let Some((opened, entries)) = open[slot].take() {
+                out.push(Batch {
+                    at: SimTime::from_nanos(opened.as_nanos() + window),
+                    writer: (slot / spec.heads as usize) as u32,
+                    head: (slot % spec.heads as usize) as u32,
+                    entries,
+                });
+            }
+        };
+        for a in &schedule.arrivals {
+            for slot in 0..slots {
+                if open[slot]
+                    .is_some_and(|(opened, _)| opened.as_nanos() + window <= a.at.as_nanos())
+                {
+                    flush(&mut open, slot, &mut out);
+                }
+            }
+            let slot = (a.client % spec.writers) as usize * spec.heads as usize
+                + (a.obj % spec.heads) as usize;
+            match &mut open[slot] {
+                Some((_, entries)) => *entries += 1,
+                None => open[slot] = Some((a.at, 1)),
+            }
+        }
+        for slot in 0..slots {
+            flush(&mut open, slot, &mut out);
+        }
+        out.sort_by_key(|b| (b.at, b.writer, b.head));
+        out
+    }
+
+    #[test]
+    fn one_pass_fold_matches_the_per_arrival_scan() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for case in 0..200 {
+            let spec = ReplogSpec {
+                writers: 1 + next(4) as u32,
+                heads: 1 + next(6) as u32,
+                entry_bytes: 64,
+                // Window 0 and windows shorter and longer than the gaps.
+                batch_window: SimTime::from_nanos([0, 1, 7, 50, 400][next(5) as usize]),
+            };
+            let mut at = 0u64;
+            let arrivals = (0..next(120))
+                .map(|_| {
+                    // A third of the gaps are 0: same-ns ties.
+                    at += [0, next(10), next(200)][next(3) as usize];
+                    Arrival {
+                        at: SimTime::from_nanos(at),
+                        client: next(9) as u32,
+                        obj: next(9) as u32,
+                    }
+                })
+                .collect();
+            let s = ArrivalSchedule {
+                arrivals,
+                churn_joins: 0,
+                churn_leaves: 0,
+                skipped_empty_pool: 0,
+            };
+            assert_eq!(batches(&s, &spec), batches_by_scan(&s, &spec), "case {case}: {spec:?}");
+        }
+    }
+
+    #[test]
+    fn one_pass_fold_matches_the_scan_on_a_replog_blip_shaped_schedule() {
+        // `replog_blip`'s load for 20 ms: a million clients, Zipf 900 ‰
+        // over 64 heads, 2.5 M arrivals/s, 8 writers, a 20 µs window.
+        let open = OpenLoopSpec {
+            zipf_skew_permille: 900,
+            ..OpenLoopSpec::flat(1_000_000, 64, 2_500_000, SimTime::from_millis(20))
+        };
+        let s = ArrivalSchedule::generate(&open, 1);
+        let spec = ReplogSpec { writers: 8, heads: 64, ..ReplogSpec::small() };
+        let b = batches(&s, &spec);
+        assert!(b.len() > 1000, "{} batches", b.len());
+        assert_eq!(b, batches_by_scan(&s, &spec));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rdv_trace::{DropReason, EventId, EventKind as TraceKind, Recorder, TraceCtx};
 
-use super::{EvData, EvKind, Globals};
+use super::{EvData, EvKind, Globals, TimerRec};
 use crate::audit::{ShardAudit, ShardAuditKind};
 use crate::link::Direction;
 use crate::node::{Node, NodeCtx, NodeId, PortId};
@@ -18,6 +18,77 @@ use crate::stats::{
     SIM_TIMERS_DROPPED_CRASH,
 };
 use crate::time::SimTime;
+
+/// A shard's pending events, in two queues under one total order: timers
+/// with no trace provenance ride a queue of 40 B [`TimerRec`] entries,
+/// everything else (deliveries, traced timers) the 80 B [`EvData`] one.
+/// [`ShardQueue::pop`] takes the smaller [`EventKey`] of the two heads, so
+/// the pop order is the one a single queue of both would give.
+pub(super) struct ShardQueue {
+    events: CalendarQueue<EvData>,
+    timers: CalendarQueue<TimerRec>,
+}
+
+impl ShardQueue {
+    pub(super) fn new() -> ShardQueue {
+        ShardQueue { events: CalendarQueue::new(0, 0), timers: CalendarQueue::new(0, 0) }
+    }
+
+    /// Queue a delivery.
+    pub(super) fn push(&mut self, key: EventKey, data: EvData) {
+        self.events.push(key, data);
+    }
+
+    /// Queue a timer: onto the timer queue unless it carries provenance.
+    pub(super) fn push_timer(&mut self, key: EventKey, t: TimerRec, trace: Option<EventId>) {
+        match trace {
+            None => self.timers.push(key, t),
+            Some(_) => {
+                let kind = EvKind::Timer { node: t.node, tag: t.tag, epoch: t.epoch };
+                self.events.push(key, EvData { kind, trace });
+            }
+        }
+    }
+
+    /// The smallest key queued, if any.
+    pub(super) fn peek(&self) -> Option<EventKey> {
+        let event = self.events.peek();
+        if self.timers.is_empty() {
+            return event;
+        }
+        event.into_iter().chain(self.timers.peek()).min()
+    }
+
+    /// Remove and return the smallest-keyed event.
+    pub(super) fn pop(&mut self) -> Option<(EventKey, EvData)> {
+        if self.timers.is_empty() {
+            return self.events.pop();
+        }
+        let timer = self.timers.peek();
+        if self.events.peek().is_some_and(|k| Some(k) < timer) {
+            return self.events.pop();
+        }
+        let (key, TimerRec { tag, node, epoch }) = self.timers.pop()?;
+        Some((key, EvData { kind: EvKind::Timer { node, tag, epoch }, trace: None }))
+    }
+
+    /// Number of queued events.
+    pub(super) fn len(&self) -> usize {
+        self.events.len() + self.timers.len()
+    }
+
+    /// True when nothing is queued.
+    pub(super) fn is_empty(&self) -> bool {
+        self.events.is_empty() && self.timers.is_empty()
+    }
+
+    /// Capacity, in entries, of every buffer the event queue and the
+    /// timer queue keep.
+    #[cfg(test)]
+    pub(super) fn retained_capacity(&self) -> (usize, usize) {
+        (self.events.retained_capacity(), self.timers.retained_capacity())
+    }
+}
 
 /// One spatial partition of the simulation: the nodes it owns, their RNG
 /// streams and timers, the link directions they transmit on, and a local
@@ -37,7 +108,7 @@ pub(super) struct Shard {
     pub(super) pending_timers: Vec<u64>,
     /// Direction arena for links whose source node lives here.
     pub(super) dirs: Vec<Direction>,
-    pub(super) queue: CalendarQueue<EvData>,
+    pub(super) queue: ShardQueue,
     /// This shard's slice of the engine counters; folded into
     /// [`super::Sim::counters`] at barriers.
     pub(super) counters: Counters,
@@ -72,7 +143,7 @@ impl Shard {
             node_seq: Vec::new(),
             pending_timers: Vec::new(),
             dirs: Vec::new(),
-            queue: CalendarQueue::new(0, 0),
+            queue: ShardQueue::new(),
             counters: Counters::new(),
             inflight: 0,
             clock_ns: 0,
@@ -457,7 +528,7 @@ impl Shard {
             if self.audit.is_some() {
                 self.audit_check_timer(g, gid, key.at);
             }
-            self.queue.push(key, EvData { kind: EvKind::Timer { node: gid, tag, epoch }, trace });
+            self.queue.push_timer(key, TimerRec { tag, node: gid, epoch }, trace);
         }
     }
 }

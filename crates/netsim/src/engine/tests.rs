@@ -1121,18 +1121,112 @@ fn topology_tables_stay_within_budget_per_host() {
     assert_eq!(g.classes.len(), 1, "one spec, one interned class");
     assert!(g.crash_trace.is_empty() && g.link_fault_trace.is_empty(), "no fault, no entry");
     let per_node = bytes / sim.node_count();
-    assert!(per_node <= 80, "{per_node} B of topology tables per node (budget 80 B)");
+    assert!(per_node <= 72, "{per_node} B of topology tables per node (budget 72 B)");
 }
 
 #[test]
 fn a_drained_run_leaves_no_queue_storage() {
-    // A 1 000-timer lane spans four 256-entry chunks; drained, the queue
-    // itself would keep two of them pooled.
-    let mut sim = Sim::new(SimConfig::default());
-    let n = sim.add_node(Box::new(Echo));
-    sim.schedule_batch((1..=1000).map(|us| (SimTime::from_micros(us), n, us)));
-    sim.run_until(SimTime::from_micros(500));
-    assert!(sim.shards[0].queue.retained_capacity() > 0, "a live queue holds chunks");
-    sim.run_until_idle();
-    assert_eq!(sim.shards[0].queue.retained_capacity(), 0, "a drained queue keeps no storage");
+    // A 1 000-timer lane spans four 256-entry chunks; drained, a queue
+    // would keep two of them pooled. Untraced, the timers ride the timer
+    // queue; the flight recorder's provenance keeps them in the event
+    // queue.
+    for flight in [false, true] {
+        let mut sim = Sim::new(SimConfig::default());
+        if flight {
+            sim.enable_flight_recorder(64);
+        }
+        let n = sim.add_node(Box::new(Echo));
+        sim.schedule_batch((1..=1000).map(|us| (SimTime::from_micros(us), n, us)));
+        sim.run_until(SimTime::from_micros(500));
+        let (events, timers) = sim.shards[0].queue.retained_capacity();
+        let live = if flight { events > 0 && timers == 0 } else { timers > 0 && events == 0 };
+        assert!(live, "flight={flight}: a live queue holds chunks ({events}, {timers})");
+        sim.run_until_idle();
+        assert_eq!(
+            sim.shards[0].queue.retained_capacity(),
+            (0, 0),
+            "flight={flight}: drained queues keep no storage"
+        );
+    }
+}
+
+/// Logs every callback as `(time ns, kind, timer tag | port)`. Each timer
+/// sends on port 0 and, while `rearms` lasts, arms the next one.
+struct Mixed {
+    log: Vec<(u64, u8, u64)>,
+    rearms: u32,
+}
+impl Node for Mixed {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.set_timer(SimTime::from_micros(3), 100);
+        ctx.send(PortId(0), Packet::new(vec![0u8; 64], 0));
+    }
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
+        self.log.push((ctx.now.as_nanos(), 0, tag));
+        if self.rearms > 0 {
+            self.rearms -= 1;
+            ctx.set_timer(SimTime::from_micros(4), tag + 1);
+        }
+        ctx.send(PortId(0), Packet::new(vec![0u8; 64], tag));
+    }
+    fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, _: Packet) {
+        self.log.push((ctx.now.as_nanos(), 1, port.0 as u64));
+    }
+    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.log.push((ctx.now.as_nanos(), 2, 0));
+        ctx.set_timer(SimTime::from_micros(1), 500);
+    }
+}
+
+/// Everything a [`Mixed`] run exposes: each node's callback log, the
+/// counters, the event count and the final clock.
+type MixedRun = (Vec<Vec<(u64, u8, u64)>>, Vec<(&'static str, u64)>, u64, u64);
+
+/// Two [`Mixed`] nodes on a third, fed out-of-order external timers, a
+/// timer batch, node-armed timers and same-time deliveries, with one of
+/// them crashed and restarted while its timers are pending.
+fn mixed_timer_run(shards: usize, flight: bool) -> MixedRun {
+    use crate::fault::FaultPlan;
+    let mut sim = Sim::new(SimConfig { seed: 5, shards, ..Default::default() });
+    if flight {
+        sim.enable_flight_recorder(256);
+    }
+    let ids: Vec<NodeId> =
+        (0..3).map(|_| sim.add_node(Box::new(Mixed { log: Vec::new(), rearms: 12 }))).collect();
+    let (a, b, hub) = (ids[0], ids[1], ids[2]);
+    sim.connect(a, hub, spec_1b_per_ns());
+    sim.connect(b, hub, spec_1b_per_ns());
+    for (us, node, tag) in
+        [(50, b, 1000), (10, a, 1001), (30, hub, 1002), (10, a, 1003), (10, b, 1004)]
+    {
+        sim.schedule(SimTime::from_micros(us), node, tag);
+    }
+    sim.schedule_batch(
+        (0..40u64).map(|i| (SimTime::from_micros(2 * i + 1), ids[i as usize % 3], 2000 + i)),
+    );
+    sim.install_fault_plan(
+        &FaultPlan::new().crash(SimTime::from_micros(42), b).restart(SimTime::from_micros(70), b),
+    );
+    sim.run_until(SimTime::from_micros(20));
+    let timer_storage: usize = sim.shards.iter().map(|s| s.queue.retained_capacity().1).sum();
+    assert_eq!(timer_storage > 0, !flight, "untraced timers and only they ride the timer queue");
+    let events = sim.run_until_idle();
+    assert!(sim.counters.get("sim.timers_dropped.crash") >= 1, "the crash killed pending timers");
+    let logs = ids.iter().map(|&id| sim.node_as::<Mixed>(id).unwrap().log.clone()).collect();
+    (logs, sim.counters.iter().collect(), events, sim.now().as_nanos())
+}
+
+#[test]
+fn timers_on_either_queue_fire_in_one_order_at_any_shard_count() {
+    let reference = mixed_timer_run(1, true);
+    assert!(reference.0.iter().all(|log| log.len() > 20), "every node saw traffic and timers");
+    for shards in [1, 2, 8] {
+        for flight in [false, true] {
+            assert_eq!(
+                mixed_timer_run(shards, flight),
+                reference,
+                "shards={shards} flight={flight} must reproduce the traced-timer run"
+            );
+        }
+    }
 }

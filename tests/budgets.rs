@@ -22,7 +22,7 @@ use rendezvous::core::scenarios::{build_star_fabric, host_link_rack};
 use rendezvous::discovery::scenario::run_discovery;
 use rendezvous::discovery::{DiscoveryMode, ScenarioConfig, ScenarioKind, StalenessMode};
 use rendezvous::memproto::frag::DEFAULT_MTU;
-use rendezvous::netsim::SimTime;
+use rendezvous::netsim::{Node, NodeCtx, Packet, PortId, Sim, SimConfig, SimTime};
 use rendezvous::objspace::{ObjId, Object, ObjectKind};
 
 thread_local! {
@@ -116,6 +116,11 @@ const GOSSIP_EVENTS_PER_OP: f64 = 31.0;
 /// Timers fired per extra completed batch of the gossip shape. It reads
 /// 14.1 today.
 const GOSSIP_TIMERS_PER_OP: f64 = 14.5;
+
+/// Bytes `Sim::schedule_batch` may request per timer of a sorted batch:
+/// one 40 B timer-queue entry, plus the lane's chunk list and heads. It
+/// reads 42.4 today (84.4 when a timer took an 80 B delivery entry).
+const BYTES_PER_SCHEDULED_TIMER: f64 = 44.0;
 
 #[test]
 fn one_fetch_costs_two_image_copies_and_one_serve_timer() {
@@ -273,5 +278,25 @@ fn a_gossip_op_costs_a_bounded_number_of_allocations_events_and_timers() {
     assert!(
         timers <= GOSSIP_TIMERS_PER_OP,
         "one more gossip-shape completion fired {timers:.2} timers (budget {GOSSIP_TIMERS_PER_OP})"
+    );
+}
+
+#[test]
+fn a_scheduled_timer_costs_a_bounded_number_of_bytes() {
+    struct Idle;
+    impl Node for Idle {
+        fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: PortId, _: Packet) {}
+    }
+    const TIMERS: u64 = 10_000;
+    let mut sim = Sim::new(SimConfig { shards: 1, ..Default::default() });
+    let node = sim.add_node(Box::new(Idle));
+    let (allocs, bytes) = snapshot();
+    sim.schedule_batch((0..TIMERS).map(|i| (SimTime::from_micros(i + 1), node, i)));
+    let (allocs, bytes) = (snapshot().0 - allocs, snapshot().1 - bytes);
+    let per_timer = bytes as f64 / TIMERS as f64;
+    assert!(
+        per_timer <= BYTES_PER_SCHEDULED_TIMER,
+        "scheduling {TIMERS} sorted timers requested {per_timer:.1} B per timer in {allocs} \
+         allocations (budget {BYTES_PER_SCHEDULED_TIMER} B)"
     );
 }
