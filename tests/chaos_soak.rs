@@ -15,6 +15,8 @@
 //! Every scenario is derived from a single `u64` seed, so any failure
 //! reproduces exactly by re-running the named seed.
 
+use std::collections::BTreeSet;
+
 use rdv_det::DetMap;
 
 use rand::rngs::StdRng;
@@ -37,14 +39,110 @@ use rdv_objspace::{ObjId, ObjectKind};
 // Shared: stats fingerprinting (invariant 4)
 // ---------------------------------------------------------------------------
 
-/// Render engine counters to a canonical string: `Counters::iter` is
-/// name-sorted, so equal fabrics render byte-identically.
-fn render_counters(c: &rdv_netsim::Counters) -> String {
+/// Render counters to a canonical `prefix+name=value;` string:
+/// `Counters::iter` is name-sorted, so equal fabrics render
+/// byte-identically. The prefix keeps a node's counters apart from the
+/// engine's when both land on one fingerprint line.
+fn render_counters(prefix: &str, c: &rdv_netsim::Counters) -> String {
     let mut out = String::new();
     for (name, value) in c.iter() {
-        out.push_str(&format!("{name}={value};"));
+        out.push_str(&format!("{prefix}{name}={value};"));
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// Pinned fingerprints: one committed file per family
+// ---------------------------------------------------------------------------
+
+/// Compare one family's fingerprints against `results/chaos_<family>.txt`,
+/// one `seed name=value;…` line per seed. Each family writes only its own
+/// file, so the families stay parallel `#[test]`s. `RDV_BLESS=1 cargo test
+/// --test chaos_soak` rewrites the files instead of comparing.
+fn check_pinned(family: &str, lines: &[(u64, String)]) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results")
+        .join(format!("chaos_{family}.txt"));
+    let rendered: String = lines.iter().map(|(seed, fp)| format!("{seed} {fp}\n")).collect();
+    if bless() {
+        std::fs::write(&path, rendered).expect("write pinned fingerprints");
+        return;
+    }
+    let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("{family}: no pinned {} ({e}); bless with RDV_BLESS=1", path.display())
+    });
+    if pinned == rendered {
+        return;
+    }
+    let (old, new) = (seed_lines(&pinned), seed_lines(&rendered));
+    let seeds: BTreeSet<&str> = old.iter().chain(&new).map(|&(seed, _)| seed).collect();
+    let mut report = String::new();
+    for seed in seeds {
+        match (lookup(&old, seed), lookup(&new, seed)) {
+            (Some(was), Some(now)) if was == now => {}
+            (Some(was), Some(now)) => {
+                report.push_str(&format!("  seed {seed}:\n"));
+                let (was, now) = (fields(was), fields(now));
+                let names: BTreeSet<&str> = was.iter().chain(&now).map(|&(name, _)| name).collect();
+                for name in names {
+                    let was_v = lookup(&was, name).unwrap_or("<absent>");
+                    let now_v = lookup(&now, name).unwrap_or("<absent>");
+                    if was_v != now_v {
+                        report.push_str(&format!("    {name}: {was_v} -> {now_v}\n"));
+                    }
+                }
+            }
+            (was, _) => {
+                let (from, to) =
+                    if was.is_some() { ("pinned", "<absent>") } else { ("<absent>", "new") };
+                report.push_str(&format!("  seed {seed}: {from} -> {to}\n"));
+            }
+        }
+    }
+    panic!(
+        "chaos family `{family}`: fingerprints moved against {} (replay a seed by \
+         re-running this test; re-bless with RDV_BLESS=1 if the move is intended):\n{report}",
+        path.display()
+    );
+}
+
+/// Split a fingerprint file into `(seed, fingerprint)` pairs.
+fn seed_lines(text: &str) -> Vec<(&str, &str)> {
+    text.lines().filter_map(|l| l.split_once(' ')).collect()
+}
+
+/// The value paired with `key`, if any.
+fn lookup<'a>(pairs: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+    pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
+}
+
+/// Split one fingerprint into its named `name=value` fields.
+fn fields(fp: &str) -> Vec<(&str, &str)> {
+    fp.split(';').filter_map(|f| f.split_once('=')).collect()
+}
+
+/// Render a driver's completed accesses as `r<i>=target:issued:completed:broadcasts:nacks;`.
+fn render_records(records: &[rdv_discovery::AccessRecord]) -> String {
+    let mut out = String::new();
+    for (i, r) in records.iter().enumerate() {
+        out.push_str(&format!(
+            "r{i}={:x}:{}:{}:{}:{};",
+            r.target.as_u128(),
+            r.issued.as_nanos(),
+            r.completed.as_nanos(),
+            r.broadcasts,
+            r.nacks
+        ));
+    }
+    out
+}
+
+/// Whether this run re-blesses the pinned files (`RDV_BLESS` set and not `0`).
+#[allow(clippy::disallowed_methods)]
+fn bless() -> bool {
+    // A test-harness switch, read once per family: it picks whether the
+    // pinned files are written or compared, never what a simulation does.
+    std::env::var("RDV_BLESS").is_ok_and(|v| v != "0")
 }
 
 // ---------------------------------------------------------------------------
@@ -224,11 +322,13 @@ fn run_transport_scenario(seed: u64, sc: &TransportScenario, shards: usize) -> S
         assert_eq!(delivered.len() as u64, sc.messages, "seed {seed}");
     }
 
+    let failed: Vec<String> =
+        sender.ep.failed.iter().map(|(peer, seq)| format!("{:x}:{seq}", peer.as_u128())).collect();
     format!(
-        "{}|delivered={}|failed={:?}|retx={}",
-        render_counters(&sim.counters),
+        "{}delivered={};failed={};retx={};",
+        render_counters("", &sim.counters),
         delivered.len(),
-        sender.ep.failed,
+        failed.join(","),
         sender.ep.retransmits,
     )
 }
@@ -245,9 +345,10 @@ fn transport_soak_under_loss_crash_and_outage() {
             let again = run_transport_scenario(seed, &sc, shards);
             assert_eq!(fp, again, "seed {seed}: shards={shards} diverged");
         }
-        fingerprints.push(fp);
+        fingerprints.push((seed, fp));
     }
-    fingerprints.dedup();
+    check_pinned("transport", &fingerprints);
+    fingerprints.dedup_by(|a, b| a.1 == b.1);
     assert!(fingerprints.len() > 1, "distinct seeds must explore distinct behaviour");
 }
 
@@ -404,21 +505,16 @@ fn run_fabric_scenario(seed: u64, sc: &FabricScenario, shards: usize) -> FabricO
         }
     }
 
-    let mut fingerprint = render_counters(&sim.counters);
-    fingerprint.push('#');
-    fingerprint.push_str(&render_counters(&drv.counters));
-    for r in &drv.records {
+    let mut fingerprint = render_counters("", &sim.counters);
+    fingerprint.push_str(&render_counters("drv.", &drv.counters));
+    fingerprint.push_str(&render_records(&drv.records));
+    for (i, f) in drv.failed.iter().enumerate() {
         fingerprint.push_str(&format!(
-            "r:{:x}:{}:{}:{}:{};",
-            r.target.as_u128(),
-            r.issued.as_nanos(),
-            r.completed.as_nanos(),
-            r.broadcasts,
-            r.nacks
+            "f{i}={:x}:{}:{:?};",
+            f.target.as_u128(),
+            f.retries,
+            f.reason
         ));
-    }
-    for f in &drv.failed {
-        fingerprint.push_str(&format!("f:{:x}:{}:{:?};", f.target.as_u128(), f.retries, f.reason));
     }
     FabricOutcome { failed: drv.failed.iter().map(|f| (f.target, f.reason)).collect(), fingerprint }
 }
@@ -441,9 +537,10 @@ fn fabric_soak_combines_loss_partition_and_crash() {
             let again = run_fabric_scenario(seed, &sc, shards);
             assert_eq!(out.fingerprint, again.fingerprint, "seed {seed}: shards={shards} diverged");
         }
-        fingerprints.push(out.fingerprint);
+        fingerprints.push((seed, out.fingerprint));
     }
-    fingerprints.dedup();
+    check_pinned("fabric", &fingerprints);
+    fingerprints.dedup_by(|a, b| a.1 == b.1);
     assert!(fingerprints.len() > 1, "distinct seeds must explore distinct behaviour");
     assert!(total_failed > 0, "some permanent-crash scenario must exercise typed failure");
 }
@@ -636,7 +733,7 @@ fn gen_churn_partition_scenario(seed: u64) -> LoadScenario {
 /// canonical fingerprint. Invariant 3 (completion or typed error) is
 /// asserted inside `LoadRun::execute` per writer; the cross-check here
 /// confirms the aggregate tallies agree with it.
-fn run_load_scenario(seed: u64, sc: &LoadScenario, shards: usize) -> String {
+fn run_load_scenario(seed: u64, sc: &LoadScenario, shards: usize) -> LoadRun {
     let mut fabric = sc.fabric;
     fabric.shards = shards;
     fabric.shard_audit = true;
@@ -652,7 +749,28 @@ fn run_load_scenario(seed: u64, sc: &LoadScenario, shards: usize) -> String {
     assert_eq!(run.counters.get("load.batches"), run.scheduled_batches as u64);
     assert_eq!(run.counters.get("load.completions"), run.completions.len() as u64);
     assert_eq!(run.counters.get("load.failures"), run.failed as u64);
-    run.fingerprint()
+    run
+}
+
+/// A load run's pinned line: the scalar tallies and every counter
+/// verbatim, with the per-completion `(done, latency)` list folded into
+/// one FNV-1a `completions_fnv` field so a line stays readable.
+fn load_pin(run: &LoadRun) -> String {
+    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    for &(done, lat) in &run.completions {
+        for b in done.to_le_bytes().into_iter().chain(lat.to_le_bytes()) {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    format!(
+        "clock={};batches={};failed={};entries={};completions={};completions_fnv={fnv:016x};{}",
+        run.clock_ns,
+        run.scheduled_batches,
+        run.failed,
+        run.completed_entries,
+        run.completions.len(),
+        render_counters("", &run.counters),
+    )
 }
 
 #[test]
@@ -661,11 +779,12 @@ fn load_soak_flash_crowd_rides_out_a_crash_window() {
     let mut total_timeouts = 0u64;
     for seed in 0..8u64 {
         let sc = gen_flash_crowd_scenario(seed);
-        let fp = run_load_scenario(seed, &sc, 1);
+        let first = run_load_scenario(seed, &sc, 1);
+        let fp = first.fingerprint();
         for shards in [2usize, 8] {
             assert_eq!(
                 fp,
-                run_load_scenario(seed, &sc, shards),
+                run_load_scenario(seed, &sc, shards).fingerprint(),
                 "seed {seed}: fingerprint diverged at {shards} shards"
             );
         }
@@ -676,10 +795,11 @@ fn load_soak_flash_crowd_rides_out_a_crash_window() {
             LoadRun::execute(&fabric, &sc.open, &sc.replog, Some(&sc.blip), seed, false)
         };
         total_timeouts += run.counters.get("access_timeouts");
-        fingerprints.push(fp);
+        fingerprints.push((seed, load_pin(&first)));
     }
+    check_pinned("load_flash", &fingerprints);
     assert!(total_timeouts > 0, "no crash window ever bit — scenarios too tame");
-    fingerprints.dedup();
+    fingerprints.dedup_by(|a, b| a.1 == b.1);
     assert!(fingerprints.len() > 1, "seeds collapsed to one scenario");
 }
 
@@ -690,11 +810,12 @@ fn load_soak_churned_pool_survives_a_partition_window() {
     let mut total_timeouts = 0u64;
     for seed in 0..8u64 {
         let sc = gen_churn_partition_scenario(seed);
-        let fp = run_load_scenario(seed, &sc, 1);
+        let first = run_load_scenario(seed, &sc, 1);
+        let fp = first.fingerprint();
         for shards in [2usize, 8] {
             assert_eq!(
                 fp,
-                run_load_scenario(seed, &sc, shards),
+                run_load_scenario(seed, &sc, shards).fingerprint(),
                 "seed {seed}: fingerprint diverged at {shards} shards"
             );
         }
@@ -705,11 +826,12 @@ fn load_soak_churned_pool_survives_a_partition_window() {
         };
         total_joins += run.counters.get("load.churn_joins");
         total_timeouts += run.counters.get("access_timeouts");
-        fingerprints.push(fp);
+        fingerprints.push((seed, load_pin(&first)));
     }
+    check_pinned("load_churn", &fingerprints);
     assert!(total_joins > 0, "churn never materialized — rates too low");
     assert!(total_timeouts > 0, "no partition window ever bit — scenarios too tame");
-    fingerprints.dedup();
+    fingerprints.dedup_by(|a, b| a.1 == b.1);
     assert!(fingerprints.len() > 1, "seeds collapsed to one scenario");
 }
 
@@ -865,15 +987,14 @@ fn run_gossip_scenario(seed: u64, sc: &GossipScenario, shards: usize) -> GossipO
     let gctr = rdv_gossip::sync::ctr();
     let mut relay_fallbacks = 0u64;
     let mut repair_hits = 0u64;
-    let mut fingerprint = render_counters(&sim.counters);
-    fingerprint.push('#');
+    let mut fingerprint = render_counters("", &sim.counters);
     for (k, &id) in ids.iter().enumerate() {
         let h = sim.node_as::<HostNode>(id).unwrap();
         relay_fallbacks += h.counters.get_id(gctr.relay_fallbacks);
         repair_hits += h.counters.get_id(gctr.repair_hits);
-        fingerprint.push_str(&render_counters(&h.counters));
+        fingerprint.push_str(&render_counters(&format!("n{k}."), &h.counters));
         if let Some(g) = &h.gossip {
-            fingerprint.push_str(&format!("J{k}:{:x};", g.journal.fingerprint()));
+            fingerprint.push_str(&format!("n{k}.journal={:x};", g.journal.fingerprint()));
         }
     }
 
@@ -891,15 +1012,8 @@ fn run_gossip_scenario(seed: u64, sc: &GossipScenario, shards: usize) -> GossipO
     for r in &drv.records {
         assert!(r.latency() > SimTime::ZERO, "seed {seed}");
         nacks += r.nacks;
-        fingerprint.push_str(&format!(
-            "r:{:x}:{}:{}:{}:{};",
-            r.target.as_u128(),
-            r.issued.as_nanos(),
-            r.completed.as_nanos(),
-            r.broadcasts,
-            r.nacks
-        ));
     }
+    fingerprint.push_str(&render_records(&drv.records));
     GossipOutcome { fingerprint, relay_fallbacks, repair_hits, nacks }
 }
 
@@ -920,11 +1034,12 @@ fn gossip_soak_churn_and_partition_under_journal_discovery() {
         fallbacks += out.relay_fallbacks;
         repairs += out.repair_hits;
         nacks += out.nacks;
-        fingerprints.push(out.fingerprint);
+        fingerprints.push((seed, out.fingerprint));
     }
+    check_pinned("gossip", &fingerprints);
     assert!(fallbacks > 0, "no partition window ever demoted the relay path to direct");
     assert!(repairs > 0, "journal repair never fired — gossip facts went unused");
     assert!(nacks > 0, "no stale unicast ever hit the old holder — churn never bit");
-    fingerprints.dedup();
+    fingerprints.dedup_by(|a, b| a.1 == b.1);
     assert!(fingerprints.len() > 1, "seeds collapsed to one scenario");
 }

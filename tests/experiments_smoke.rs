@@ -5,12 +5,26 @@
 use rdv_bench::experiments::CATALOG;
 use rendezvous::objspace::ObjId;
 
+/// The pinned chaos-soak fingerprints, one file per family
+/// (`tests/chaos_soak.rs` compares against them).
+const CHAOS_PINS: [&str; 5] = [
+    "chaos_transport.txt",
+    "chaos_fabric.txt",
+    "chaos_load_flash.txt",
+    "chaos_load_churn.txt",
+    "chaos_gossip.txt",
+];
+
 /// The committed artifact set and the catalogue agree, both ways: a
 /// missing or orphaned `results/*.json` fails here, not at the next
-/// regeneration. Reads the committed files; runs no experiment.
+/// regeneration; so does a missing or unknown chaos pin. Reads the
+/// committed files; runs no experiment.
 #[test]
 fn every_catalog_entry_has_a_committed_artifact_and_none_is_orphaned() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    for pin in CHAOS_PINS {
+        assert!(dir.join(pin).is_file(), "results/{pin} is not committed");
+    }
     for (id, ..) in CATALOG {
         let path = dir.join(format!("{}.json", id.to_lowercase()));
         let json = std::fs::read_to_string(&path)
@@ -23,7 +37,10 @@ fn every_catalog_entry_has_a_committed_artifact_and_none_is_orphaned() {
     }
     for entry in std::fs::read_dir(&dir).expect("results/ is committed") {
         let name = entry.expect("readable entry").file_name().into_string().expect("utf-8 name");
-        if name.starts_with("metrics_") || name.starts_with("trace_") {
+        if name.starts_with("metrics_")
+            || name.starts_with("trace_")
+            || CHAOS_PINS.contains(&name.as_str())
+        {
             continue;
         }
         let id = name.strip_suffix(".json").map(str::to_uppercase);
