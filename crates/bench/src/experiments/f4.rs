@@ -16,9 +16,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdv_core::scenarios::{build_star_fabric, host_link_rack};
+use rdv_core::scenarios::{build_star_fabric_observed, host_link_rack};
 use rdv_discovery::{DiscoveryMode, HostConfig, HostNode};
-use rdv_netsim::{FaultPlan, NodeId, SimTime};
+use rdv_netsim::metrics::MetricSet;
+use rdv_netsim::{FaultPlan, NodeId, Observe, SimTime};
 use rdv_objspace::{ObjId, ObjectKind};
 
 use crate::par::par_map;
@@ -47,29 +48,15 @@ pub struct F4Outcome {
 
 /// One chaos point: `loss_permille` of random loss on every host link, a
 /// partition of `outage_us` around one holder, and a crash/restart outage
-/// of `outage_us` on another.
-pub fn run_point(loss_permille: u16, outage_us: u64, seed: u64) -> F4Outcome {
-    run_point_inner(loss_permille, outage_us, seed, false).0
-}
-
-/// [`run_point`] with the telemetry plane and invariant monitor on;
-/// sampling observes without perturbing, so the outcome numbers are
-/// identical to the plain run at the same point.
-pub fn run_point_metrics(
+/// of `outage_us` on another. `observe` is armed on the built fabric;
+/// observed metrics come back beside the outcome, whose numbers are
+/// identical to an unobserved run at the same point.
+pub fn run_point(
     loss_permille: u16,
     outage_us: u64,
     seed: u64,
-) -> (F4Outcome, rdv_netsim::metrics::MetricSet) {
-    let (out, set) = run_point_inner(loss_permille, outage_us, seed, true);
-    (out, set.expect("metrics were enabled"))
-}
-
-fn run_point_inner(
-    loss_permille: u16,
-    outage_us: u64,
-    seed: u64,
-    metrics: bool,
-) -> (F4Outcome, Option<rdv_netsim::metrics::MetricSet>) {
+    observe: Observe,
+) -> (F4Outcome, Option<MetricSet>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF4);
     let host_cfg = HostConfig {
         mode: DiscoveryMode::Controller,
@@ -102,11 +89,9 @@ fn run_point_inner(
     }
     nodes.insert(0, (Box::new(driver), ObjId(0xF4D0), link));
 
-    let (mut sim, ids) = build_star_fabric(seed, nodes, &obj_routes);
+    let metered = observe.metrics.is_some();
+    let (mut sim, ids) = build_star_fabric_observed(seed, 0, observe, nodes, &obj_routes);
     let switch = NodeId(ids.len());
-    if metrics {
-        sim.enable_metrics(rdv_netsim::metrics::MetricsConfig::default());
-    }
 
     if outage_us > 0 {
         // Partition holder 1 off the switch, and crash-restart holder 2,
@@ -128,7 +113,7 @@ fn run_point_inner(
     }
     sim.run_until_idle();
 
-    let set = metrics.then(|| {
+    let set = metered.then(|| {
         sim.flush_metrics(sim.now());
         sim.take_metrics()
     });
@@ -194,7 +179,7 @@ pub fn run(quick: bool) -> Series {
         ],
     );
     let rows = par_map(sweep.to_vec(), |(loss, outage)| {
-        let out = run_point(loss, outage, 0xF4 + loss as u64);
+        let (out, _) = run_point(loss, outage, 0xF4 + loss as u64, Observe::default());
         if loss == 0 && outage == 0 {
             assert_eq!(out.failed, 0, "a healthy fabric completes everything");
             assert_eq!(out.timeouts, 0, "no watchdog work on a healthy fabric");
@@ -223,10 +208,10 @@ mod tests {
 
     #[test]
     fn healthy_point_completes_everything_and_is_deterministic() {
-        let a = run_point(0, 0, 7);
+        let (a, _) = run_point(0, 0, 7, Observe::default());
         assert_eq!(a.completed, ACCESSES);
         assert_eq!(a.failed, 0);
-        let b = run_point(0, 0, 7);
+        let (b, _) = run_point(0, 0, 7, Observe::default());
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.mean_latency, b.mean_latency);
         assert_eq!(a.goodput_bytes_per_ms, b.goodput_bytes_per_ms);
@@ -234,8 +219,8 @@ mod tests {
 
     #[test]
     fn severity_degrades_goodput_but_not_accounting() {
-        let healthy = run_point(0, 0, 7);
-        let stressed = run_point(300, 600, 7);
+        let (healthy, _) = run_point(0, 0, 7, Observe::default());
+        let (stressed, _) = run_point(300, 600, 7, Observe::default());
         assert!(stressed.packets_dropped > 0);
         assert!(stressed.timeouts > 0, "faults must force watchdog work");
         assert!(stressed.mean_latency > healthy.mean_latency, "recovery costs latency");

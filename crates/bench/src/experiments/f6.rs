@@ -22,7 +22,8 @@ use rdv_load::{
     nearest_rank, replog, ArrivalSchedule, Blip, LoadCurve, LoadFabricSpec, LoadRun, OpenLoopSpec,
     ReplogSpec, SloSeries,
 };
-use rdv_netsim::{FaultPlan, LinkSpec, Node, NodeId, SimTime};
+use rdv_netsim::metrics::MetricSet;
+use rdv_netsim::{FaultPlan, LinkSpec, Node, NodeId, Observe, SimTime};
 use rdv_objspace::ObjId;
 use rdv_rpc::client::{ClientNode, PlannedCall};
 use rdv_rpc::server::ServerNode;
@@ -58,10 +59,8 @@ pub(crate) fn fabric_spec() -> LoadFabricSpec {
         access_timeout: ACCESS_TIMEOUT,
         max_access_retries: MAX_RETRIES,
         slo_interval: SLO_INTERVAL,
-        shard_audit: false,
         bystanders: 0,
         gossip_period: None,
-        flight_recorder: false,
     }
 }
 
@@ -148,35 +147,23 @@ fn outcome_from(
 }
 
 /// The rendezvous arm: the `rdv-load` harness end to end (writer
-/// HostNodes with access watchdogs, object-routed star fabric).
-pub fn run_point_rdv(skew_permille: u32, seed: u64) -> F6Outcome {
-    let run = LoadRun::execute(
-        &fabric_spec(),
-        &open_spec(skew_permille),
-        &replog_spec(),
-        Some(&blip()),
-        seed,
-        false,
-    );
-    outcome_from(run.scheduled_batches, &run.completions, run.failed, &run.slo)
-}
-
-/// [`run_point_rdv`] with the telemetry plane on; the returned set
-/// carries the engine gauges plus the emitted `load.*` SLO gauges.
-pub fn run_point_rdv_metrics(
+/// HostNodes with access watchdogs, object-routed star fabric), with
+/// `observe` armed. Observed metrics come back beside the outcome: the
+/// engine gauges plus the emitted `load.*` SLO gauges.
+pub fn run_point_rdv(
     skew_permille: u32,
     seed: u64,
-) -> (F6Outcome, rdv_netsim::metrics::MetricSet) {
-    let run = LoadRun::execute(
+    observe: Observe,
+) -> (F6Outcome, Option<MetricSet>) {
+    let run = LoadRun::observed(
         &fabric_spec(),
         &open_spec(skew_permille),
         &replog_spec(),
         Some(&blip()),
         seed,
-        true,
+        observe,
     );
-    let out = outcome_from(run.scheduled_batches, &run.completions, run.failed, &run.slo);
-    (out, run.metrics.expect("metrics were enabled"))
+    (outcome_from(run.scheduled_batches, &run.completions, run.failed, &run.slo), run.metrics)
 }
 
 /// The RPC baseline arm: the *same* batch schedule driven through
@@ -322,7 +309,7 @@ pub fn run(quick: bool) -> Series {
     let outcomes = par_map(points.clone(), |(skew, rdv)| {
         let seed = 0xF6 + skew as u64;
         if rdv {
-            run_point_rdv(skew, seed)
+            run_point_rdv(skew, seed, Observe::default()).0
         } else {
             run_point_rpc(skew, seed)
         }
@@ -353,7 +340,7 @@ mod tests {
 
     #[test]
     fn both_arms_offer_the_same_load() {
-        let rdv = run_point_rdv(1000, 0xF6);
+        let rdv = run_point_rdv(1000, 0xF6, Observe::default()).0;
         let rpc = run_point_rpc(1000, 0xF6);
         assert_eq!(rdv.offered_batches, rpc.offered_batches, "open loop: same schedule");
         assert!(rdv.offered_batches > 50, "workload too small to mean anything");
@@ -361,7 +348,7 @@ mod tests {
 
     #[test]
     fn rendezvous_recovers_where_rpc_loses_work() {
-        let rdv = run_point_rdv(1000, 0xF6);
+        let rdv = run_point_rdv(1000, 0xF6, Observe::default()).0;
         let rpc = run_point_rpc(1000, 0xF6);
         // The watchdog completes everything; one-shot RPC calls issued
         // into the blip time out and are lost.
@@ -378,8 +365,8 @@ mod tests {
 
     #[test]
     fn points_are_deterministic() {
-        let a = run_point_rdv(500, 42);
-        let b = run_point_rdv(500, 42);
+        let a = run_point_rdv(500, 42, Observe::default()).0;
+        let b = run_point_rdv(500, 42, Observe::default()).0;
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         let c = run_point_rpc(500, 42);
         let d = run_point_rpc(500, 42);

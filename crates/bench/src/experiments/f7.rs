@@ -39,11 +39,11 @@ use rdv_memproto::msg::{Msg, MsgBody, NackCode};
 use rdv_netsim::metrics::{MetricSample, MetricSet};
 use rdv_netsim::stats::Counters;
 use rdv_netsim::topo::build_rack_ring;
-use rdv_netsim::{MetricsConfig, Node, NodeCtx, Packet, PortId, Sim, SimConfig, SimTime};
+use rdv_netsim::{Node, NodeCtx, Observe, Packet, PortId, Sim, SimConfig, SimTime};
 use rdv_objspace::ObjId;
 
 /// The F5 fabric sizes, ascending: (racks, hosts_per_rack).
-const FABRICS: [(usize, usize); 3] = [(16, 64), (32, 320), (256, 400)];
+pub(crate) const FABRICS: [(usize, usize); 3] = [(16, 64), (32, 320), (256, 400)];
 
 /// Packets with `trace >= FLOOD_BASE` are fabric floods; the low bits
 /// carry the remaining trunk-hop budget. Everything below is a unicast
@@ -75,7 +75,7 @@ fn host_of(id: ObjId) -> usize {
 
 /// Churn workload shape and timeline (all sim-time).
 #[derive(Debug, Clone, Copy)]
-struct ChurnSpec {
+pub(crate) struct ChurnSpec {
     racks: usize,
     hpr: usize,
     /// Objects migrated mid-run (one per mover rack).
@@ -104,7 +104,7 @@ impl ChurnSpec {
     }
 }
 
-fn spec(racks: usize, hpr: usize, quick: bool) -> ChurnSpec {
+pub(crate) fn spec(racks: usize, hpr: usize, quick: bool) -> ChurnSpec {
     ChurnSpec {
         racks,
         hpr,
@@ -360,30 +360,19 @@ pub(crate) struct ArmOut {
     fp: String,
 }
 
-fn run_arm(spec: &ChurnSpec, gossip: bool, seed: u64) -> ArmOut {
-    run_arm_inner(spec, gossip, seed, false).0
-}
-
-/// One arm with the telemetry plane armed: engine gauges plus the gossip
-/// gauges of the first prober host (node name `probe`). Used by the
-/// `figures --metrics F7` companion.
-pub(crate) fn run_arm_metrics(spec_quick: bool, gossip: bool, seed: u64) -> (ArmOut, MetricSet) {
-    let (racks, hpr) = FABRICS[0];
-    let spec = spec(racks, hpr, spec_quick);
-    let (out, set) = run_arm_inner(&spec, gossip, seed, true);
-    (out, set.expect("metrics were enabled"))
-}
-
-fn run_arm_inner(
+/// One arm with `observe` armed on the empty simulation. Observed
+/// metrics come back beside the arm: engine gauges plus the gossip gauges
+/// of the first prober host (node name `probe`), which the
+/// `figures --metrics F7` companion reads.
+pub(crate) fn run_arm(
     spec: &ChurnSpec,
     gossip: bool,
     seed: u64,
-    metrics: bool,
+    observe: Observe,
 ) -> (ArmOut, Option<MetricSet>) {
     let mut sim = Sim::new(SimConfig { seed, ..Default::default() });
-    if metrics {
-        sim.enable_metrics(MetricsConfig::default());
-    }
+    let metrics = observe.metrics.is_some();
+    sim.observe(observe);
     let (racks, hpr) = (spec.racks, spec.hpr);
     let ring = build_rack_ring(
         &mut sim,
@@ -495,7 +484,7 @@ pub fn fingerprint(fabrics: &[(usize, usize)], quick: bool) -> String {
     let mut out = String::new();
     for &(racks, hpr) in fabrics {
         for gossip in [false, true] {
-            out.push_str(&run_arm(&spec(racks, hpr, quick), gossip, 42).fp);
+            out.push_str(&run_arm(&spec(racks, hpr, quick), gossip, 42, Observe::default()).0.fp);
             out.push('\n');
         }
     }
@@ -525,7 +514,7 @@ pub fn sweep(fabrics: &[(usize, usize)], quick: bool) -> Series {
     for &(racks, hpr) in fabrics {
         let spec = spec(racks, hpr, quick);
         for gossip in [false, true] {
-            let arm = run_arm(&spec, gossip, 42);
+            let arm = run_arm(&spec, gossip, 42, Observe::default()).0;
             let churns = spec.churns as u64;
             // The knee column: what one churn event costs the discovery
             // plane. Flood = DiscoverReq deliveries (O(hosts)); gossip =
@@ -592,7 +581,7 @@ mod tests {
     #[test]
     fn flood_arm_pays_o_hosts_per_churn() {
         let spec = tiny();
-        let flood = run_arm(&spec, false, 42);
+        let flood = run_arm(&spec, false, 42, Observe::default()).0;
         assert_eq!(flood.repair_hits, 0);
         assert_eq!(flood.probe_ns.len(), spec.churns);
         // Every host except the prober sees each flood.
@@ -609,7 +598,7 @@ mod tests {
     #[test]
     fn gossip_arm_repairs_from_the_journal_at_o_rounds_cost() {
         let spec = tiny();
-        let gossip = run_arm(&spec, true, 42);
+        let gossip = run_arm(&spec, true, 42, Observe::default()).0;
         assert_eq!(gossip.flood_rx, 0, "journal repair must not flood");
         assert_eq!(gossip.repair_hits, spec.churns as u64, "every probe repairs locally");
         assert_eq!(gossip.probe_ns.len(), spec.churns);
@@ -627,7 +616,7 @@ mod tests {
         );
         // Probes resolve quickly: the fact arrived before the probe fired,
         // so latency is one direct read RTT, far below flood rediscovery.
-        let flood = run_arm(&spec, false, 42);
+        let flood = run_arm(&spec, false, 42, Observe::default()).0;
         let gmax = gossip.probe_ns.iter().copied().max().unwrap();
         let fmax = flood.probe_ns.iter().copied().max().unwrap();
         assert!(gmax < fmax, "journal repair ({gmax} ns) must beat flood rediscovery ({fmax} ns)");

@@ -32,8 +32,8 @@
 use rdv_discovery::host::tags;
 use rdv_load::{nearest_rank, LoadRun};
 use rdv_netsim::trace::critical::{CriticalPath, CATEGORIES};
-use rdv_netsim::trace::{EventKind, SampleSpec, Tracer};
-use rdv_netsim::SimTime;
+use rdv_netsim::trace::{EventKind, SampleSpec, Tracer, DEFAULT_CAPACITY};
+use rdv_netsim::{Observe, SimTime, TraceSpec};
 
 use super::f6;
 use crate::report::Series;
@@ -162,13 +162,14 @@ fn run_scale(hosts: usize, period_us: u64, gossip_permille: u16) -> ScaleRun {
     fabric.gossip_period = Some(SimTime::from_micros(period_us));
     let seed = 0xF8 + hosts as u64;
     let spec = sample_spec(gossip_permille, seed);
-    let run = LoadRun::execute_traced(
+    let trace = TraceSpec { capacity: DEFAULT_CAPACITY, sample: Some(spec) };
+    let run = LoadRun::observed(
         &fabric,
         &f6::open_spec(1000),
         &replog,
         Some(&f6::blip()),
         seed,
-        &spec,
+        Observe { trace: Some(trace), ..Observe::default() },
     );
     let tracer = run.tracer.as_ref().expect("traced run");
 

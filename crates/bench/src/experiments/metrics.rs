@@ -9,13 +9,17 @@
 //! integer arithmetic — so `results/metrics_<exp>.json` is byte-identical
 //! across processes and `--jobs` values (CI cmp-checks this).
 
-use rdv_discovery::scenario::run_discovery;
+use rdv_discovery::scenario::run_discovery_observed;
 use rdv_discovery::{DiscoveryMode, ScenarioConfig, ScenarioKind, StalenessMode};
-use rdv_netsim::metrics::{export, MetricSet};
+use rdv_netsim::metrics::{export, MetricSet, MetricsConfig};
+use rdv_netsim::Observe;
 
-use crate::experiments::f4::run_point_metrics;
-use crate::experiments::f6::run_point_rdv_metrics;
-use crate::experiments::f7::run_arm_metrics;
+use crate::experiments::{f4, f6, f7};
+
+/// The telemetry plane on its default cadence, with the invariant monitor.
+fn metered() -> Observe {
+    Observe { metrics: Some(MetricsConfig::default()), ..Observe::default() }
+}
 
 /// Experiment IDs that have a metrics companion run.
 pub const METRICABLE: &[&str] = &["F3", "F4", "F6", "F7"];
@@ -67,10 +71,9 @@ fn metrics_f3(quick: bool) -> MetricsReport {
         mode: DiscoveryMode::E2E,
         staleness: StalenessMode::NackRediscover,
         accesses: if quick { 100 } else { 400 },
-        metrics: true,
         ..Default::default()
     };
-    let out = run_discovery(&cfg);
+    let out = run_discovery_observed(&cfg, metered());
     let set = out.metrics.expect("metrics were enabled");
 
     let (hit_min, hit_max, _) = stats(&set, "discovery.destcache_hit_pct.h0");
@@ -96,7 +99,8 @@ fn metrics_f3(quick: bool) -> MetricsReport {
 fn metrics_f4() -> MetricsReport {
     let (loss, outage) = (300u16, 600u64);
     let seed = 0xF4 + loss as u64;
-    let (out, set) = run_point_metrics(loss, outage, seed);
+    let (out, set) = f4::run_point(loss, outage, seed, metered());
+    let set = set.expect("metrics were enabled");
 
     let (_, part_max, _) = stats(&set, "rate.sim.packets_dropped.partition");
     let (_, dead_max, _) = stats(&set, "rate.sim.packets_dropped.dead_node");
@@ -128,7 +132,8 @@ fn metrics_f4() -> MetricsReport {
 fn metrics_f6() -> MetricsReport {
     let skew = 1000u32;
     let seed = 0xF6 + skew as u64;
-    let (out, set) = run_point_rdv_metrics(skew, seed);
+    let (out, set) = f6::run_point_rdv(skew, seed, metered());
+    let set = set.expect("metrics were enabled");
 
     let (good_min, good_max, _) = stats(&set, "load.goodput_per_s");
     let (offered_min, offered_max, _) = stats(&set, "load.offered_per_s");
@@ -157,8 +162,11 @@ fn metrics_f6() -> MetricsReport {
 /// churn fact arriving and repairing locally.
 fn metrics_f7(quick: bool) -> MetricsReport {
     let seed = 42;
-    let (flood, fset) = run_arm_metrics(quick, false, seed);
-    let (gossip, gset) = run_arm_metrics(quick, true, seed);
+    let (racks, hpr) = f7::FABRICS[0];
+    let spec = f7::spec(racks, hpr, quick);
+    let (flood, fset) = f7::run_arm(&spec, false, seed, metered());
+    let (gossip, gset) = f7::run_arm(&spec, true, seed, metered());
+    let (fset, gset) = (fset.expect("metrics were enabled"), gset.expect("metrics were enabled"));
 
     let (_, flood_peak, _) = stats(&fset, "rate.sim.packets_delivered");
     let (_, gossip_peak, _) = stats(&gset, "rate.sim.packets_delivered");

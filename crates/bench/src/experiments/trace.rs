@@ -8,11 +8,14 @@
 //! arithmetic — so `results/trace_<exp>.json` is byte-identical across
 //! processes and `--jobs` values (CI cmp-checks this).
 
-use rdv_discovery::scenario::run_discovery;
+use rdv_discovery::scenario::run_discovery_observed;
 use rdv_discovery::{DiscoveryMode, ScenarioConfig, ScenarioKind, ScenarioTrace, StalenessMode};
-use rdv_netsim::trace::{export, CriticalPath, EventKind, PathBreakdown, SampleSpec, CATEGORIES};
+use rdv_netsim::trace::{
+    export, CriticalPath, EventKind, PathBreakdown, SampleSpec, CATEGORIES, DEFAULT_CAPACITY,
+};
+use rdv_netsim::{Observe, TraceSpec};
 
-use crate::fabric::{run_fabric, run_fabric_traced, FabricSpec};
+use crate::fabric::{run_fabric, run_fabric_observed, FabricSpec};
 
 /// Experiment IDs that have a traced companion run.
 pub const TRACEABLE: &[&str] = &["F2", "F3", "F5"];
@@ -23,6 +26,11 @@ pub struct TraceReport {
     pub json: String,
     /// Human-readable critical-path summary.
     pub summary: String,
+}
+
+/// A default-sized trace ring, every chain or a sampled slice.
+fn traced(sample: Option<SampleSpec>) -> Observe {
+    Observe { trace: Some(TraceSpec { capacity: DEFAULT_CAPACITY, sample }), ..Observe::default() }
 }
 
 /// Run the traced companion of `exp` (`F2`, `F3`, or `F5`), if it has one.
@@ -38,15 +46,17 @@ pub fn run(exp: &str, quick: bool) -> Option<TraceReport> {
 /// F2 at 50% new objects, E2E: fresh accesses are 1 unicast RTT, new
 /// objects take a broadcast rediscovery first.
 fn trace_f2(quick: bool) -> TraceReport {
-    let out = run_discovery(&ScenarioConfig {
-        kind: ScenarioKind::Fig2NewObjects { pct_new: 50 },
-        mode: DiscoveryMode::E2E,
-        staleness: StalenessMode::InvalidateOnMove,
-        accesses: if quick { 200 } else { 1000 },
-        num_objects: if quick { 64 } else { 256 },
-        trace: true,
-        ..Default::default()
-    });
+    let out = run_discovery_observed(
+        &ScenarioConfig {
+            kind: ScenarioKind::Fig2NewObjects { pct_new: 50 },
+            mode: DiscoveryMode::E2E,
+            staleness: StalenessMode::InvalidateOnMove,
+            accesses: if quick { 200 } else { 1000 },
+            num_objects: if quick { 64 } else { 256 },
+            ..Default::default()
+        },
+        traced(None),
+    );
     let trace = out.trace.expect("tracing was enabled");
     let summary = summarize(
         "F2 @ 50% new objects (E2E)",
@@ -62,14 +72,16 @@ fn trace_f2(quick: bool) -> TraceReport {
 /// is attributed to stale-cache accesses taking the 3-leg NACK →
 /// broadcast rediscovery path.
 fn trace_f3(quick: bool) -> TraceReport {
-    let out = run_discovery(&ScenarioConfig {
-        kind: ScenarioKind::Fig3Staleness { pct_moved: 50 },
-        mode: DiscoveryMode::E2E,
-        staleness: StalenessMode::NackRediscover,
-        accesses: if quick { 100 } else { 400 },
-        trace: true,
-        ..Default::default()
-    });
+    let out = run_discovery_observed(
+        &ScenarioConfig {
+            kind: ScenarioKind::Fig3Staleness { pct_moved: 50 },
+            mode: DiscoveryMode::E2E,
+            staleness: StalenessMode::NackRediscover,
+            accesses: if quick { 100 } else { 400 },
+            ..Default::default()
+        },
+        traced(None),
+    );
     let trace = out.trace.expect("tracing was enabled");
     let summary = summarize(
         "F3 @ 50% moved (E2E, NACK-rediscover)",
@@ -100,7 +112,8 @@ fn trace_f5(quick: bool) -> TraceReport {
     };
     let sample =
         SampleSpec { seed: 0xF5, default_permille: 0, classes: vec![("fabric.storm", permille)] };
-    let (fp, tracer, names) = run_fabric_traced(&spec, 42, 0, &sample);
+    let (fp, ring) = run_fabric_observed(&spec, 42, 0, traced(Some(sample)));
+    let (tracer, names) = ring.expect("traced run");
     assert_eq!(fp, run_fabric(&spec, 42, 0), "tracing must not perturb the run");
     let (sampled, skipped) = tracer.sample_tallies().expect("sampled mode");
 
@@ -211,14 +224,16 @@ mod tests {
 
     #[test]
     fn f3_stale_paths_cost_more_link_legs_than_fresh() {
-        let out = run_discovery(&ScenarioConfig {
-            kind: ScenarioKind::Fig3Staleness { pct_moved: 50 },
-            mode: DiscoveryMode::E2E,
-            staleness: StalenessMode::NackRediscover,
-            accesses: 100,
-            trace: true,
-            ..Default::default()
-        });
+        let out = run_discovery_observed(
+            &ScenarioConfig {
+                kind: ScenarioKind::Fig3Staleness { pct_moved: 50 },
+                mode: DiscoveryMode::E2E,
+                staleness: StalenessMode::NackRediscover,
+                accesses: 100,
+                ..Default::default()
+            },
+            traced(None),
+        );
         let trace = out.trace.expect("traced");
         let mut slow = PathBreakdown::default();
         let mut fast = PathBreakdown::default();

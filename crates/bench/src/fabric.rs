@@ -12,17 +12,14 @@
 //! * **trunk relays** — every switch launches hop-bounded ring packets
 //!   that cross shard boundaries and exercise the barrier merge.
 //!
-//! [`run_fabric`] returns the event count and final clock, which together
-//! fingerprint the run: the engine guarantees they are identical for every
-//! shard count, and every harness built on this module asserts it.
+//! [`run_fabric_observed`] returns the event count and final clock, which
+//! together fingerprint the run: the engine guarantees they are identical
+//! for every shard count, and every harness built on this module asserts
+//! it.
 
 use rdv_netsim::topo::build_rack_ring;
-use rdv_netsim::trace::{EventId, SampleSpec, Tracer};
-use rdv_netsim::{LinkSpec, Node, NodeCtx, Packet, PortId, Sim, SimConfig, SimTime};
-
-/// Trace-ring capacity for sampled storm runs; sampling keeps the
-/// recorded stream far below this.
-const TRACE_CAPACITY: usize = 1 << 20;
+use rdv_netsim::trace::{EventId, Tracer};
+use rdv_netsim::{LinkSpec, Node, NodeCtx, Observe, Packet, PortId, Sim, SimConfig, SimTime};
 
 /// Workload shape: fabric size and per-node traffic budgets.
 #[derive(Debug, Clone, Copy)]
@@ -129,36 +126,32 @@ impl Node for RingSwitch {
     }
 }
 
-/// One full fabric storm at `shards`. Returns `(events, final clock ns)` —
-/// the run fingerprint, identical for every shard count.
+/// One full fabric storm at `shards`, unobserved. Kept with this
+/// signature for rdvperf, whose sources change only in `[benchmark]`
+/// PRs; ROADMAP item 1's PR retires it.
 pub fn run_fabric(spec: &FabricSpec, seed: u64, shards: usize) -> (u64, u64) {
-    storm(spec, seed, shards, None).0
+    run_fabric_observed(spec, seed, shards, Observe::default()).0
 }
 
-/// [`run_fabric`] with deterministic sampled tracing: hosts whose
-/// `fabric.storm` chain wins the sample verdict record their full bounce
-/// chain into the returned ring. Also returns display names indexed by
-/// node id for the Perfetto export. The fingerprint is unchanged —
-/// tracing records events, it never adds any.
-pub fn run_fabric_traced(
+/// `(fingerprint, Some((tracer, node names)) when a trace was observed)`.
+type StormOutput = ((u64, u64), Option<(Tracer, Vec<String>)>);
+
+/// One full fabric storm at `shards` with `observe` armed. Returns
+/// `(events, final clock ns)` — the run fingerprint, identical for every
+/// shard count and every observer — and, when a trace was observed, the
+/// ring plus display names indexed by node id for the Perfetto export.
+/// Under a sampled trace, hosts whose `fabric.storm` chain wins the
+/// verdict record their full bounce chain and every other host records
+/// nothing.
+pub fn run_fabric_observed(
     spec: &FabricSpec,
     seed: u64,
     shards: usize,
-    sample: &SampleSpec,
-) -> ((u64, u64), Tracer, Vec<String>) {
-    let (fp, traced) = storm(spec, seed, shards, Some(sample));
-    let (tracer, names) = traced.expect("traced run");
-    (fp, tracer, names)
-}
-
-/// `(fingerprint, Some((tracer, node names)) when sampling was armed)`.
-type StormOutput = ((u64, u64), Option<(Tracer, Vec<String>)>);
-
-fn storm(spec: &FabricSpec, seed: u64, shards: usize, sample: Option<&SampleSpec>) -> StormOutput {
+    observe: Observe,
+) -> StormOutput {
     let mut sim = Sim::new(SimConfig { seed, shards, ..Default::default() });
-    if let Some(spec) = sample {
-        sim.enable_trace_sampled(TRACE_CAPACITY, spec.clone());
-    }
+    let traced = observe.trace.is_some();
+    sim.observe(observe);
     let hpr = spec.hosts_per_rack;
     let (ring_packets, ring_hops) = (spec.ring_packets, spec.ring_hops);
     let (burst, bounces) = (spec.burst, spec.bounces);
@@ -182,7 +175,7 @@ fn storm(spec: &FabricSpec, seed: u64, shards: usize, sample: Option<&SampleSpec
     );
     let events = sim.run_until_idle();
     debug_assert_eq!(ring.hosts.len(), spec.hosts());
-    let traced = sample.is_some().then(|| {
+    let traced = traced.then(|| {
         let count = ring.switches.len() + ring.hosts.len();
         let mut names = vec![String::new(); count];
         for (r, &id) in ring.switches.iter().enumerate() {

@@ -4,6 +4,8 @@
 //! serialization end to end); the text renderer produces the aligned
 //! tables EXPERIMENTS.md quotes.
 
+use rdv_netsim::trace::export::json_escape;
+
 /// A result table: named columns, string-rendered rows, free-form notes.
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -79,32 +81,18 @@ impl Series {
 
     /// Render as JSON (escaped, stable key order).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn arr(items: impl Iterator<Item = String>) -> String {
             let inner: Vec<String> = items.collect();
             format!("[{}]", inner.join(","))
         }
-        let columns = arr(self.columns.iter().map(|c| format!("\"{}\"", esc(c))));
-        let rows = arr(self.rows.iter().map(|r| arr(r.iter().map(|c| format!("\"{}\"", esc(c))))));
-        let notes = arr(self.notes.iter().map(|n| format!("\"{}\"", esc(n))));
+        let columns = arr(self.columns.iter().map(|c| format!("\"{}\"", json_escape(c))));
+        let rows =
+            arr(self.rows.iter().map(|r| arr(r.iter().map(|c| format!("\"{}\"", json_escape(c))))));
+        let notes = arr(self.notes.iter().map(|n| format!("\"{}\"", json_escape(n))));
         format!(
             "{{\"id\":\"{}\",\"title\":\"{}\",\"columns\":{},\"rows\":{},\"notes\":{}}}",
-            esc(&self.id),
-            esc(&self.title),
+            json_escape(&self.id),
+            json_escape(&self.title),
             columns,
             rows,
             notes

@@ -1253,15 +1253,7 @@ impl Node for GasHostNode {
             MsgBody::ReadReq { req, target, offset, len } => {
                 // Small-read service (used by examples).
                 let reply = match self.store.get(target) {
-                    Ok(obj) => {
-                        let end = offset.saturating_add(len).min(obj.heap_len());
-                        let data = if offset < end {
-                            obj.read(offset, end - offset).map(<[u8]>::to_vec).unwrap_or_default()
-                        } else {
-                            Vec::new()
-                        };
-                        MsgBody::ReadResp { req, offset, version: obj.version(), data }
-                    }
+                    Ok(obj) => MsgBody::read_reply(obj, req, offset, len),
                     Err(_) if msg.header.dst == self.inbox || msg.header.dst == target => {
                         MsgBody::Nack { req, code: NackCode::NotHere }
                     }
@@ -1382,6 +1374,7 @@ mod tests {
     use crate::scenarios::{
         build_star_fabric, host_link_edge, host_link_rack, standard_registry, FN_NOOP,
     };
+    use rdv_netsim::{Observe, TraceSpec};
     use rdv_objspace::{FotFlags, ObjectKind};
 
     const CLIENT_A: ObjId = ObjId(0x1111);
@@ -1473,7 +1466,10 @@ mod tests {
             ],
             &[(OBJ, 2)],
         );
-        sim.enable_trace(1 << 16);
+        sim.observe(Observe {
+            trace: Some(TraceSpec { capacity: 1 << 16, sample: None }),
+            ..Observe::default()
+        });
         sim.schedule(SimTime::from_millis(1), ids[0], 0);
         sim.schedule(SimTime::from_millis(2), ids[1], 0);
         sim.schedule(SimTime::from_millis(3), ids[0], 1);

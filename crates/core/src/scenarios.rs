@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use rdv_netsim::{LinkSpec, Node, NodeId, Sim, SimConfig, SimTime};
+use rdv_netsim::{LinkSpec, Node, NodeId, Observe, Sim, SimConfig, SimTime};
 use rdv_objspace::{FotFlags, ObjId, ObjectKind, ObjectStore};
 use rdv_p4rt::capacity::SramBudget;
 use rdv_p4rt::header::{objnet_format, OBJNET_DST_OBJ};
@@ -74,27 +74,43 @@ pub fn infer_code_desc() -> CodeDesc {
     CodeDesc { fn_id: FN_INFER, base_ns: 10_000, ps_per_byte: 250 }
 }
 
-/// Build a star fabric: `nodes[i]` (with its inbox and link) attaches to
-/// switch port `i`; inbox routes plus `obj_routes` (object → host index)
-/// are pre-installed (post-bootstrap controller state).
+/// Build a star fabric, unobserved, at the process-default shard count:
+/// see [`build_star_fabric_observed`].
 pub fn build_star_fabric(
     seed: u64,
     nodes: Vec<(Box<dyn Node>, ObjId, LinkSpec)>,
     obj_routes: &[(ObjId, usize)],
 ) -> (Sim, Vec<NodeId>) {
-    build_star_fabric_sharded(seed, 0, nodes, obj_routes)
+    build_star_fabric_observed(seed, 0, Observe::default(), nodes, obj_routes)
 }
 
-/// [`build_star_fabric`] with an explicit engine shard count (0 inherits
-/// the process default; the chaos soak uses this to replay scenarios at
-/// several shard counts and assert byte-identical outcomes).
+/// [`build_star_fabric_observed`] unobserved. Kept with this signature
+/// for rdvperf, whose sources change only in `[benchmark]` PRs; ROADMAP
+/// item 1's PR retires it.
 pub fn build_star_fabric_sharded(
     seed: u64,
     shards: usize,
     nodes: Vec<(Box<dyn Node>, ObjId, LinkSpec)>,
     obj_routes: &[(ObjId, usize)],
 ) -> (Sim, Vec<NodeId>) {
+    build_star_fabric_observed(seed, shards, Observe::default(), nodes, obj_routes)
+}
+
+/// Build a star fabric: `nodes[i]` (with its inbox and link) attaches to
+/// switch port `i`; inbox routes plus `obj_routes` (object → host index)
+/// are pre-installed (post-bootstrap controller state). `shards` is the
+/// engine shard count (0 inherits the process default; the chaos soak
+/// replays scenarios at several counts and asserts byte-identical
+/// outcomes), and `observe` is armed before the first node is added.
+pub fn build_star_fabric_observed(
+    seed: u64,
+    shards: usize,
+    observe: Observe,
+    nodes: Vec<(Box<dyn Node>, ObjId, LinkSpec)>,
+    obj_routes: &[(ObjId, usize)],
+) -> (Sim, Vec<NodeId>) {
     let mut sim = Sim::new(SimConfig { seed, shards, ..Default::default() });
+    sim.observe(observe);
     let mut pl = Pipeline::new(objnet_format(), Action::Drop);
     pl.add_table(Table::new(
         "objroute",

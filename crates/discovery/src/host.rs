@@ -587,23 +587,7 @@ impl HostNode {
                 // only the holder serves it, and only the host the packet
                 // was *addressed to* (inbox-routed stale unicast) NACKs it.
                 let reply = match self.store.get(target) {
-                    Ok(obj) => {
-                        let end = offset.saturating_add(len).min(obj.heap_len());
-                        let data = if offset < end {
-                            obj.read(offset, end - offset).map(<[u8]>::to_vec)
-                        } else {
-                            Ok(Vec::new())
-                        };
-                        match data {
-                            Ok(data) => MsgBody::ReadResp {
-                                req,
-                                offset,
-                                version: obj.version(),
-                                data,
-                            },
-                            Err(_) => MsgBody::Nack { req, code: NackCode::BadRange },
-                        }
-                    }
+                    Ok(obj) => MsgBody::read_reply(obj, req, offset, len),
                     Err(_) if msg.header.dst == self.inbox => {
                         MsgBody::Nack { req, code: NackCode::NotHere }
                     }

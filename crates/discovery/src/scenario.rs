@@ -2,8 +2,8 @@
 //!
 //! §4: *"we … used Mininet to connect three Twizzler VMs to four
 //! interconnected switches … where one VM drove accesses to objects and the
-//! other two responded."* [`run_discovery`] rebuilds exactly that on
-//! `rdv-netsim`: h0 drives, h1/h2 respond, four switches in a full mesh
+//! other two responded."* [`run_discovery_observed`] rebuilds exactly that
+//! on `rdv-netsim`: h0 drives, h1/h2 respond, four switches in a full mesh
 //! (see `rdv_netsim::topo::wire_paper_testbed`), with an SDN controller
 //! attached in controller mode.
 
@@ -13,10 +13,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use rdv_netsim::metrics::{MetricSet, MetricsConfig};
+use rdv_netsim::metrics::MetricSet;
 use rdv_netsim::topo::wire_paper_testbed;
-use rdv_netsim::trace::{Tracer, DEFAULT_CAPACITY};
-use rdv_netsim::{Histogram, LinkSpec, NodeId, Sim, SimConfig, SimTime};
+use rdv_netsim::trace::Tracer;
+use rdv_netsim::{Histogram, LinkSpec, NodeId, Observe, Sim, SimConfig, SimTime};
 use rdv_objspace::{ObjId, ObjectKind};
 use rdv_p4rt::capacity::SramBudget;
 use rdv_p4rt::header::{objnet_format, OBJNET_DST_OBJ};
@@ -59,11 +59,6 @@ pub struct ScenarioConfig {
     pub access_gap: SimTime,
     /// RNG seed (same seed ⇒ identical outcome).
     pub seed: u64,
-    /// Record a causal trace of the run (see [`DiscoveryOutcome::trace`]).
-    pub trace: bool,
-    /// Sample telemetry gauges on the default cadence and run the live
-    /// invariant monitor (see [`DiscoveryOutcome::metrics`]).
-    pub metrics: bool,
     /// Journal-synchronized discovery (DESIGN.md §12): the hosts gossip
     /// holder facts instead of broadcasting invalidations, and stale cache
     /// entries repair from the local journal. E2E mode only.
@@ -80,14 +75,12 @@ impl Default for ScenarioConfig {
             num_objects: 128,
             access_gap: SimTime::from_micros(100),
             seed: 7,
-            trace: false,
-            metrics: false,
             gossip: false,
         }
     }
 }
 
-/// The causal trace of one scenario run ([`ScenarioConfig::trace`]),
+/// The causal trace of one scenario run ([`Observe::trace`]),
 /// boxed to keep [`DiscoveryOutcome`] small when tracing is off.
 #[derive(Debug)]
 pub struct ScenarioTrace {
@@ -117,10 +110,11 @@ pub struct DiscoveryOutcome {
     pub nacks: u64,
     /// Total simulated events processed.
     pub events: u64,
-    /// The causal trace, when [`ScenarioConfig::trace`] was set.
+    /// The causal trace, when the run observed one ([`Observe::trace`]).
     pub trace: Option<Box<ScenarioTrace>>,
-    /// The sampled telemetry series, when [`ScenarioConfig::metrics`] was
-    /// set (boxed to keep the outcome small when sampling is off).
+    /// The sampled telemetry series, when the run observed one
+    /// ([`Observe::metrics`]; boxed to keep the outcome small when
+    /// sampling is off).
     pub metrics: Option<Box<MetricSet>>,
 }
 
@@ -227,8 +221,18 @@ fn build_testbed(cfg: &ScenarioConfig, hosts: [HostNode; 3]) -> Testbed {
     Testbed { sim, driver: d, responders: [r1, r2] }
 }
 
-/// Run one scenario point. Deterministic in `cfg.seed`.
+/// Run one scenario point, unobserved. Kept with this signature for
+/// rdvperf, whose sources change only in `[benchmark]` PRs; ROADMAP item
+/// 1's PR retires it in favour of [`run_discovery_observed`].
 pub fn run_discovery(cfg: &ScenarioConfig) -> DiscoveryOutcome {
+    run_discovery_observed(cfg, Observe::default())
+}
+
+/// Run one scenario point with `observe` armed before the first access
+/// is scheduled. Deterministic in `cfg.seed`; observers never change the
+/// outcome, they only fill [`DiscoveryOutcome::trace`] and
+/// [`DiscoveryOutcome::metrics`].
+pub fn run_discovery_observed(cfg: &ScenarioConfig, observe: Observe) -> DiscoveryOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.seed); // rdv-lint: allow(rng-stream) -- pre-sim scenario generator stream, derived from the scenario seed before any node runs
     let host_cfg = HostConfig { mode: cfg.mode, staleness: cfg.staleness, ..Default::default() };
 
@@ -333,12 +337,8 @@ pub fn run_discovery(cfg: &ScenarioConfig) -> DiscoveryOutcome {
     let n_migrations = h1.migrations.len();
     h0.plan = plan.clone();
     let mut tb = build_testbed(cfg, [h0, h1, h2]);
-    if cfg.trace {
-        tb.sim.enable_trace(DEFAULT_CAPACITY);
-    }
-    if cfg.metrics {
-        tb.sim.enable_metrics(MetricsConfig::default());
-    }
+    let (traced, metered) = (observe.trace.is_some(), observe.metrics.is_some());
+    tb.sim.observe(observe);
 
     // Schedule: warmups first, then (Fig3) migrations, then measurement.
     let mut t = SimTime::from_micros(1000);
@@ -366,8 +366,8 @@ pub fn run_discovery(cfg: &ScenarioConfig) -> DiscoveryOutcome {
         tb.sim.run_until_idle();
     }
 
-    let trace_parts = cfg.trace.then(|| (tb.sim.node_names(), tb.sim.take_tracer()));
-    let metrics = cfg.metrics.then(|| {
+    let trace_parts = traced.then(|| (tb.sim.node_names(), tb.sim.take_tracer()));
+    let metrics = metered.then(|| {
         tb.sim.flush_metrics(tb.sim.now());
         Box::new(tb.sim.take_metrics())
     });
@@ -411,6 +411,9 @@ pub fn run_discovery(cfg: &ScenarioConfig) -> DiscoveryOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdv_netsim::metrics::MetricsConfig;
+    use rdv_netsim::trace::DEFAULT_CAPACITY;
+    use rdv_netsim::TraceSpec;
 
     fn quick(
         kind: ScenarioKind,
@@ -633,10 +636,13 @@ mod tests {
             staleness: StalenessMode::NackRediscover,
             accesses: 40,
             num_objects: 40,
-            trace: true,
             ..Default::default()
         };
-        let out = run_discovery(&cfg);
+        let traced = Observe {
+            trace: Some(TraceSpec { capacity: DEFAULT_CAPACITY, sample: None }),
+            ..Observe::default()
+        };
+        let out = run_discovery_observed(&cfg, traced);
         let trace = out.trace.as_ref().expect("tracing was requested");
         assert_eq!(out.completed, 40);
         assert_eq!(trace.records.len(), 40);
@@ -694,10 +700,15 @@ mod tests {
 
         // Tracing must observe, never perturb: the untraced run is
         // numerically identical.
-        let base = run_discovery(&ScenarioConfig { trace: false, ..cfg });
+        let base = run_discovery(&cfg);
         assert!(base.trace.is_none());
         assert_eq!(base.events, out.events);
         assert_eq!(base.rtt.samples(), out.rtt.samples());
+    }
+
+    /// Telemetry on the default cadence, with the live invariant monitor.
+    fn metered() -> Observe {
+        Observe { metrics: Some(MetricsConfig::default()), ..Observe::default() }
     }
 
     #[test]
@@ -708,10 +719,9 @@ mod tests {
             staleness: StalenessMode::NackRediscover,
             accesses: 60,
             num_objects: 60,
-            metrics: true,
             ..Default::default()
         };
-        let out = run_discovery(&cfg);
+        let out = run_discovery_observed(&cfg, metered());
         let set = out.metrics.as_ref().expect("metrics were requested");
         assert!(set.ticks() > 0, "sampler must have fired");
         assert!(
@@ -731,7 +741,7 @@ mod tests {
         assert!(set.series_by_name("discovery.directory_size.ctl").is_none());
 
         // Observation never perturbs the run.
-        let base = run_discovery(&ScenarioConfig { metrics: false, ..cfg });
+        let base = run_discovery(&cfg);
         assert!(base.metrics.is_none());
         assert_eq!(base.events, out.events);
         assert_eq!(base.rtt.samples(), out.rtt.samples());
@@ -739,14 +749,14 @@ mod tests {
 
     #[test]
     fn metrics_audit_controller_directory_against_declared_inboxes() {
-        let out = run_discovery(&ScenarioConfig {
+        let cfg = ScenarioConfig {
             kind: ScenarioKind::Fig3Staleness { pct_moved: 50 },
             mode: DiscoveryMode::Controller,
             accesses: 40,
             num_objects: 40,
-            metrics: true,
             ..Default::default()
-        });
+        };
+        let out = run_discovery_observed(&cfg, metered());
         let set = out.metrics.as_ref().expect("metrics were requested");
         assert!(
             set.violations().is_empty(),

@@ -40,6 +40,7 @@
 pub mod lexer;
 pub mod rules;
 
+use rdv_trace::export::json_escape;
 use rdv_trace::names::NAMES;
 use rules::{HandlerTarget, LintConfig, ParityTarget};
 use std::fs;
@@ -222,21 +223,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
 /// like the text output). Hand-rolled so the linter needs no external
 /// crate; CI turns these into GitHub error annotations.
 pub fn to_json(diags: &[Diagnostic]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {
         if i > 0 {
@@ -244,10 +230,10 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
         }
         out.push_str(&format!(
             "\n  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            esc(&d.file),
+            json_escape(&d.file),
             d.line,
-            esc(&d.rule),
-            esc(&d.message)
+            json_escape(&d.rule),
+            json_escape(&d.message)
         ));
     }
     out.push_str(if diags.is_empty() { "]\n" } else { "\n]\n" });

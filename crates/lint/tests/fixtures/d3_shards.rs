@@ -5,6 +5,4 @@ fn naughty(c: &mut Counters, m: &mut MetricSample<'_>) {
     c.inc("sim.shard.windows");
     c.add("sim.shard.xshard_packets", 2);
     c.add("sim.shard.worker_spawns", 3);
-    m.gauge("shard.queue_events", 4);
-    m.gauge("shard.clock_ns", 5);
 }

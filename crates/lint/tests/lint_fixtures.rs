@@ -137,22 +137,20 @@ fn d3_enforces_gauge_name_scheme_and_registry() {
 #[test]
 fn d3_covers_the_sharded_engine_names() {
     // Same D3 rule, the table extended the way the real one is: shard
-    // counters among the engine slots, shard gauges among the gauges.
+    // counters among the engine slots, and no shard gauge at all.
     // Unregistered `sim.shard.*` / `shard.*` names must fire.
     const SHARDS: &[Name] = &[
         name("sim.events", Kind::Counter),
         name("sim.shard.windows", Kind::Counter),
         name("sim.shard.xshard_packets", Kind::Counter),
         name("sim.shard.worker_spawns", Kind::Counter),
-        name("shard.queue_events", Kind::Gauge),
-        name("shard.clock_ns", Kind::Gauge),
     ];
     let cfg = LintConfig { names: SHARDS };
     let diags = lint_source("d3_shards.rs", &fixture("d3_shards.rs"), &cfg);
     assert_eq!(
         locs(&diags),
         vec![(3, "D3/counter-name"), (4, "D3/gauge-name")],
-        "registered shard names (lines 5–9) must pass; got: {diags:#?}"
+        "registered shard names (lines 5–7) must pass; got: {diags:#?}"
     );
     assert!(diags[0].message.contains(&unregistered("counter")));
     assert!(diags[1].message.contains(&unregistered("gauge")));
@@ -393,14 +391,11 @@ fn real_registry_carries_the_load_counters() {
     }
 }
 
-/// The shard names the sharded engine emits are in the table.
+/// The shard counters the sharded engine emits are in the table.
 #[test]
 fn real_registries_carry_the_shard_names() {
     for name in ["sim.shard.windows", "sim.shard.xshard_packets", "sim.shard.worker_spawns"] {
         assert!(is_registered(Kind::Counter, name), "counter {name} missing from NAMES");
-    }
-    for name in ["shard.queue_events", "shard.clock_ns"] {
-        assert!(is_registered(Kind::Gauge, name), "gauge {name} missing from NAMES");
     }
 }
 

@@ -14,29 +14,20 @@ use crate::replog::{batches, ReplogSpec};
 use crate::slo::SloSeries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdv_core::scenarios::{build_star_fabric_sharded, host_link_rack};
+use rdv_core::scenarios::{build_star_fabric_observed, host_link_rack};
 use rdv_discovery::hier::plan_gossip_peers;
 use rdv_discovery::{DiscoveryMode, HostConfig, HostNode};
 use rdv_gossip::GossipConfig;
-use rdv_metrics::MetricSet;
-use rdv_netsim::{Counters, FaultPlan, LinkSpec, Node, NodeId, SimTime};
+use rdv_metrics::{MetricSet, MetricsConfig};
+use rdv_netsim::{Counters, FaultPlan, LinkSpec, Node, NodeId, Observe, SimTime};
 use rdv_objspace::{ObjId, ObjectKind};
-use rdv_trace::{EventId, SampleSpec, Tracer};
+use rdv_trace::{EventId, Tracer};
 
 /// Gossip neighbourhood size for the background plane: hosts are grouped
 /// into rack-sized regions of this many and peered via
 /// [`plan_gossip_peers`] (in-region ring + head chain), so every host has
 /// O(1) peers regardless of fabric size.
 const GOSSIP_REGION: usize = 64;
-
-/// Trace-ring capacity for sampled runs. Sampling keeps the recorded
-/// stream far below this; the ring only allocates what it records.
-const TRACE_CAPACITY: usize = 1 << 20;
-
-/// Per-ring capacity when the crash flight recorder is armed: enough
-/// recent history for a postmortem's ancestry walk, bounded so the rings
-/// stay cheap on 100 k-host fabrics.
-const FLIGHT_CAPACITY: usize = 4096;
 
 /// Fabric shape and service parameters for a load run.
 #[derive(Debug, Clone, Copy)]
@@ -55,11 +46,6 @@ pub struct LoadFabricSpec {
     pub max_access_retries: u32,
     /// SLO window length for the derived series.
     pub slo_interval: SimTime,
-    /// Arm the engine's shard-ownership race detector for the run (see
-    /// `rdv_netsim::Sim::enable_shard_audit`). The detector reads state
-    /// only, so fingerprints are identical either way; soak suites turn
-    /// it on, figure generation leaves it off.
-    pub shard_audit: bool,
     /// Passive hosts attached behind the switch after the holders. They
     /// hold no log heads and serve no batches, but they join the gossip
     /// plane when one is configured — the F8 scale rows use them to grow
@@ -69,12 +55,6 @@ pub struct LoadFabricSpec {
     /// host (writers, holders, bystanders), peered in rack-sized regions.
     /// `None` (the default) runs no gossip and changes nothing.
     pub gossip_period: Option<SimTime>,
-    /// Arm the engine's crash flight recorder for the run (see
-    /// `rdv_netsim::Sim::enable_flight_recorder`). The rings record
-    /// passively and dump only on a failure, so a clean run's
-    /// fingerprint is identical either way; soak suites turn it on so
-    /// any invariant panic carries a postmortem.
-    pub flight_recorder: bool,
 }
 
 impl LoadFabricSpec {
@@ -89,10 +69,8 @@ impl LoadFabricSpec {
             access_timeout: SimTime::from_micros(200),
             max_access_retries: 8,
             slo_interval: SimTime::from_micros(50),
-            shard_audit: false,
             bystanders: 0,
             gossip_period: None,
-            flight_recorder: false,
         }
     }
 }
@@ -135,19 +113,20 @@ pub struct LoadRun {
     pub clock_ns: u64,
     /// Windowed SLO series (offered/goodput in batches per second).
     pub slo: SloSeries,
-    /// The telemetry plane, with the SLO gauges emitted, when requested.
+    /// The telemetry plane, with the SLO gauges emitted, when observed.
     pub metrics: Option<MetricSet>,
     /// `(completed_at_ns, latency_ns, span_end)` per completed batch whose
     /// `load.batch` span was kept by the sampler, sorted by completion —
     /// the join input for critical-path tail attribution (F8).
     pub traced_batches: Vec<(u64, u64, EventId)>,
-    /// The trace ring, when sampled tracing was requested.
+    /// The trace ring, when tracing was observed.
     pub tracer: Option<Tracer>,
 }
 
 impl LoadRun {
-    /// Execute the workload. Pure function of its arguments: equal inputs
-    /// produce equal [`LoadRun::fingerprint`]s for any shard count.
+    /// [`LoadRun::observed`] with at most the default telemetry plane.
+    /// Kept with this signature for rdvperf, whose sources change only in
+    /// `[benchmark]` PRs; ROADMAP item 1's PR retires it.
     pub fn execute(
         fabric: &LoadFabricSpec,
         open: &OpenLoopSpec,
@@ -156,34 +135,26 @@ impl LoadRun {
         seed: u64,
         metrics: bool,
     ) -> LoadRun {
-        Self::run(fabric, open, replog, blip, seed, metrics, None)
+        let metrics = metrics.then(MetricsConfig::default);
+        Self::observed(fabric, open, replog, blip, seed, Observe { metrics, ..Observe::default() })
     }
 
-    /// [`LoadRun::execute`] with deterministic sampled tracing: operation
-    /// chains kept by `sample` are recorded, the ring is returned in
-    /// [`LoadRun::tracer`], and each traced batch's span-end lands in
-    /// [`LoadRun::traced_batches`]. Sampling verdicts are pure in the op's
-    /// origin stamp, so the recorded bytes are identical across shard
-    /// counts and processes.
-    pub fn execute_traced(
+    /// Execute the workload with `observe` armed on the freshly built
+    /// fabric. Pure function of its arguments: equal inputs produce equal
+    /// [`LoadRun::fingerprint`]s for any shard count and any observers.
+    /// An observed trace comes back in [`LoadRun::tracer`], with each
+    /// recorded batch's span end in [`LoadRun::traced_batches`] (under a
+    /// sampled trace, the batches whose chain the sampler kept); observed
+    /// metrics come back in [`LoadRun::metrics`] with the SLO gauges
+    /// emitted. Soak suites arm the race detector and flight recorder,
+    /// which change nothing on a clean run.
+    pub fn observed(
         fabric: &LoadFabricSpec,
         open: &OpenLoopSpec,
         replog: &ReplogSpec,
         blip: Option<&Blip>,
         seed: u64,
-        sample: &SampleSpec,
-    ) -> LoadRun {
-        Self::run(fabric, open, replog, blip, seed, false, Some(sample))
-    }
-
-    fn run(
-        fabric: &LoadFabricSpec,
-        open: &OpenLoopSpec,
-        replog: &ReplogSpec,
-        blip: Option<&Blip>,
-        seed: u64,
-        metrics: bool,
-        sample: Option<&SampleSpec>,
+        observe: Observe,
     ) -> LoadRun {
         assert!(fabric.holders >= 1, "need at least one holder");
         let schedule = ArrivalSchedule::generate(open, seed);
@@ -286,20 +257,10 @@ impl LoadRun {
             nodes.push((Box::new(node), ObjId(0x10AD_A000 + b as u128), link));
         }
 
-        let (mut sim, ids) = build_star_fabric_sharded(seed, fabric.shards, nodes, &obj_routes);
+        let (traced, metered) = (observe.trace.is_some(), observe.metrics.is_some());
+        let (mut sim, ids) =
+            build_star_fabric_observed(seed, fabric.shards, observe, nodes, &obj_routes);
         let switch = NodeId(ids.len());
-        if metrics {
-            sim.enable_metrics(rdv_metrics::MetricsConfig::default());
-        }
-        if fabric.shard_audit {
-            sim.enable_shard_audit();
-        }
-        if fabric.flight_recorder {
-            sim.enable_flight_recorder(FLIGHT_CAPACITY);
-        }
-        if let Some(spec) = sample {
-            sim.enable_trace_sampled(TRACE_CAPACITY, spec.clone());
-        }
 
         if let Some(blip) = blip {
             let until = SimTime::from_nanos(blip.at.as_nanos() + blip.dur.as_nanos());
@@ -330,7 +291,7 @@ impl LoadRun {
             sim.run_until_idle();
         }
 
-        let mut set = metrics.then(|| {
+        let mut set = metered.then(|| {
             sim.flush_metrics(sim.now());
             sim.take_metrics()
         });
@@ -396,7 +357,7 @@ impl LoadRun {
             slo.emit(set);
         }
 
-        let tracer = sample.is_some().then(|| sim.take_tracer());
+        let tracer = traced.then(|| sim.take_tracer());
 
         LoadRun {
             scheduled_batches: plan_batches.len(),
@@ -434,7 +395,8 @@ impl LoadRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdv_netsim::SimTime;
+    use rdv_netsim::{SimTime, TraceSpec};
+    use rdv_trace::{SampleSpec, DEFAULT_CAPACITY};
 
     fn small_inputs() -> (LoadFabricSpec, OpenLoopSpec, ReplogSpec) {
         let fabric = LoadFabricSpec::small();
@@ -485,12 +447,18 @@ mod tests {
         assert!(run.completions.len() + run.failed == run.scheduled_batches);
     }
 
+    /// Sampled tracing into a default-sized ring.
+    fn sampled(spec: SampleSpec) -> Observe {
+        let trace = TraceSpec { capacity: DEFAULT_CAPACITY, sample: Some(spec) };
+        Observe { trace: Some(trace), ..Observe::default() }
+    }
+
     #[test]
     fn sampled_tracing_joins_every_kept_batch_without_perturbing() {
         let (fabric, open, replog) = small_inputs();
         let plain = LoadRun::execute(&fabric, &open, &replog, None, 11, false);
-        let spec = SampleSpec::keep_all(11);
-        let traced = LoadRun::execute_traced(&fabric, &open, &replog, None, 11, &spec);
+        let traced =
+            LoadRun::observed(&fabric, &open, &replog, None, 11, sampled(SampleSpec::keep_all(11)));
         // The observer must not change what happened — only record it.
         assert_eq!(plain.completions, traced.completions);
         assert_eq!(plain.failed, traced.failed);
@@ -505,9 +473,9 @@ mod tests {
             assert_eq!(ev.kind.label(), Some("load.batch"));
         }
         // Half-rate sampling keeps a strict, deterministic subset.
-        let half = SampleSpec { seed: 11, default_permille: 500, classes: Vec::new() };
-        let a = LoadRun::execute_traced(&fabric, &open, &replog, None, 11, &half);
-        let b = LoadRun::execute_traced(&fabric, &open, &replog, None, 11, &half);
+        let half = || SampleSpec { seed: 11, default_permille: 500, classes: Vec::new() };
+        let a = LoadRun::observed(&fabric, &open, &replog, None, 11, sampled(half()));
+        let b = LoadRun::observed(&fabric, &open, &replog, None, 11, sampled(half()));
         assert!(!a.traced_batches.is_empty() && a.traced_batches.len() < a.completions.len());
         assert_eq!(a.traced_batches, b.traced_batches, "sampled set is seed-pure");
     }

@@ -22,10 +22,11 @@
 //! only copy of the bytes. Golden vectors below pin the wire form; the
 //! runtime's wire oracle holds `encode_image` to `encode`.
 
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use bytes::Bytes;
-use rdv_objspace::ObjId;
+use rdv_objspace::{ObjId, Object};
 use rdv_wire::varint::uvarint_len;
 use rdv_wire::{Decode, Encode, WireError, WireReader, WireResult, WireWriter};
 
@@ -278,6 +279,25 @@ pub struct Msg {
 impl MsgBody {
     /// The wire `msg_type` of [`MsgBody::ObjImageFrag`].
     pub const OBJ_IMAGE_FRAG: u8 = 0x0B;
+
+    /// The holder's answer to `ReadReq { req, offset, len }` on `obj`: the
+    /// bytes of `[offset, offset + len)` clipped to the heap, so a read
+    /// that starts at the heap's end gets an empty `ReadResp`, and a
+    /// `Nack { BadRange }` when `offset` lies past the end — a refusal a
+    /// reader can tell apart from a zero-length read. Hosts that do not
+    /// hold the object answer (or ignore) the request themselves.
+    pub fn read_reply(obj: &Object, req: u64, offset: u64, len: u64) -> MsgBody {
+        let end = offset.saturating_add(len).min(obj.heap_len());
+        let data = match offset.cmp(&end) {
+            Ordering::Less => obj.read(offset, end - offset).map(<[u8]>::to_vec),
+            Ordering::Equal => Ok(Vec::new()),
+            Ordering::Greater => return MsgBody::Nack { req, code: NackCode::BadRange },
+        };
+        match data {
+            Ok(data) => MsgBody::ReadResp { req, offset, version: obj.version(), data },
+            Err(_) => MsgBody::Nack { req, code: NackCode::BadRange },
+        }
+    }
 
     /// The wire `msg_type` for this body.
     pub fn msg_type(&self) -> u8 {

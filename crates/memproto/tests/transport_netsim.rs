@@ -5,7 +5,9 @@
 use rdv_memproto::msg::{Msg, MsgBody};
 use rdv_memproto::transport::{ReliableEndpoint, TransportConfig};
 use rdv_netsim::trace::EventId;
-use rdv_netsim::{FaultPlan, LinkSpec, Node, NodeCtx, Packet, PortId, Sim, SimConfig, SimTime};
+use rdv_netsim::{
+    FaultPlan, LinkSpec, Node, NodeCtx, Observe, Packet, PortId, Sim, SimConfig, SimTime, TraceSpec,
+};
 use rdv_objspace::ObjId;
 
 const TICK: u64 = 1;
@@ -250,7 +252,10 @@ fn retransmit_marks_cite_their_original_send() {
     // segment's first transmission — the retransmit→original link the
     // engine cannot infer from packet flow alone.
     let mut sim = Sim::new(SimConfig { seed: 2, ..Default::default() });
-    sim.enable_trace(1 << 16);
+    sim.observe(Observe {
+        trace: Some(TraceSpec { capacity: 1 << 16, sample: None }),
+        ..Observe::default()
+    });
     let a =
         sim.add_node(Box::new(TunnelNode::new(ObjId(0xA), ObjId(0xB), payloads(30), tunnel_cfg())));
     let b =

@@ -6,23 +6,9 @@
 //! byte-identical across processes and worker counts — the same contract
 //! every other artifact in the repo honours.
 
-use crate::set::{MetricSet, Series};
+use rdv_trace::export::json_escape;
 
-/// Escape a string for a JSON literal (the tiny subset our names and
-/// details can contain).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::set::{MetricSet, Series};
 
 /// Render the whole set as deterministic JSON:
 /// `{"experiment":…,"seed":…,"sample_interval_ns":…,"ticks":…,
@@ -32,7 +18,7 @@ pub fn json(set: &MetricSet, experiment: &str, seed: u64) -> String {
     let mut s = String::new();
     s.push_str(&format!(
         "{{\"experiment\":\"{}\",\"seed\":{},\"sample_interval_ns\":{},\"ticks\":{},",
-        esc(experiment),
+        json_escape(experiment),
         seed,
         set.sample_interval_ns(),
         set.ticks()
@@ -45,7 +31,7 @@ pub fn json(set: &MetricSet, experiment: &str, seed: u64) -> String {
         let series = set.series(i);
         s.push_str(&format!(
             "{{\"name\":\"{}\",\"dropped\":{},\"points\":[",
-            esc(name),
+            json_escape(name),
             series.dropped()
         ));
         for (j, (at, v)) in series.points().enumerate() {
@@ -68,8 +54,8 @@ pub fn json(set: &MetricSet, experiment: &str, seed: u64) -> String {
         s.push_str(&format!(
             "{{\"at_ns\":{},\"invariant\":\"{}\",\"detail\":\"{}\",\"event_id\":{ev}}}",
             v.at_ns,
-            esc(v.invariant),
-            esc(&v.detail)
+            json_escape(v.invariant),
+            json_escape(&v.detail)
         ));
     }
     s.push_str("]}\n");

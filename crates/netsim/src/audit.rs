@@ -18,7 +18,7 @@
 //! Rust's borrow checker enforces (1) mechanically, but (2) and (3) are
 //! *logical* invariants: a routing bug produces well-typed code whose only
 //! symptom is a fingerprint divergence thousands of events downstream.
-//! When armed via [`crate::Sim::enable_shard_audit`], every mutable access
+//! When armed via [`crate::Observe::audit`], every mutable access
 //! is tagged with its `(shard, window)` and checked at the access site;
 //! the first violation aborts the run with a typed
 //! [`ShardAuditViolation`] payload (via [`std::panic::panic_any`])
@@ -103,7 +103,7 @@ pub struct ShardAuditViolation {
     pub detail: String,
     /// Rendered flight-recorder postmortem, attached by the engine at the
     /// raising barrier when the recorder is armed (see
-    /// [`crate::Sim::enable_flight_recorder`]). `None` otherwise — the
+    /// [`crate::Observe::flight`]). `None` otherwise — the
     /// detector itself never renders dumps.
     pub postmortem: Option<String>,
 }

@@ -78,12 +78,12 @@ pub fn default_shards() -> usize {
 /// Arm the shard-ownership race detector on every simulation created
 /// afterwards — how suites whose scenarios build simulations internally
 /// (chaos soak, shard-determinism, CI audit runs) run with
-/// [`Sim::enable_shard_audit`] on without plumbing a flag through each
+/// [`Observe::audit`] on without plumbing a flag through each
 /// constructor. Mirrors [`set_default_shards`].
 static DEFAULT_SHARD_AUDIT: AtomicUsize = AtomicUsize::new(0);
 
 /// Set whether newly created simulations arm the shard-ownership race
-/// detector by default (see [`Sim::enable_shard_audit`]).
+/// detector by default (see [`Observe::audit`]).
 pub fn set_default_shard_audit(on: bool) {
     DEFAULT_SHARD_AUDIT.store(usize::from(on), Ordering::Relaxed);
 }
@@ -121,6 +121,59 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig { seed: 0, max_events: 200_000_000, shards: 0 }
     }
+}
+
+/// What a simulation observes while it runs: every observer, armed by one
+/// [`Sim::observe`] call before the run starts. Observers record only —
+/// an observed run simulates byte-identically to an unobserved one — and
+/// the default observes nothing, allocates nothing, and leaves each
+/// recording site one branch.
+#[derive(Debug, Clone, Default)]
+pub struct Observe {
+    /// Causal tracing into one ring. Tracing forces serial execution (the
+    /// trace stream is a total order), which changes wall-clock speed,
+    /// never results; the recorded stream, ids included, is deterministic
+    /// per seed.
+    pub trace: Option<TraceSpec>,
+    /// Crash flight recorder: every shard (plus the coordinator, for fault
+    /// events and external schedules) keeps a last-`n`-events ring. Any
+    /// invariant-monitor failure or [`ShardAuditViolation`] then panics
+    /// with a rendered postmortem — causal ancestry walked across rings, a
+    /// gauge snapshot, per-shard window state — instead of a bare
+    /// message. Rings record inside parallel windows too (ids are
+    /// namespaced per ring), so arming never forces serial execution.
+    /// When tracing is armed as well, the tracer records and the
+    /// postmortem walks its ring.
+    pub flight: Option<usize>,
+    /// Telemetry plane and, per the config, the live invariant monitor.
+    /// Sampling reads state only — no events, no RNG draws — at window
+    /// barriers whose bound respects tick boundaries, so sampled values
+    /// are identical for every shard count.
+    pub metrics: Option<MetricsConfig>,
+    /// Shard-ownership race detector (the dynamic half of rdv-audit; see
+    /// `DESIGN.md §11` and [`crate::audit`]). Every mutable access to
+    /// node, link, timer, RNG and queue state is checked against its
+    /// `(shard, window)` owner, the outbox barrier and the lookahead
+    /// bound; the first violation aborts via [`std::panic::panic_any`]
+    /// with a typed [`ShardAuditViolation`] naming the engine
+    /// `file:line`, sim time and event key. [`set_default_shard_audit`]
+    /// arms it for every simulation a process builds.
+    pub audit: bool,
+}
+
+/// One causal-trace ring: its capacity in events, and whether it records
+/// every operation chain or a sampled slice of them.
+#[derive(Debug, Clone)]
+pub struct TraceSpec {
+    /// Events retained; the ring keeps the most recent ones.
+    pub capacity: usize,
+    /// `None` records every chain. `Some` records only chains rooted by a
+    /// winning `TraceCtx::sample` verdict: verdicts are pure in `(seed,
+    /// class, origin)`, never in ring occupancy or shard layout, so the
+    /// sampled bytes are identical across `--shards` and processes, and
+    /// the ring holds a uniform slice of operations instead of the most
+    /// recent burst (what F8 joins against SLO windows).
+    pub sample: Option<SampleSpec>,
 }
 
 #[derive(Debug)]
@@ -372,22 +425,18 @@ pub struct Sim {
     /// Events processed so far — a plain field so the per-event budget
     /// check doesn't round-trip through the counter table.
     events: u64,
-    /// Causal-trace recorder (see [`Sim::enable_trace`]). Disabled by
+    /// Causal-trace recorder (see [`Observe::trace`]). Disabled by
     /// default: every emission site is a single branch and nothing
     /// allocates. Enabling tracing forces serial execution.
     pub tracer: Tracer,
-    /// Time-series telemetry plane (see [`Sim::enable_metrics`]).
+    /// Time-series telemetry plane (see [`Observe::metrics`]).
     /// Disabled by default: the event loop pays one branch per iteration
     /// and nothing allocates.
     pub metrics: MetricSet,
-    /// Emit per-shard `shard.*` gauges on each metrics tick. Off by
-    /// default so committed metrics artifacts stay byte-identical across
-    /// shard counts; see [`Sim::enable_shard_telemetry`].
-    shard_telemetry: bool,
     /// Test-only imbalance injected by [`Sim::debug_leak_inflight`].
     inflight_leak: i64,
     /// Shard-ownership race detector armed (see
-    /// [`Sim::enable_shard_audit`]). Off by default: every check site in
+    /// [`Observe::audit`]). Off by default: every check site in
     /// the event loop is a single branch.
     audit_armed: bool,
     /// Minimum latency over cross-shard links (ns) — the conservative
@@ -399,7 +448,7 @@ pub struct Sim {
     /// Barrier merge scratch, reused window after window.
     merge_buf: Vec<(u32, EventKey, EvData)>,
     /// Flight-recorder rings, empty unless armed (see
-    /// [`Sim::enable_flight_recorder`]): one per shard in shard order,
+    /// [`Observe::flight`]): one per shard in shard order,
     /// then the coordinator's (fault events, external schedules). Unlike
     /// the tracer they record during parallel windows too — ids are
     /// namespaced per ring, so no cross-thread coordination is needed.
@@ -449,7 +498,6 @@ impl Sim {
             events: 0,
             tracer: Tracer::disabled(),
             metrics: MetricSet::disabled(),
-            shard_telemetry: false,
             inflight_leak: 0,
             audit_armed: false,
             lookahead_ns: u64::MAX,
@@ -458,7 +506,7 @@ impl Sim {
             flight: Vec::new(),
         };
         if default_shard_audit() {
-            sim.enable_shard_audit();
+            sim.arm_audit();
         }
         sim
     }
@@ -476,73 +524,55 @@ impl Sim {
         &self.exec
     }
 
-    /// Emit per-shard `shard.queue_events` / `shard.clock_ns` gauges
-    /// (instances `s0`, `s1`, …) on each metrics tick. Off by default:
-    /// these gauges depend on the shard count, so committed metrics
-    /// artifacts leave them disabled to stay byte-identical across
-    /// `--shards`.
-    pub fn enable_shard_telemetry(&mut self) {
-        self.shard_telemetry = true;
-    }
-
-    /// Turn on causal tracing, retaining the most recent `capacity`
-    /// events. Call before running; the recorded stream (ids included) is
-    /// deterministic per seed. Tracing forces serial execution (the trace
-    /// stream is a total order), which cannot change simulation results —
-    /// only wall-clock speed.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Tracer::enabled(capacity);
-    }
-
-    /// Turn on *sampled* causal tracing: only operation chains rooted by a
-    /// winning [`TraceCtx::sample`] verdict are recorded, per `spec`.
-    /// Verdicts are pure in `(seed, class, origin)` — never in ring
-    /// occupancy or shard layout — so the sampled trace bytes are
-    /// identical across `--shards` counts and processes. Like full
-    /// tracing, this forces serial execution; unlike full tracing, the
-    /// ring holds a uniform slice of operations instead of the most
-    /// recent burst, which is what tail-attribution figures (F8) join
-    /// against SLO windows.
-    pub fn enable_trace_sampled(&mut self, capacity: usize, spec: SampleSpec) {
-        self.tracer = Tracer::sampled(capacity, spec);
-    }
-
-    /// Arm the crash flight recorder: every shard gets an always-on
-    /// last-`capacity`-events ring (plus one at the coordinator for fault
-    /// events and external schedules). On any invariant-monitor failure or
-    /// [`ShardAuditViolation`], the panic carries a rendered postmortem —
-    /// the causal ancestry of the failing event walked across rings, a
-    /// gauge snapshot, and per-shard window state — instead of a bare
-    /// message.
+    /// Arm this simulation's observers before the run starts (and before
+    /// the first `schedule` when a trace or flight ring should see it).
+    /// See [`Observe`] for what each observer records; none of them
+    /// perturbs the simulation. A field left at its default leaves that
+    /// observer as it is, so a builder's `Observe::default()` and its
+    /// caller's own call compose.
     ///
-    /// The recorder observes only: rings record what already happened,
-    /// `flight.*` counters move only when a dump is rendered, and
-    /// recording works inside parallel windows (ids are namespaced per
-    /// ring), so arming it on a clean run changes zero output bytes and
-    /// never forces serial execution. When tracing is enabled too, the
-    /// tracer does the recording and the postmortem walks its ring.
-    pub fn enable_flight_recorder(&mut self, capacity: usize) {
-        self.flight = (0..self.nshards)
-            .map(flight::shard_base)
-            .chain([flight::COORD_BASE])
-            .map(|base| EventRing::new(base, capacity))
-            .collect();
+    /// # Panics
+    ///
+    /// When the run has started: observers are fixed before the first
+    /// event.
+    pub fn observe(&mut self, obs: Observe) {
+        assert!(!self.started, "Sim::observe after the run started: arm observers before running");
+        let Observe { trace, flight, metrics, audit } = obs;
+        if let Some(TraceSpec { capacity, sample }) = trace {
+            self.tracer = match sample {
+                None => Tracer::enabled(capacity),
+                Some(spec) => Tracer::sampled(capacity, spec),
+            };
+        }
+        if let Some(capacity) = flight {
+            self.flight = (0..self.nshards)
+                .map(flight::shard_base)
+                .chain([flight::COORD_BASE])
+                .map(|base| EventRing::new(base, capacity))
+                .collect();
+        }
+        if let Some(cfg) = metrics {
+            self.metrics = MetricSet::enabled(cfg);
+        }
+        if audit {
+            self.arm_audit();
+        }
+    }
+
+    /// Arm sampled tracing alone. Kept with this signature for rdvperf,
+    /// whose sources change only in `[benchmark]` PRs; ROADMAP item 1's
+    /// PR retires it in favour of [`Sim::observe`].
+    pub fn enable_trace_sampled(&mut self, capacity: usize, spec: SampleSpec) {
+        self.observe(Observe {
+            trace: Some(TraceSpec { capacity, sample: Some(spec) }),
+            ..Observe::default()
+        });
     }
 
     /// Extract the tracer, leaving a disabled one behind — how harnesses
     /// keep the trace after the simulation is dropped.
     pub fn take_tracer(&mut self) -> Tracer {
         std::mem::replace(&mut self.tracer, Tracer::disabled())
-    }
-
-    /// Turn on metrics sampling (and, per `cfg`, the invariant monitor).
-    /// Call before running. Sampling reads state only — no events are
-    /// scheduled and no RNG is drawn — so enabling metrics never perturbs
-    /// the simulation. Samples are taken at window barriers; the window
-    /// bound respects tick boundaries, so sampled values are identical
-    /// for every shard count.
-    pub fn enable_metrics(&mut self, cfg: MetricsConfig) {
-        self.metrics = MetricSet::enabled(cfg);
     }
 
     /// Extract the metric set, leaving a disabled one behind — how
@@ -568,22 +598,8 @@ impl Sim {
         self.inflight_leak += 1;
     }
 
-    /// Arm the shard-ownership race detector (the dynamic half of
-    /// rdv-audit; see `DESIGN.md §11` and [`crate::audit`]). Every
-    /// mutable access to node, link, timer, RNG, and queue state is
-    /// tagged with its `(shard, window)` and checked at the access site:
-    /// only the owner shard may touch it, cross-shard effects must route
-    /// through the outbox barrier, and cross-shard schedule times must
-    /// respect the conservative-lookahead bound. The first violation
-    /// aborts the run via [`std::panic::panic_any`] with a typed
-    /// [`crate::audit::ShardAuditViolation`] payload carrying the engine
-    /// `file:line` of the failed check, the sim time, and the event key
-    /// being executed.
-    ///
-    /// Disabled (the default), each check site costs one branch. Armed,
-    /// the detector reads state only — a clean armed run is
-    /// byte-identical to an unarmed one for every `--shards` count.
-    pub fn enable_shard_audit(&mut self) {
+    /// Give every shard its race-detector state ([`Observe::audit`]).
+    fn arm_audit(&mut self) {
         self.audit_armed = true;
         for s in self.shards.iter_mut() {
             if s.audit.is_none() {
@@ -603,10 +619,10 @@ impl Sim {
     /// straight onto the producing shard's local queue, skipping the
     /// outbox barrier — the mutation seeded-violation tests use to prove
     /// the armed detector catches discipline (2). Requires
-    /// [`Sim::enable_shard_audit`]. Not part of the public API.
+    /// [`Observe::audit`]. Not part of the public API.
     #[doc(hidden)]
     pub fn debug_audit_bypass_outbox(&mut self) {
-        assert!(self.audit_armed, "arm shard-audit first (enable_shard_audit)");
+        assert!(self.audit_armed, "arm shard-audit first (Observe::audit)");
         for s in self.shards.iter_mut() {
             if let Some(a) = s.audit.as_deref_mut() {
                 a.fault_bypass_outbox = true;
@@ -618,11 +634,11 @@ impl Sim {
     /// parallel window is scheduled at the sender's current clock,
     /// ignoring the link latency that funds the lookahead — the mutation
     /// seeded-violation tests use to prove the armed detector catches
-    /// discipline (3). Requires [`Sim::enable_shard_audit`]. Not part of
+    /// discipline (3). Requires [`Observe::audit`]. Not part of
     /// the public API.
     #[doc(hidden)]
     pub fn debug_audit_violate_lookahead(&mut self) {
-        assert!(self.audit_armed, "arm shard-audit first (enable_shard_audit)");
+        assert!(self.audit_armed, "arm shard-audit first (Observe::audit)");
         for s in self.shards.iter_mut() {
             if let Some(a) = s.audit.as_deref_mut() {
                 a.fault_violate_lookahead = true;
@@ -635,10 +651,10 @@ impl Sim {
     /// use to prove the armed detector catches RNG stream discipline.
     /// Both nodes must live on the same shard (co-locate them with
     /// [`Sim::add_node_in_region`]). Requires
-    /// [`Sim::enable_shard_audit`]. Not part of the public API.
+    /// [`Observe::audit`]. Not part of the public API.
     #[doc(hidden)]
     pub fn debug_audit_share_rng(&mut self, donor: NodeId, victim: NodeId) {
-        assert!(self.audit_armed, "arm shard-audit first (enable_shard_audit)");
+        assert!(self.audit_armed, "arm shard-audit first (Observe::audit)");
         let (d, v) = (&self.globals.nodes[donor.0], &self.globals.nodes[victim.0]);
         assert_eq!(d.shard, v.shard, "debug_audit_share_rng: nodes must share a shard");
         let alias = (v.local as usize, d.local as usize);
@@ -1423,16 +1439,6 @@ impl Sim {
                 rate_name.push_str("rate.");
                 rate_name.push_str(slot.name);
                 m.rate_per_s(&rate_name, self.counters.get_id(*id));
-            }
-            if self.shard_telemetry {
-                for (i, s) in self.shards.iter().enumerate() {
-                    label.clear();
-                    let _ = write!(label, "s{i}");
-                    m.set_instance(&label);
-                    m.gauge("shard.queue_events", s.queue.len() as u64);
-                    m.gauge("shard.clock_ns", s.clock_ns);
-                }
-                m.clear_instance();
             }
         }
         if set.audit_enabled() {

@@ -128,7 +128,7 @@ pub(super) struct Shard {
     /// causal provenance snapshotted when the node queued it.
     pub(super) scratch_sends: Vec<(PortId, Packet, Option<EventId>)>,
     pub(super) scratch_timers: Vec<(SimTime, u64, Option<EventId>)>,
-    /// Ownership race detector state (see [`super::Sim::enable_shard_audit`]).
+    /// Ownership race detector state (see [`super::Observe::audit`]).
     /// `None` unless armed: every check site costs one `is_some` branch.
     pub(super) audit: Option<Box<ShardAudit>>,
 }

@@ -419,7 +419,7 @@ fn trace_packet_chain_links_enqueue_transmit_deliver() {
     let p = sim.add_node(Box::new(Pinger { out: PortId(0), sent_at: None, rtt: None }));
     let e = sim.add_node(Box::new(Echo));
     sim.connect(p, e, spec_1b_per_ns());
-    sim.enable_trace(1 << 12);
+    sim.observe(Observe { trace: full_trace(1 << 12), ..Observe::default() });
     sim.run_until_idle();
 
     // The last deliver is the echo arriving back at the pinger; its
@@ -460,7 +460,7 @@ fn trace_timer_set_fire_edge() {
     }
     let mut sim = Sim::new(SimConfig::default());
     let n = sim.add_node(Box::new(OneShot));
-    sim.enable_trace(64);
+    sim.observe(Observe { trace: full_trace(64), ..Observe::default() });
     sim.run_until_idle();
     let (fire, fire_ev) =
         sim.tracer.iter().find(|(_, ev)| ev.kind.name() == "timer.fire").expect("fire traced");
@@ -481,7 +481,7 @@ fn trace_crash_drop_carries_fault_aux_edge() {
     let plan =
         FaultPlan::new().crash(SimTime::from_micros(31), p).restart(SimTime::from_micros(60), p);
     sim.install_fault_plan(&plan);
-    sim.enable_trace(1 << 12);
+    sim.observe(Observe { trace: full_trace(1 << 12), ..Observe::default() });
     sim.run_until_idle();
 
     let crash = sim
@@ -532,7 +532,7 @@ fn trace_link_down_drop_carries_fault_aux_edge() {
         e,
     );
     sim.install_fault_plan(&plan);
-    sim.enable_trace(1 << 12);
+    sim.observe(Observe { trace: full_trace(1 << 12), ..Observe::default() });
     sim.run_until_idle();
 
     let down = sim
@@ -552,6 +552,22 @@ fn trace_link_down_drop_carries_fault_aux_edge() {
     // Provenance is sparse: one downed link, no crashed node.
     assert_eq!(sim.globals.link_fault_trace.len(), 1);
     assert!(sim.globals.crash_trace.is_empty());
+}
+
+#[test]
+#[should_panic(expected = "Sim::observe after the run started")]
+fn observe_after_the_run_started_panics() {
+    let mut sim = Sim::new(SimConfig::default());
+    let p = sim.add_node(Box::new(Pacer::new(2)));
+    let e = sim.add_node(Box::new(Echo));
+    sim.connect(p, e, spec_1b_per_ns());
+    sim.run_until(SimTime::from_micros(1));
+    sim.observe(Observe { trace: full_trace(64), ..Observe::default() });
+}
+
+/// A ring that records every operation chain.
+fn full_trace(capacity: usize) -> Option<TraceSpec> {
+    Some(TraceSpec { capacity, sample: None })
 }
 
 fn metrics_cfg(interval_ns: u64) -> MetricsConfig {
@@ -576,7 +592,8 @@ fn metrics_sample_gauges_and_rates_on_cadence() {
     let p = sim.add_node(Box::new(Pacer::new(20)));
     let e = sim.add_node(Box::new(Echo));
     sim.connect(p, e, spec_1b_per_ns());
-    sim.enable_metrics(metrics_cfg(10_000)); // one tick per pacing period
+    // One tick per pacing period.
+    sim.observe(Observe { metrics: Some(metrics_cfg(10_000)), ..Observe::default() });
     sim.run_until_idle();
     sim.flush_metrics(sim.now());
     let set = sim.take_metrics();
@@ -615,7 +632,7 @@ fn metrics_observation_never_perturbs_the_run() {
             .restart(SimTime::from_micros(180), e);
         sim.install_fault_plan(&plan);
         if metrics {
-            sim.enable_metrics(metrics_cfg(7_000));
+            sim.observe(Observe { metrics: Some(metrics_cfg(7_000)), ..Observe::default() });
         }
         let events = sim.run_until_idle();
         (events, sim.now().as_nanos(), sim.counters.iter().collect())
@@ -630,7 +647,7 @@ fn metrics_are_deterministic_per_seed() {
         let p = sim.add_node(Box::new(Pacer::new(25)));
         let e = sim.add_node(Box::new(Echo));
         sim.connect(p, e, spec_1b_per_ns().with_loss(100));
-        sim.enable_metrics(metrics_cfg(5_000));
+        sim.observe(Observe { metrics: Some(metrics_cfg(5_000)), ..Observe::default() });
         sim.run_until_idle();
         sim.flush_metrics(sim.now());
         rdv_metrics::export::json(&sim.take_metrics(), "T", 9)
@@ -644,10 +661,13 @@ fn seeded_inflight_leak_trips_packet_conservation_at_first_audit() {
     let p = sim.add_node(Box::new(Pacer::new(5)));
     let e = sim.add_node(Box::new(Echo));
     sim.connect(p, e, spec_1b_per_ns());
-    sim.enable_metrics(MetricsConfig {
-        sample_interval_ns: 10_000,
-        panic_on_violation: false,
-        ..Default::default()
+    sim.observe(Observe {
+        metrics: Some(MetricsConfig {
+            sample_interval_ns: 10_000,
+            panic_on_violation: false,
+            ..Default::default()
+        }),
+        ..Observe::default()
     });
     sim.debug_leak_inflight();
     sim.run_until_idle();
@@ -678,11 +698,14 @@ fn seeded_stale_holder_trips_directory_holders_with_event_id() {
     let d = sim.add_node(Box::new(StaleDir));
     let p = sim.add_node(Box::new(Pacer::new(3)));
     sim.connect(p, d, spec_1b_per_ns());
-    sim.enable_trace(1 << 10);
-    sim.enable_metrics(MetricsConfig {
-        sample_interval_ns: 10_000,
-        panic_on_violation: false,
-        ..Default::default()
+    sim.observe(Observe {
+        trace: full_trace(1 << 10),
+        metrics: Some(MetricsConfig {
+            sample_interval_ns: 10_000,
+            panic_on_violation: false,
+            ..Default::default()
+        }),
+        ..Observe::default()
     });
     sim.run_until_idle();
     let set = sim.take_metrics();
@@ -700,7 +723,7 @@ fn violations_panic_by_default() {
     let p = sim.add_node(Box::new(Pacer::new(5)));
     let e = sim.add_node(Box::new(Echo));
     sim.connect(p, e, spec_1b_per_ns());
-    sim.enable_metrics(metrics_cfg(10_000));
+    sim.observe(Observe { metrics: Some(metrics_cfg(10_000)), ..Observe::default() });
     sim.debug_leak_inflight();
     sim.run_until_idle();
 }
@@ -716,10 +739,11 @@ fn traced_run(flight: bool) -> Sim {
     sim.install_fault_plan(
         &FaultPlan::new().crash(SimTime::from_micros(100), e).restart(SimTime::from_micros(140), e),
     );
-    sim.enable_trace(1 << 12);
-    if flight {
-        sim.enable_flight_recorder(256);
-    }
+    sim.observe(Observe {
+        trace: full_trace(1 << 12),
+        flight: flight.then_some(256),
+        ..Observe::default()
+    });
     sim.schedule(SimTime::from_micros(5), p, 7);
     sim.run_until_idle();
     sim
@@ -778,10 +802,11 @@ fn sharded_fixture(
         .restart(SimTime::from_micros(260), e)
         .partition(SimTime::from_micros(300), SimTime::from_micros(350), &[p], &[e]);
     sim.install_fault_plan(&plan);
-    sim.enable_metrics(metrics_cfg(7_000));
-    if flight {
-        sim.enable_flight_recorder(256);
-    }
+    sim.observe(Observe {
+        metrics: Some(metrics_cfg(7_000)),
+        flight: flight.then_some(256),
+        ..Observe::default()
+    });
     let events = sim.run_until_idle();
     sim.flush_metrics(sim.now());
     let clock = sim.now().as_nanos();
@@ -857,29 +882,6 @@ fn exec_stats_stay_out_of_run_counters() {
 }
 
 #[test]
-fn shard_telemetry_gauges_are_opt_in() {
-    fn run(telemetry: bool) -> Vec<String> {
-        let mut sim = Sim::new(SimConfig { shards: 2, ..Default::default() });
-        let p = sim.add_node(Box::new(Pacer::new(20)));
-        let e = sim.add_node(Box::new(Echo));
-        sim.connect(p, e, spec_1b_per_ns());
-        sim.enable_metrics(metrics_cfg(10_000));
-        if telemetry {
-            sim.enable_shard_telemetry();
-        }
-        sim.run_until_idle();
-        sim.flush_metrics(sim.now());
-        sim.take_metrics().names().to_vec()
-    }
-    let without = run(false);
-    assert!(without.iter().all(|n| !n.starts_with("shard.")), "telemetry must be opt-in");
-    let with = run(true);
-    for expected in ["shard.queue_events.s0", "shard.queue_events.s1", "shard.clock_ns.s0"] {
-        assert!(with.iter().any(|n| n == expected), "missing {expected}: {with:?}");
-    }
-}
-
-#[test]
 fn external_schedule_is_shard_count_independent() {
     struct Recorder {
         tags: Vec<u64>,
@@ -928,7 +930,7 @@ fn flight_postmortem_walks_causal_ancestry_across_rings() {
     let p = sim.add_node(Box::new(Pinger { out: PortId(0), sent_at: None, rtt: None }));
     let e = sim.add_node(Box::new(Echo));
     sim.connect(p, e, spec_1b_per_ns());
-    sim.enable_flight_recorder(64);
+    sim.observe(Observe { flight: Some(64), ..Observe::default() });
     sim.run_until_idle();
     let dump = sim.flight_postmortem(None).expect("recorder is armed");
     assert!(dump.starts_with("==== flight-recorder postmortem ===="), "{dump}");
@@ -949,8 +951,11 @@ fn seeded_leak_with_flight_recorder_panics_with_postmortem() {
         let p = sim.add_node(Box::new(Pacer::new(5)));
         let e = sim.add_node(Box::new(Echo));
         sim.connect(p, e, spec_1b_per_ns());
-        sim.enable_metrics(metrics_cfg(10_000));
-        sim.enable_flight_recorder(128);
+        sim.observe(Observe {
+            metrics: Some(metrics_cfg(10_000)),
+            flight: Some(128),
+            ..Observe::default()
+        });
         sim.debug_leak_inflight();
         sim.run_until_idle();
     }))
@@ -1004,10 +1009,13 @@ fn sampled_tracing_keeps_only_rooted_chains_and_is_deterministic() {
         let p = sim.add_node(Box::new(SamplingPacer { seq: 0, n: 40 }));
         let e = sim.add_node(Box::new(Echo));
         sim.connect(p, e, spec_1b_per_ns());
-        sim.enable_trace_sampled(
-            1 << 12,
-            SampleSpec { seed: 7, default_permille: 500, classes: vec![] },
-        );
+        sim.observe(Observe {
+            trace: Some(TraceSpec {
+                capacity: 1 << 12,
+                sample: Some(SampleSpec { seed: 7, default_permille: 500, classes: vec![] }),
+            }),
+            ..Observe::default()
+        });
         sim.run_until_idle();
         let names = sim.node_names();
         let tallies = sim.tracer.sample_tallies().unwrap();
@@ -1132,9 +1140,7 @@ fn a_drained_run_leaves_no_queue_storage() {
     // queue.
     for flight in [false, true] {
         let mut sim = Sim::new(SimConfig::default());
-        if flight {
-            sim.enable_flight_recorder(64);
-        }
+        sim.observe(Observe { flight: flight.then_some(64), ..Observe::default() });
         let n = sim.add_node(Box::new(Echo));
         sim.schedule_batch((1..=1000).map(|us| (SimTime::from_micros(us), n, us)));
         sim.run_until(SimTime::from_micros(500));
@@ -1188,9 +1194,7 @@ type MixedRun = (Vec<Vec<(u64, u8, u64)>>, Vec<(&'static str, u64)>, u64, u64);
 fn mixed_timer_run(shards: usize, flight: bool) -> MixedRun {
     use crate::fault::FaultPlan;
     let mut sim = Sim::new(SimConfig { seed: 5, shards, ..Default::default() });
-    if flight {
-        sim.enable_flight_recorder(256);
-    }
+    sim.observe(Observe { flight: flight.then_some(256), ..Observe::default() });
     let ids: Vec<NodeId> =
         (0..3).map(|_| sim.add_node(Box::new(Mixed { log: Vec::new(), rearms: 12 }))).collect();
     let (a, b, hub) = (ids[0], ids[1], ids[2]);

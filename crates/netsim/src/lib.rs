@@ -22,21 +22,21 @@
 //! - [`fault`] — scheduled fault injection: link down/up, loss bursts,
 //!   partitions, and node crash/restart, all seed-reproducible.
 //! - [`trace`] (re-exported `rdv-trace`) — causal tracing: when enabled via
-//!   [`engine::Sim::enable_trace`], every enqueue/transmit/deliver/drop,
+//!   [`engine::Observe::trace`], every enqueue/transmit/deliver/drop,
 //!   timer, and fault is recorded with causal edges, and nodes annotate
 //!   protocol spans through [`node::NodeCtx::trace`].
 //! - [`metrics`] (re-exported `rdv-metrics`) — time-series telemetry: when
-//!   enabled via [`engine::Sim::enable_metrics`], the engine samples
+//!   enabled via [`engine::Observe::metrics`], the engine samples
 //!   registered gauges (link queues, utilization, per-node state exposed
 //!   through [`node::Node::sample_metrics`]) on a fixed sim-time cadence
 //!   and runs the live invariant monitor ([`node::Node::audit`]).
 //! - [`audit`] — shard-ownership race detector: when armed via
-//!   [`engine::Sim::enable_shard_audit`], every mutable access to node,
+//!   [`engine::Observe::audit`], every mutable access to node,
 //!   link, timer, RNG, and queue state is checked against the sharded
 //!   engine's ownership, outbox, and lookahead disciplines, and the
 //!   first violation aborts with a typed [`audit::ShardAuditViolation`].
 //! - [`flight`] — crash flight recorder: when armed via
-//!   [`engine::Sim::enable_flight_recorder`], every shard keeps an
+//!   [`engine::Observe::flight`], every shard keeps an
 //!   always-on last-N-events ring (zero-alloc steady state, works inside
 //!   parallel windows), and any invariant-monitor failure or shard-audit
 //!   violation dies with a byte-deterministic postmortem — causal
@@ -63,8 +63,8 @@ pub use rdv_trace as trace;
 
 pub use audit::{ShardAuditKind, ShardAuditViolation};
 pub use engine::{
-    default_shard_audit, default_shards, set_default_shard_audit, set_default_shards, Sim,
-    SimConfig,
+    default_shard_audit, default_shards, set_default_shard_audit, set_default_shards, Observe, Sim,
+    SimConfig, TraceSpec,
 };
 pub use fault::{FaultEvent, FaultPlan};
 pub use link::LinkSpec;

@@ -58,7 +58,7 @@ pub trait Node: std::any::Any + Send {
     }
 
     /// Record this node's gauges for one metrics tick (see
-    /// [`crate::Sim::enable_metrics`]). The engine pre-sets the instance
+    /// [`crate::Observe::metrics`]). The engine pre-sets the instance
     /// label, so implementations just call `m.gauge("<base>", value)`
     /// with gauge base names from `rdv_trace::names`. Must read state
     /// only — sampling may never perturb the simulation.

@@ -9,8 +9,12 @@
 use crate::event::{EventId, EventKind, TraceEvent, ENGINE_NODE};
 use crate::tracer::Tracer;
 
-/// Escape a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
+/// Escape a string for inclusion in a JSON string literal: quote,
+/// backslash, `\n`, `\t` and `\r` by name, every other control character
+/// as `\u00XX`, everything else verbatim. The one escaper behind every
+/// hand-rolled JSON writer in the workspace (trace, metrics, figures,
+/// rdv-lint), so they agree byte for byte.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -114,7 +118,7 @@ pub fn chrome_json(tracer: &Tracer, node_names: &[String]) -> String {
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
                  \"args\":{{\"name\":\"{}\"}}}}",
                 i as u64 + 1,
-                esc(name)
+                json_escape(name)
             ),
         );
     }
@@ -126,7 +130,7 @@ pub fn chrome_json(tracer: &Tracer, node_names: &[String]) -> String {
             format!(
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\
                  \"tid\":{},\"args\":{{\"id\":{},\"cause\":{},\"aux\":{}{}}}}}",
-                esc(display_name(&ev.kind)),
+                json_escape(display_name(&ev.kind)),
                 ts_us(ev.at),
                 tid(ev.node),
                 id.0,
@@ -144,7 +148,7 @@ pub fn chrome_json(tracer: &Tracer, node_names: &[String]) -> String {
                     format!(
                         "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"b\",\"id\":{},\
                          \"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"detail\":{}}}}}",
-                        esc(name),
+                        json_escape(name),
                         id.0,
                         ts_us(ev.at),
                         tid(ev.node),
@@ -159,7 +163,7 @@ pub fn chrome_json(tracer: &Tracer, node_names: &[String]) -> String {
                         format!(
                             "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"e\",\"id\":{},\
                              \"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{}}}}",
-                            esc(name),
+                            json_escape(name),
                             begin.0,
                             ts_us(ev.at),
                             tid(ev.node)
@@ -256,6 +260,22 @@ pub fn text_timeline(tracer: &Tracer, node_names: &[String]) -> String {
 mod tests {
     use super::*;
     use crate::event::EventKind as K;
+
+    #[test]
+    fn json_escape_table() {
+        for (raw, escaped) in [
+            ("plain.name", "plain.name"),
+            ("say \"hi\"", "say \\\"hi\\\""),
+            ("a\\b", "a\\\\b"),
+            ("l1\nl2", "l1\\nl2"),
+            ("c1\tc2", "c1\\tc2"),
+            ("cr\r", "cr\\r"),
+            ("\u{1}", "\\u0001"),
+            ("µs → ok", "µs → ok"),
+        ] {
+            assert_eq!(json_escape(raw), escaped, "escaping {raw:?}");
+        }
+    }
 
     fn sample() -> (Tracer, Vec<String>) {
         let mut t = Tracer::enabled(64);

@@ -125,8 +125,6 @@ pub const NAMES: &[Name] = &[
     gauge("discovery.pending_accesses"),
     gauge("discovery.broadcast_rate"),
     gauge("core.placement_queue"),
-    gauge("shard.queue_events"),
-    gauge("shard.clock_ns"),
     gauge("load.offered_per_s"),
     gauge("load.goodput_per_s"),
     gauge("load.p50_us"),

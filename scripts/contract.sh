@@ -20,7 +20,8 @@
 #                 `--jobs 4` one, all byte-identical
 #   soak          release chaos_soak, shard_determinism, shard_audit, and the
 #                 calendar queue's `--ignored` dense model test (200 k live)
-#   rdvperf_smoke benchmark/run.sh --smoke
+#   rdvperf_smoke benchmark/run.sh --smoke, then git diff --exit-code on
+#                 benchmark/Cargo.lock: the frozen lock must survive the build
 #
 # Quick-mode legs run with target/contract/<leg>/ as working directory, so
 # their output lands in target/contract/<leg>/results/ and never overwrites
@@ -33,7 +34,15 @@
 # `Compiling` line in its log): stage seconds of a cold run, which also
 # recompiles in `test`, `bench_test` and `soak`, do not compare with a warm
 # one's.
+#
+# The contract never re-blesses: it refuses to start while RDV_BLESS (the
+# switch that rewrites the pinned results/chaos_*.txt fingerprints) is set.
 set -euo pipefail
+
+if [ -n "${RDV_BLESS+set}" ]; then
+  echo "contract: RDV_BLESS is set; unset it (re-bless with cargo test --test chaos_soak, then review the diff)" >&2
+  exit 2
+fi
 
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 cd "$root"
@@ -91,7 +100,10 @@ stage_soak() {
   cargo test --release --test shard_audit
   cargo test --release -p rdv-netsim --lib queue:: -- --ignored
 }
-stage_rdvperf_smoke() { benchmark/run.sh --smoke; }
+stage_rdvperf_smoke() {
+  benchmark/run.sh --smoke
+  git diff --exit-code -- benchmark/Cargo.lock
+}
 
 names=()
 secs=()

@@ -22,7 +22,9 @@ use rendezvous::core::scenarios::{build_star_fabric, host_link_rack};
 use rendezvous::discovery::scenario::run_discovery;
 use rendezvous::discovery::{DiscoveryMode, ScenarioConfig, ScenarioKind, StalenessMode};
 use rendezvous::memproto::frag::DEFAULT_MTU;
-use rendezvous::netsim::{Node, NodeCtx, Packet, PortId, Sim, SimConfig, SimTime};
+use rendezvous::netsim::{
+    LinkSpec, Node, NodeCtx, Observe, Packet, PortId, Sim, SimConfig, SimTime,
+};
 use rendezvous::objspace::{ObjId, Object, ObjectKind};
 
 thread_local! {
@@ -121,6 +123,15 @@ const GOSSIP_TIMERS_PER_OP: f64 = 14.5;
 /// one 40 B timer-queue entry, plus the lane's chunk list and heads. It
 /// reads 42.4 today (84.4 when a timer took an 80 B delivery entry).
 const BYTES_PER_SCHEDULED_TIMER: f64 = 44.0;
+
+/// What building and running [`unobserved_fixture`] allocates, in calls
+/// and bytes: exactly what the code read before observers were armed
+/// through one `Observe` value (34 allocations, 3 648 B, debug and
+/// release alike). An unobserved run pays nothing for the observer seam —
+/// no boxed or cloned spec, no ring — and every figure and every rdvperf
+/// run takes that path.
+const UNOBSERVED_FIXTURE_ALLOCS: u64 = 34;
+const UNOBSERVED_FIXTURE_BYTES: u64 = 3648;
 
 #[test]
 fn one_fetch_costs_two_image_copies_and_one_serve_timer() {
@@ -298,5 +309,44 @@ fn a_scheduled_timer_costs_a_bounded_number_of_bytes() {
         per_timer <= BYTES_PER_SCHEDULED_TIMER,
         "scheduling {TIMERS} sorted timers requested {per_timer:.1} B per timer in {allocs} \
          allocations (budget {BYTES_PER_SCHEDULED_TIMER} B)"
+    );
+}
+
+/// Two nodes on one link bounce a packet `hops` times, started by one
+/// external timer, with `Observe::default()` armed.
+fn unobserved_fixture(hops: u64) -> u64 {
+    struct Bounce {
+        left: u64,
+    }
+    impl Node for Bounce {
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _tag: u64) {
+            ctx.send(PortId(0), Packet::new(vec![0u8; 64], 0));
+        }
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.send(port, packet);
+            }
+        }
+    }
+    let mut sim = Sim::new(SimConfig { seed: 3, shards: 1, ..Default::default() });
+    sim.observe(Observe::default());
+    let a = sim.add_node(Box::new(Bounce { left: hops }));
+    let b = sim.add_node(Box::new(Bounce { left: hops }));
+    sim.connect(a, b, LinkSpec::rack());
+    sim.schedule(SimTime::from_micros(1), a, 0);
+    sim.run_until_idle()
+}
+
+#[test]
+fn an_unobserved_run_allocates_nothing_for_observers() {
+    let before = snapshot();
+    let events = unobserved_fixture(50);
+    let (allocs, bytes) = (snapshot().0 - before.0, snapshot().1 - before.1);
+    assert_eq!(events, 102, "the fixture ran: one timer, 101 deliveries");
+    assert_eq!(
+        (allocs, bytes),
+        (UNOBSERVED_FIXTURE_ALLOCS, UNOBSERVED_FIXTURE_BYTES),
+        "an unobserved build-and-run must allocate exactly what it did before the observer seam"
     );
 }

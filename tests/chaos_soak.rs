@@ -21,7 +21,7 @@ use rdv_det::DetMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdv_core::scenarios::{build_star_fabric_sharded, host_link_rack};
+use rdv_core::scenarios::{build_star_fabric_observed, host_link_rack};
 use rdv_discovery::{AccessFailure, DiscoveryMode, HostConfig, HostNode};
 use rdv_load::{
     Blip, ChurnSpec, LoadCurve, LoadFabricSpec, LoadRun, OpenLoopSpec, ReplogSpec, Spike,
@@ -31,7 +31,7 @@ use rdv_memproto::msg::Msg;
 use rdv_memproto::transport::{ReliableEndpoint, TransportConfig};
 use rdv_netsim::metrics::{AuditScope, MetricSample, MetricsConfig};
 use rdv_netsim::{
-    FaultPlan, LinkSpec, Node, NodeCtx, NodeId, Packet, PortId, Sim, SimConfig, SimTime,
+    FaultPlan, LinkSpec, Node, NodeCtx, NodeId, Observe, Packet, PortId, Sim, SimConfig, SimTime,
 };
 use rdv_objspace::{ObjId, ObjectKind};
 
@@ -49,6 +49,20 @@ fn render_counters(prefix: &str, c: &rdv_netsim::Counters) -> String {
         out.push_str(&format!("{prefix}{name}={value};"));
     }
     out
+}
+
+/// The observers every simulated family arms: the live invariant monitor
+/// audits every tick and panics on any violation, so the soak doubles as
+/// its acceptance run, and the shard-ownership race detector and the
+/// flight recorder ride along, so any abort carries a postmortem. Clean
+/// runs stay byte-identical either way (tests/flight_recorder.rs).
+fn soak_observers() -> Observe {
+    Observe {
+        metrics: Some(MetricsConfig::default()),
+        audit: true,
+        flight: Some(1 << 12),
+        ..Observe::default()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -274,15 +288,7 @@ fn run_transport_scenario(seed: u64, sc: &TransportScenario, shards: usize) -> S
     let a = sim.add_node(Box::new(PipeNode::new(ObjId(0xA), ObjId(0xB), sc.messages, cfg)));
     let b = sim.add_node(Box::new(PipeNode::new(ObjId(0xB), ObjId(0xA), 0, cfg)));
     sim.connect(a, b, LinkSpec::rack().with_loss(sc.loss_permille));
-    // The live invariant monitor audits every tick and panics on any
-    // violation, so the soak doubles as its acceptance run — and the
-    // shard-ownership race detector and the
-    // flight recorder ride along on every scenario — any abort carries a
-    // postmortem, and clean runs stay byte-identical either way
-    // (tests/flight_recorder.rs).
-    sim.enable_metrics(MetricsConfig::default());
-    sim.enable_shard_audit();
-    sim.enable_flight_recorder(1 << 12);
+    sim.observe(soak_observers());
     sim.install_fault_plan(&sc.plan);
     sim.run_until_idle();
 
@@ -437,11 +443,9 @@ fn run_fabric_scenario(seed: u64, sc: &FabricScenario, shards: usize) -> FabricO
     let plan_len = driver.plan.len();
     nodes.insert(0, (Box::new(driver), driver_inbox, link));
 
-    let (mut sim, ids) = build_star_fabric_sharded(seed, shards, nodes, &obj_routes);
+    let (mut sim, ids) =
+        build_star_fabric_observed(seed, shards, soak_observers(), nodes, &obj_routes);
     let switch = NodeId(ids.len());
-    sim.enable_metrics(MetricsConfig::default());
-    sim.enable_shard_audit();
-    sim.enable_flight_recorder(1 << 12);
 
     // Faults: loss burst on the driver's uplink, partition around one
     // holder, crash (± restart) of another.
@@ -736,9 +740,8 @@ fn gen_churn_partition_scenario(seed: u64) -> LoadScenario {
 fn run_load_scenario(seed: u64, sc: &LoadScenario, shards: usize) -> LoadRun {
     let mut fabric = sc.fabric;
     fabric.shards = shards;
-    fabric.shard_audit = true;
-    fabric.flight_recorder = true;
-    let run = LoadRun::execute(&fabric, &sc.open, &sc.replog, Some(&sc.blip), seed, false);
+    let observe = Observe { audit: true, flight: Some(4096), ..Observe::default() };
+    let run = LoadRun::observed(&fabric, &sc.open, &sc.replog, Some(&sc.blip), seed, observe);
     assert!(run.scheduled_batches > 0, "seed {seed}: scenario offered no load");
     assert_eq!(
         run.completions.len() + run.failed,
@@ -952,11 +955,9 @@ fn run_gossip_scenario(seed: u64, sc: &GossipScenario, shards: usize) -> GossipO
         (Box::new(h1), B1, link),
         (Box::new(h2), B2, link),
     ];
-    let (mut sim, ids) = build_star_fabric_sharded(seed, shards, nodes, &obj_routes);
+    let (mut sim, ids) =
+        build_star_fabric_observed(seed, shards, soak_observers(), nodes, &obj_routes);
     let switch = NodeId(ids.len());
-    sim.enable_metrics(MetricsConfig::default());
-    sim.enable_shard_audit();
-    sim.enable_flight_recorder(1 << 12);
 
     sim.install_fault_plan(&FaultPlan::new().partition(
         SimTime::from_micros(sc.part_at),
@@ -1026,7 +1027,7 @@ fn gossip_soak_churn_and_partition_under_journal_discovery() {
         let out = run_gossip_scenario(seed, &sc, 1);
 
         // Invariant 4: byte-identical at every engine shard count, with
-        // the shard-ownership race detector armed (enable_shard_audit).
+        // the shard-ownership race detector armed (Observe::audit).
         for shards in [2usize, 8] {
             let again = run_gossip_scenario(seed, &sc, shards);
             assert_eq!(out.fingerprint, again.fingerprint, "seed {seed}: shards={shards} diverged");

@@ -14,7 +14,7 @@ use rdv_core::scenarios::{build_star_fabric_sharded, host_link_rack};
 use rdv_discovery::{DiscoveryMode, HostConfig, HostNode};
 use rdv_load::{Blip, LoadCurve, LoadFabricSpec, LoadRun, OpenLoopSpec, ReplogSpec, Spike};
 use rdv_netsim::metrics::MetricsConfig;
-use rdv_netsim::{LinkSpec, Node, NodeId, ShardAuditViolation, Sim, SimTime};
+use rdv_netsim::{LinkSpec, Node, NodeId, Observe, ShardAuditViolation, Sim, SimTime, TraceSpec};
 use rdv_objspace::{ObjId, ObjectKind};
 
 // ---------------------------------------------------------------------------
@@ -88,11 +88,12 @@ fn invariant_violation_dump_walks_the_fabric_ancestry() {
 fn invariant_violation_dump(traced: bool) {
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let (mut sim, _, _) = build_fabric(7, 2);
-        sim.enable_metrics(MetricsConfig::default());
-        sim.enable_flight_recorder(512);
-        if traced {
-            sim.enable_trace(1 << 16);
-        }
+        sim.observe(Observe {
+            metrics: Some(MetricsConfig::default()),
+            flight: Some(512),
+            trace: traced.then_some(TraceSpec { capacity: 1 << 16, sample: None }),
+            ..Observe::default()
+        });
         // Let real access traffic flow first, so the rings hold fabric
         // history, then unbalance the packet account mid-run: the
         // invariant monitor must abort at its next audit tick.
@@ -129,11 +130,12 @@ fn shard_audit_violation_carries_a_postmortem() {
 
 fn shard_audit_violation_postmortem(traced: bool) {
     let (mut sim, _, _) = build_fabric(9, 2);
-    sim.enable_shard_audit();
-    sim.enable_flight_recorder(512);
-    if traced {
-        sim.enable_trace(1 << 16);
-    }
+    sim.observe(Observe {
+        audit: true,
+        flight: Some(512),
+        trace: traced.then_some(TraceSpec { capacity: 1 << 16, sample: None }),
+        ..Observe::default()
+    });
     sim.run_until(SimTime::from_micros(55));
     sim.debug_audit_bypass_outbox();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until_idle()))
@@ -192,8 +194,8 @@ fn armed_recorder_keeps_a_clean_load_soak_byte_identical() {
         for armed in [false, true] {
             let mut fabric = base;
             fabric.shards = shards;
-            fabric.flight_recorder = armed;
-            let run = LoadRun::execute(&fabric, &open, &replog, Some(&blip), 11, false);
+            let observe = Observe { flight: armed.then_some(4096), ..Observe::default() };
+            let run = LoadRun::observed(&fabric, &open, &replog, Some(&blip), 11, observe);
             assert!(run.scheduled_batches > 0, "scenario offered no load");
             let fp = run.fingerprint();
             match &baseline {
@@ -215,7 +217,7 @@ fn armed_recorder_keeps_a_clean_load_soak_byte_identical() {
 fn on_demand_postmortem_is_byte_deterministic() {
     fn dump(seed: u64) -> String {
         let (mut sim, _, _) = build_fabric(seed, 2);
-        sim.enable_flight_recorder(512);
+        sim.observe(Observe { flight: Some(512), ..Observe::default() });
         sim.run_until_idle();
         // Nothing failed: the rings recorded passively and no dump was
         // rendered, so the flight counters stayed at zero.

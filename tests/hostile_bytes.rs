@@ -1,11 +1,14 @@
 //! Hostile bytes: requests no well-formed peer sends, delivered through a
 //! real p4rt switch to each node kind that serves them. Each must get the
 //! reply a release build gives, never a panic (tests run with overflow
-//! checks on, so an unchecked sum of wire fields fails here).
+//! checks on, so an unchecked sum of wire fields fails here), and a read
+//! that starts past the object's heap is refused as `BadRange`, never
+//! answered with data a reader could take for a zero-length read.
 
 use rendezvous::core::runtime::{GasHostConfig, GasHostNode};
 use rendezvous::core::scenarios::{build_star_fabric, host_link_rack};
 use rendezvous::discovery::{HostConfig, HostNode};
+use rendezvous::memproto::msg::NackCode;
 use rendezvous::memproto::{Msg, MsgBody};
 use rendezvous::netsim::{Node, NodeCtx, Packet, PortId, SimTime};
 use rendezvous::objspace::{ObjId, Object, ObjectKind};
@@ -58,10 +61,36 @@ fn probe(host: Box<dyn Node>, request: MsgBody) -> Vec<MsgBody> {
 const OVERFLOWING_READ: MsgBody =
     MsgBody::ReadReq { req: 7, target: TARGET, offset: u64::MAX - 1, len: 2 };
 
-fn assert_empty_read(replies: &[MsgBody]) {
+/// A read of `len` bytes starting `past` bytes beyond the heap's end.
+fn read_past_end(past: u64) -> MsgBody {
+    MsgBody::ReadReq { req: 7, target: TARGET, offset: target().heap_len() + past, len: 8 }
+}
+
+fn gas_host() -> Box<dyn Node> {
+    let mut host = GasHostNode::new("host", HOST, GasHostConfig::default());
+    host.store.insert(target()).expect("fresh id");
+    Box::new(host)
+}
+
+fn discovery_host() -> Box<dyn Node> {
+    let mut host = HostNode::new("host", HOST, HostConfig::default());
+    host.store.insert(target()).expect("fresh id");
+    Box::new(host)
+}
+
+/// The one reply is a `Nack { BadRange }`, not data.
+fn assert_bad_range(replies: &[MsgBody]) {
+    match replies {
+        [MsgBody::Nack { req: 7, code: NackCode::BadRange }] => {}
+        other => panic!("expected one Nack {{ BadRange }}, got {other:?}"),
+    }
+}
+
+/// The one reply is an empty `ReadResp` at the heap's end.
+fn assert_empty_read_at_end(replies: &[MsgBody]) {
     match replies {
         [MsgBody::ReadResp { req: 7, offset, data, .. }] => {
-            assert_eq!(*offset, u64::MAX - 1);
+            assert_eq!(*offset, target().heap_len());
             assert!(data.is_empty(), "{} bytes read past the heap", data.len());
         }
         other => panic!("expected one empty ReadResp, got {other:?}"),
@@ -69,15 +98,31 @@ fn assert_empty_read(replies: &[MsgBody]) {
 }
 
 #[test]
-fn gas_host_answers_an_overflowing_read_with_an_empty_reply() {
-    let mut host = GasHostNode::new("host", HOST, GasHostConfig::default());
-    host.store.insert(target()).expect("fresh id");
-    assert_empty_read(&probe(Box::new(host), OVERFLOWING_READ));
+fn gas_host_refuses_an_overflowing_read_as_bad_range() {
+    assert_bad_range(&probe(gas_host(), OVERFLOWING_READ));
 }
 
 #[test]
-fn discovery_host_answers_an_overflowing_read_with_an_empty_reply() {
-    let mut host = HostNode::new("host", HOST, HostConfig::default());
-    host.store.insert(target()).expect("fresh id");
-    assert_empty_read(&probe(Box::new(host), OVERFLOWING_READ));
+fn discovery_host_refuses_an_overflowing_read_as_bad_range() {
+    assert_bad_range(&probe(discovery_host(), OVERFLOWING_READ));
+}
+
+#[test]
+fn gas_host_answers_a_read_at_the_heap_end_with_an_empty_reply() {
+    assert_empty_read_at_end(&probe(gas_host(), read_past_end(0)));
+}
+
+#[test]
+fn discovery_host_answers_a_read_at_the_heap_end_with_an_empty_reply() {
+    assert_empty_read_at_end(&probe(discovery_host(), read_past_end(0)));
+}
+
+#[test]
+fn gas_host_refuses_a_read_one_past_the_heap_end() {
+    assert_bad_range(&probe(gas_host(), read_past_end(1)));
+}
+
+#[test]
+fn discovery_host_refuses_a_read_one_past_the_heap_end() {
+    assert_bad_range(&probe(discovery_host(), read_past_end(1)));
 }

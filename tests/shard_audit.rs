@@ -1,5 +1,5 @@
 //! Seeded-violation tests for the shard-ownership race detector
-//! (`Sim::enable_shard_audit`, the dynamic half of rdv-audit — see
+//! (`Observe::audit`, the dynamic half of rdv-audit — see
 //! DESIGN.md §11).
 //!
 //! Mirrors the invariant-monitor playbook in `rdv_metrics`: first prove
@@ -9,8 +9,8 @@
 //! the detector catches it with a typed, located diagnostic.
 
 use rdv_netsim::{
-    LinkSpec, Node, NodeCtx, NodeId, Packet, PortId, ShardAuditKind, ShardAuditViolation, Sim,
-    SimConfig, SimTime,
+    LinkSpec, Node, NodeCtx, NodeId, Observe, Packet, PortId, ShardAuditKind, ShardAuditViolation,
+    Sim, SimConfig, SimTime,
 };
 
 /// A ping-pong endpoint: the initiator serves, each receipt is echoed
@@ -82,7 +82,7 @@ fn run_seeded(
     seed_fault: impl FnOnce(&mut Sim),
 ) -> ShardAuditViolation {
     let (mut sim, _, _) = build_pair(shards, 1_000);
-    sim.enable_shard_audit();
+    sim.observe(Observe { audit: true, ..Observe::default() });
     sim.run_until(warmup);
     seed_fault(&mut sim);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until_idle()))
@@ -97,7 +97,7 @@ fn armed_detector_leaves_clean_runs_byte_identical() {
         for armed in [false, true] {
             let (mut sim, a, b) = build_pair(shards, 200);
             if armed {
-                sim.enable_shard_audit();
+                sim.observe(Observe { audit: true, ..Observe::default() });
                 assert!(sim.shard_audit_enabled());
             }
             sim.run_until_idle();
@@ -151,7 +151,7 @@ fn shared_rng_stream_is_caught_at_dispatch() {
     let a = sim.add_node_in_region(Box::new(EchoNode::new(true, 100)), 0);
     let b = sim.add_node_in_region(Box::new(EchoNode::new(false, 100)), 0);
     sim.connect(a, b, LinkSpec { latency: SimTime::from_micros(10), ..LinkSpec::rack() });
-    sim.enable_shard_audit();
+    sim.observe(Observe { audit: true, ..Observe::default() });
     sim.debug_audit_share_rng(a, b);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until_idle()))
         .expect_err("the shared stream must abort the run");
@@ -170,5 +170,5 @@ fn debug_hooks_require_an_armed_detector() {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.debug_audit_bypass_outbox()))
             .expect_err("seeding a fault without arming must be refused");
     let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-    assert!(msg.contains("enable_shard_audit"), "got: {msg}");
+    assert!(msg.contains("Observe::audit"), "got: {msg}");
 }
