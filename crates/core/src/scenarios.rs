@@ -84,18 +84,6 @@ pub fn build_star_fabric(
     build_star_fabric_observed(seed, 0, Observe::default(), nodes, obj_routes)
 }
 
-/// [`build_star_fabric_observed`] unobserved. Kept with this signature
-/// for rdvperf, whose sources change only in `[benchmark]` PRs; ROADMAP
-/// item 1's PR retires it.
-pub fn build_star_fabric_sharded(
-    seed: u64,
-    shards: usize,
-    nodes: Vec<(Box<dyn Node>, ObjId, LinkSpec)>,
-    obj_routes: &[(ObjId, usize)],
-) -> (Sim, Vec<NodeId>) {
-    build_star_fabric_observed(seed, shards, Observe::default(), nodes, obj_routes)
-}
-
 /// Build a star fabric: `nodes[i]` (with its inbox and link) attaches to
 /// switch port `i`; inbox routes plus `obj_routes` (object → host index)
 /// are pre-installed (post-bootstrap controller state). `shards` is the

@@ -36,11 +36,12 @@
 # one's.
 #
 # The contract never re-blesses: it refuses to start while RDV_BLESS (the
-# switch that rewrites the pinned results/chaos_*.txt fingerprints) is set.
+# switch that rewrites the pinned results/chaos_*.txt fingerprints) is on,
+# which is any value but empty or 0, as tests/chaos_soak.rs reads it.
 set -euo pipefail
 
-if [ -n "${RDV_BLESS+set}" ]; then
-  echo "contract: RDV_BLESS is set; unset it (re-bless with cargo test --test chaos_soak, then review the diff)" >&2
+if [ -n "${RDV_BLESS:-}" ] && [ "$RDV_BLESS" != 0 ]; then
+  echo "contract: RDV_BLESS is on; unset it (re-bless with cargo test --test chaos_soak, then review the diff)" >&2
   exit 2
 fi
 

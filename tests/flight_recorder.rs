@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdv_core::scenarios::{build_star_fabric_sharded, host_link_rack};
+use rdv_core::scenarios::{build_star_fabric_observed, host_link_rack};
 use rdv_discovery::{DiscoveryMode, HostConfig, HostNode};
 use rdv_load::{Blip, LoadCurve, LoadFabricSpec, LoadRun, OpenLoopSpec, ReplogSpec, Spike};
 use rdv_netsim::metrics::MetricsConfig;
@@ -55,7 +55,8 @@ fn build_fabric(seed: u64, shards: usize) -> (Sim, Vec<NodeId>, usize) {
     }
     let plan_len = driver.plan.len();
     nodes.insert(0, (Box::new(driver), ObjId(0xD0), link));
-    let (mut sim, ids) = build_star_fabric_sharded(seed, shards, nodes, &obj_routes);
+    let (mut sim, ids) =
+        build_star_fabric_observed(seed, shards, Observe::default(), nodes, &obj_routes);
     for i in 0..plan_len as u64 {
         sim.schedule(SimTime::from_micros(10 + 30 * i), ids[0], i);
     }
