@@ -27,46 +27,59 @@
 //! in a [`DetSet`], nothing when `V` has a niche). `remove` tombstones the
 //! slot instead of shifting every later entry: trailing tombstones are
 //! popped at once, and when dead slots outnumber live ones the live
-//! entries are packed down and their index positions rewritten. Each
+//! entries are packed down and their index buckets re-slotted. Each
 //! compaction is paid for by the removals that caused it, and *when* it
 //! runs depends only on the operation sequence, so it cannot perturb a
 //! run.
 //!
+//! The key → slot index stores no key. It is an open-addressed
+//! `Vec<u64>` with a power-of-two length; a bucket is 0 when empty, else
+//! `tag << 32 | (slot + 1)`, where `tag` is the low 32 bits of the key's
+//! hash. An entry's home bucket is `tag & mask`, and lookups probe
+//! linearly from there, comparing the tag and then `keys[slot]`. The load
+//! stays at most 3/4, with 8 buckets at least. A home bucket is a function
+//! of the tag alone, so growing re-places buckets without hashing a key,
+//! and `remove` shifts the rest of its probe run back instead of leaving a
+//! tombstone.
+//!
+//! Per entry a table therefore holds its slot, `size_of::<K>()` plus
+//! `size_of::<Option<V>>()`, and 10.7–21.3 B of index (8 B a bucket, at
+//! 4/3 to 8/3 buckets per entry). A switch's flood-dedup set at the end of
+//! rdvperf's `discovery_stale`, a `DetSet<(u128, u64)>` of 39 505 members,
+//! holds 2.69 MB: 2.10 MB of keys, 66 kB of liveness bytes and 524 kB of
+//! buckets, 68 B a 32 B member. With a std `HashMap<K, usize>` as the
+//! index, which kept a second copy of every key, it held 5.37 MB.
+//!
 //! # The hasher
 //!
-//! The private key → slot index is a std `HashMap` that is never
-//! iterated, so its hash function cannot leak into observable behavior;
-//! it only has to be fast and spread well. It is `FixedHasher`, a
-//! multiply-rotate hasher with a constant key: no per-process random
-//! state. What SipHash's random key buys — resistance to colliding keys
-//! chosen by an adversary — buys nothing here: every key in these tables
-//! is minted by the simulation itself (object ids, request counters,
-//! script indices), never read from outside the process.
+//! The index is never iterated, so its hash function cannot leak into
+//! observable behavior; it only has to be fast and spread well. It is
+//! `FixedHasher`, a multiply-rotate hasher with a constant key: no
+//! per-process random state. What SipHash's random key buys — resistance
+//! to colliding keys chosen by an adversary — buys nothing here: every key
+//! in these tables is minted by the simulation itself (object ids, request
+//! counters, script indices), never read from outside the process.
 //!
 //! Workspace code in the deterministic crates must use these types
 //! instead of the std hash collections; `rdv-lint` rule D1 enforces that.
 
-// This crate is the one sanctioned home for std's hash containers: the
-// internal index is never iterated, so bucket order cannot escape.
-#![allow(clippy::disallowed_types)]
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 #![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// Multiply-rotate hasher with a constant key (see the module docs).
 ///
 /// Each word is folded in Fx-style (`rotate ^ word`, then one multiply).
-/// A bare multiply only carries input bits *upwards*, and hashbrown picks
-/// the bucket from the low bits, so [`Hasher::finish`] folds the 128-bit
-/// product of a second multiply: keys that differ only in high bits
-/// (`inbox << 20 ^ n` trace ids, `ObjId(0x1_0000 + i)`) still spread over
-/// the low-bit bucket mask.
+/// A bare multiply only carries input bits *upwards*, and the index picks
+/// the home bucket from the low bits, so [`Hasher::finish`] folds the
+/// 128-bit product of a second multiply: keys that differ only in high
+/// bits (`inbox << 20 ^ n` trace ids, `ObjId(0x1_0000 + i)`) still spread
+/// over the low-bit bucket mask.
 #[derive(Clone, Copy, Default)]
 struct FixedHasher(u64);
-
 const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 const FOLD: u64 = 0xD6E8_FEB8_6659_FD93;
 
@@ -115,7 +128,127 @@ impl Hasher for FixedHasher {
     }
 }
 
-type Index<K> = HashMap<K, usize, BuildHasherDefault<FixedHasher>>;
+/// `key`'s hash under [`FixedHasher`].
+fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
+    let mut hasher = FixedHasher::default();
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The bucket that points a key of hash `hash` at slot `pos`.
+fn bucket(hash: u64, pos: usize) -> u64 {
+    hash << 32 | u64::from(u32::try_from(pos + 1).expect("fewer than 2^32 - 1 slots"))
+}
+
+/// The slot a full bucket points at.
+fn slot_of(bucket: u64) -> usize {
+    (bucket as u32 - 1) as usize
+}
+
+/// Fewest buckets an index holds once it holds any.
+const MIN_BUCKETS: usize = 8;
+
+/// Buckets that hold `len` entries at a load of at most 3/4.
+fn buckets_for(len: usize) -> usize {
+    match len {
+        0 => 0,
+        _ => (len * 4).div_ceil(3).next_power_of_two().max(MIN_BUCKETS),
+    }
+}
+
+/// The key → slot index (see the module docs for the bucket layout). It
+/// holds exactly the live slots.
+#[derive(Clone, Default)]
+struct Index {
+    buckets: Vec<u64>,
+}
+
+impl Index {
+    fn with_capacity(len: usize) -> Index {
+        Index { buckets: vec![0; buckets_for(len)] }
+    }
+
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
+    }
+
+    /// The home bucket of a full bucket's entry.
+    fn home(&self, bucket: u64) -> usize {
+        (bucket >> 32) as usize & self.mask()
+    }
+
+    /// The bucket of the entry whose key is `key` (of hash `hash`).
+    fn find<K: Borrow<Q>, Q: Eq + ?Sized>(&self, keys: &[K], hash: u64, key: &Q) -> Option<usize> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let tag = hash as u32;
+        let mut i = tag as usize & self.mask();
+        loop {
+            match self.buckets[i] {
+                0 => return None,
+                b if (b >> 32) as u32 == tag && keys[slot_of(b)].borrow() == key => return Some(i),
+                _ => i = (i + 1) & self.mask(),
+            }
+        }
+    }
+
+    /// Put `bucket` in the first empty bucket of its probe run; the caller
+    /// has made room.
+    fn place(&mut self, bucket: u64) {
+        let mut i = self.home(bucket);
+        while self.buckets[i] != 0 {
+            i = (i + 1) & self.mask();
+        }
+        self.buckets[i] = bucket;
+    }
+
+    /// Make room for `len` entries, re-placing every entry from its tag
+    /// when the bucket array doubles.
+    fn reserve(&mut self, len: usize) {
+        if len * 4 > self.buckets.len() * 3 {
+            let old = std::mem::replace(&mut self.buckets, vec![0; buckets_for(len)]);
+            for b in old.into_iter().filter(|&b| b != 0) {
+                self.place(b);
+            }
+        }
+    }
+
+    /// Empty bucket `hole` by backward-shift deletion: each later entry of
+    /// the probe run moves back into the hole unless its home lies
+    /// (cyclically) after the hole, so no lookup ever meets a gap before
+    /// its entry and no tombstone is needed.
+    fn erase(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let b = self.buckets[i];
+            if b == 0 {
+                break;
+            }
+            if i.wrapping_sub(self.home(b)) & mask >= i.wrapping_sub(hole) & mask {
+                self.buckets[hole] = b;
+                hole = i;
+            }
+        }
+        self.buckets[hole] = 0;
+    }
+
+    /// Point the entry of hash `hash` at slot `to` instead of `from`.
+    fn reslot(&mut self, hash: u64, from: usize, to: usize) {
+        let old = bucket(hash, from);
+        let mut i = self.home(old);
+        while self.buckets[i] != old {
+            i = (i + 1) & self.mask();
+        }
+        self.buckets[i] = bucket(hash, to);
+    }
+
+    fn clear(&mut self) {
+        self.buckets.fill(0);
+    }
+}
 
 /// A hash map with deterministic (first-insertion-order) iteration.
 ///
@@ -124,7 +257,7 @@ type Index<K> = HashMap<K, usize, BuildHasherDefault<FixedHasher>>;
 /// is over the slot vectors.
 #[derive(Clone)]
 pub struct DetMap<K, V> {
-    index: Index<K>,
+    index: Index,
     /// Slot keys, in first-insertion order. `keys[i]` of a dead slot is
     /// the removed key, kept until the slot is trimmed or compacted away.
     keys: Vec<K>,
@@ -134,7 +267,7 @@ pub struct DetMap<K, V> {
     live: usize,
 }
 
-impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
+impl<K: Eq + Hash, V> DetMap<K, V> {
     /// Empty map.
     pub fn new() -> DetMap<K, V> {
         DetMap { index: Index::default(), keys: Vec::new(), vals: Vec::new(), live: 0 }
@@ -143,7 +276,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     /// Empty map with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> DetMap<K, V> {
         DetMap {
-            index: Index::with_capacity_and_hasher(cap, BuildHasherDefault::default()),
+            index: Index::with_capacity(cap),
             keys: Vec::with_capacity(cap),
             vals: Vec::with_capacity(cap),
             live: 0,
@@ -168,10 +301,21 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         self.vals[pos].as_mut().expect("indexed slot is live")
     }
 
-    /// Append a fresh key in a new last slot; returns the slot.
-    fn push(&mut self, key: K, value: V) -> usize {
+    /// The slot of live key `key` (of hash `hash`).
+    fn slot<Q>(&self, hash: u64, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        self.index.find(&self.keys, hash, key).map(|i| slot_of(self.index.buckets[i]))
+    }
+
+    /// Append a fresh key of hash `hash` in a new last slot; returns the
+    /// slot.
+    fn push(&mut self, key: K, value: V, hash: u64) -> usize {
         let pos = self.keys.len();
-        self.index.insert(key.clone(), pos);
+        self.index.reserve(self.live + 1);
+        self.index.place(bucket(hash, pos));
         self.keys.push(key);
         self.vals.push(Some(value));
         self.live += 1;
@@ -181,10 +325,11 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     /// Insert `key → value`. Returns the previous value if the key was live
     /// (the key keeps its original iteration position in that case).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.index.get(&key) {
-            Some(&pos) => Some(std::mem::replace(self.val_mut(pos), value)),
+        let hash = hash_of(&key);
+        match self.slot(hash, &key) {
+            Some(pos) => Some(std::mem::replace(self.val_mut(pos), value)),
             None => {
-                self.push(key, value);
+                self.push(key, value, hash);
                 None
             }
         }
@@ -196,7 +341,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.index.get(key).map(|&pos| self.val(pos))
+        self.slot(hash_of(key), key).map(|pos| self.val(pos))
     }
 
     /// Mutable reference to the value for `key`.
@@ -205,8 +350,8 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        match self.index.get(key) {
-            Some(&pos) => Some(self.val_mut(pos)),
+        match self.slot(hash_of(key), key) {
+            Some(pos) => Some(self.val_mut(pos)),
             None => None,
         }
     }
@@ -217,7 +362,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.index.contains_key(key)
+        self.slot(hash_of(key), key).is_some()
     }
 
     /// Remove `key`, returning its value. Survivor iteration order is
@@ -227,31 +372,43 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let pos = self.index.remove(key)?;
+        let i = self.index.find(&self.keys, hash_of(key), key)?;
+        let pos = slot_of(self.index.buckets[i]);
+        self.index.erase(i);
         let value = self.vals[pos].take();
         self.live -= 1;
-        self.reclaim();
+        self.reclaim(true);
         value
     }
 
     /// Keep only entries for which `f` returns true, preserving order.
+    /// When any entry goes, the index is rebuilt from the surviving slots.
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
+        let live = self.live;
         for (key, slot) in self.keys.iter().zip(self.vals.iter_mut()) {
             if let Some(value) = slot {
                 if !f(key, value) {
                     *slot = None;
-                    self.index.remove(key);
                     self.live -= 1;
                 }
             }
         }
-        self.reclaim();
+        if self.live == live {
+            return;
+        }
+        self.reclaim(false);
+        self.index.clear();
+        for (pos, key) in self.keys.iter().enumerate() {
+            if self.vals[pos].is_some() {
+                self.index.place(bucket(hash_of(key), pos));
+            }
+        }
     }
 
     /// Give back dead slots after a removal: pop trailing tombstones, and
     /// once dead slots outnumber live ones, pack the live entries down (in
-    /// order) and point the index at their new slots.
-    fn reclaim(&mut self) {
+    /// order), re-slotting their index buckets when `reslot` is set.
+    fn reclaim(&mut self, reslot: bool) {
         while let Some(None) = self.vals.last() {
             self.vals.pop();
             self.keys.pop();
@@ -267,7 +424,9 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
             if from != to {
                 self.keys.swap(to, from);
                 self.vals.swap(to, from);
-                *self.index.get_mut(&self.keys[to]).expect("live key is indexed") = to;
+                if reslot {
+                    self.index.reslot(hash_of(&self.keys[to]), from, to);
+                }
             }
             to += 1;
         }
@@ -285,8 +444,9 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
 
     /// In-place access to the entry for `key` (insert-if-absent patterns).
     pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
-        let pos = self.index.get(&key).copied();
-        Entry { map: self, key, pos }
+        let hash = hash_of(&key);
+        let pos = self.slot(hash, &key);
+        Entry { map: self, key, hash, pos }
     }
 
     /// Iterate `(key, value)` in first-insertion order.
@@ -315,30 +475,30 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, V> Default for DetMap<K, V> {
+impl<K: Eq + Hash, V> Default for DetMap<K, V> {
     fn default() -> DetMap<K, V> {
         DetMap::new()
     }
 }
 
-impl<K: Eq + Hash + Clone + fmt::Debug, V: fmt::Debug> fmt::Debug for DetMap<K, V> {
+impl<K: Eq + Hash + fmt::Debug, V: fmt::Debug> fmt::Debug for DetMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
 }
 
 /// Content equality (order-insensitive, matching `std::collections::HashMap`).
-impl<K: Eq + Hash + Clone, V: PartialEq> PartialEq for DetMap<K, V> {
+impl<K: Eq + Hash, V: PartialEq> PartialEq for DetMap<K, V> {
     fn eq(&self, other: &DetMap<K, V>) -> bool {
         self.len() == other.len() && self.iter().all(|(k, v)| other.get(k) == Some(v))
     }
 }
 
-impl<K: Eq + Hash + Clone, V: Eq> Eq for DetMap<K, V> {}
+impl<K: Eq + Hash, V: Eq> Eq for DetMap<K, V> {}
 
 impl<K, V, Q> std::ops::Index<&Q> for DetMap<K, V>
 where
-    K: Eq + Hash + Clone + Borrow<Q>,
+    K: Eq + Hash + Borrow<Q>,
     Q: Hash + Eq + ?Sized,
 {
     type Output = V;
@@ -347,7 +507,7 @@ where
     }
 }
 
-impl<K: Eq + Hash + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
+impl<K: Eq + Hash, V> FromIterator<(K, V)> for DetMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> DetMap<K, V> {
         let mut map = DetMap::new();
         for (k, v) in iter {
@@ -357,7 +517,7 @@ impl<K: Eq + Hash + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, V> Extend<(K, V)> for DetMap<K, V> {
+impl<K: Eq + Hash, V> Extend<(K, V)> for DetMap<K, V> {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {
             self.insert(k, v);
@@ -365,7 +525,7 @@ impl<K: Eq + Hash + Clone, V> Extend<(K, V)> for DetMap<K, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, V> IntoIterator for DetMap<K, V> {
+impl<K: Eq + Hash, V> IntoIterator for DetMap<K, V> {
     type Item = (K, V);
     type IntoIter = IntoIter<K, V>;
     fn into_iter(self) -> IntoIter<K, V> {
@@ -373,7 +533,7 @@ impl<K: Eq + Hash + Clone, V> IntoIterator for DetMap<K, V> {
     }
 }
 
-impl<'a, K: Eq + Hash + Clone, V> IntoIterator for &'a DetMap<K, V> {
+impl<'a, K: Eq + Hash, V> IntoIterator for &'a DetMap<K, V> {
     type Item = (&'a K, &'a V);
     type IntoIter = Iter<'a, K, V>;
     fn into_iter(self) -> Iter<'a, K, V> {
@@ -381,7 +541,7 @@ impl<'a, K: Eq + Hash + Clone, V> IntoIterator for &'a DetMap<K, V> {
     }
 }
 
-impl<'a, K: Eq + Hash + Clone, V> IntoIterator for &'a mut DetMap<K, V> {
+impl<'a, K: Eq + Hash, V> IntoIterator for &'a mut DetMap<K, V> {
     type Item = (&'a K, &'a mut V);
     type IntoIter = IterMut<'a, K, V>;
     fn into_iter(self) -> IterMut<'a, K, V> {
@@ -464,10 +624,11 @@ impl<K, V> Iterator for IntoIter<K, V> {
 pub struct Entry<'a, K, V> {
     map: &'a mut DetMap<K, V>,
     key: K,
+    hash: u64,
     pos: Option<usize>,
 }
 
-impl<'a, K: Eq + Hash + Clone, V> Entry<'a, K, V> {
+impl<'a, K: Eq + Hash, V> Entry<'a, K, V> {
     /// The value, inserting `default` when the key was absent.
     pub fn or_insert(self, default: V) -> &'a mut V {
         self.or_insert_with(|| default)
@@ -477,7 +638,7 @@ impl<'a, K: Eq + Hash + Clone, V> Entry<'a, K, V> {
     pub fn or_insert_with(self, default: impl FnOnce() -> V) -> &'a mut V {
         let pos = match self.pos {
             Some(pos) => pos,
-            None => self.map.push(self.key, default()),
+            None => self.map.push(self.key, default(), self.hash),
         };
         self.map.val_mut(pos)
     }
@@ -507,7 +668,7 @@ pub struct DetSet<T> {
     map: DetMap<T, ()>,
 }
 
-impl<T: Eq + Hash + Clone> DetSet<T> {
+impl<T: Eq + Hash> DetSet<T> {
     /// Empty set.
     pub fn new() -> DetSet<T> {
         DetSet { map: DetMap::new() }
@@ -567,28 +728,28 @@ impl<T: Eq + Hash + Clone> DetSet<T> {
     }
 }
 
-impl<T: Eq + Hash + Clone> Default for DetSet<T> {
+impl<T: Eq + Hash> Default for DetSet<T> {
     fn default() -> DetSet<T> {
         DetSet::new()
     }
 }
 
-impl<T: Eq + Hash + Clone + fmt::Debug> fmt::Debug for DetSet<T> {
+impl<T: Eq + Hash + fmt::Debug> fmt::Debug for DetSet<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
     }
 }
 
 /// Content equality (order-insensitive, matching `std::collections::HashSet`).
-impl<T: Eq + Hash + Clone> PartialEq for DetSet<T> {
+impl<T: Eq + Hash> PartialEq for DetSet<T> {
     fn eq(&self, other: &DetSet<T>) -> bool {
         self.len() == other.len() && self.iter().all(|t| other.contains(t))
     }
 }
 
-impl<T: Eq + Hash + Clone> Eq for DetSet<T> {}
+impl<T: Eq + Hash> Eq for DetSet<T> {}
 
-impl<T: Eq + Hash + Clone> FromIterator<T> for DetSet<T> {
+impl<T: Eq + Hash> FromIterator<T> for DetSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> DetSet<T> {
         let mut set = DetSet::new();
         for t in iter {
@@ -598,7 +759,7 @@ impl<T: Eq + Hash + Clone> FromIterator<T> for DetSet<T> {
     }
 }
 
-impl<T: Eq + Hash + Clone> Extend<T> for DetSet<T> {
+impl<T: Eq + Hash> Extend<T> for DetSet<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for t in iter {
             self.insert(t);
@@ -606,7 +767,7 @@ impl<T: Eq + Hash + Clone> Extend<T> for DetSet<T> {
     }
 }
 
-impl<'a, T: Eq + Hash + Clone> IntoIterator for &'a DetSet<T> {
+impl<'a, T: Eq + Hash> IntoIterator for &'a DetSet<T> {
     type Item = &'a T;
     type IntoIter = SetIter<'a, T>;
     fn into_iter(self) -> SetIter<'a, T> {
@@ -614,7 +775,7 @@ impl<'a, T: Eq + Hash + Clone> IntoIterator for &'a DetSet<T> {
     }
 }
 
-impl<T: Eq + Hash + Clone> IntoIterator for DetSet<T> {
+impl<T: Eq + Hash> IntoIterator for DetSet<T> {
     type Item = T;
     type IntoIter = std::iter::Map<IntoIter<T, ()>, fn((T, ())) -> T>;
     fn into_iter(self) -> Self::IntoIter {
@@ -637,6 +798,9 @@ impl<'a, T> Iterator for SetIter<'a, T> {
         self.inner.size_hint()
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -776,28 +940,23 @@ mod tests {
         assert_eq!(m.keys().copied().collect::<Vec<_>>(), (9_992..10_000).collect::<Vec<_>>());
     }
 
-    fn hash_of<T: Hash>(key: T) -> u64 {
-        use std::hash::BuildHasher;
-        BuildHasherDefault::<FixedHasher>::default().hash_one(key)
-    }
-
     #[test]
     fn hasher_has_no_per_process_seed() {
         // Pinned values: a seeded hasher could not reproduce them in every
         // process. Integers take the `write_u64` path on any platform.
-        assert_eq!(hash_of(1u64), 0xC9D8_74CA_57D9_E055);
-        assert_eq!(hash_of(0xBEEFu64), 0xC520_7DEB_46C0_B97A);
-        assert_eq!(hash_of(u64::MAX), 0xE0E3_4B05_C9A3_E2C9);
-        assert_eq!(hash_of(0x1_0000u128), 0x9EAF_477B_59D2_241C);
-        assert_eq!(hash_of(u128::MAX), 0x5674_EAC4_FE12_0618);
-        assert_eq!(hash_of((0x1111u128, 7u64)), 0x4A75_55DE_9F13_8D5D);
-        assert_eq!(hash_of((1u128 << 64, 0u64)), 0x051A_6AE3_FA6E_C02E);
+        assert_eq!(hash_of(&1u64), 0xC9D8_74CA_57D9_E055);
+        assert_eq!(hash_of(&0xBEEFu64), 0xC520_7DEB_46C0_B97A);
+        assert_eq!(hash_of(&u64::MAX), 0xE0E3_4B05_C9A3_E2C9);
+        assert_eq!(hash_of(&0x1_0000u128), 0x9EAF_477B_59D2_241C);
+        assert_eq!(hash_of(&u128::MAX), 0x5674_EAC4_FE12_0618);
+        assert_eq!(hash_of(&(0x1111u128, 7u64)), 0x4A75_55DE_9F13_8D5D);
+        assert_eq!(hash_of(&(1u128 << 64, 0u64)), 0x051A_6AE3_FA6E_C02E);
     }
 
-    /// Distinct low-12-bit buckets (hashbrown's bucket mask at 4 096
-    /// buckets) hit by `keys`.
+    /// Distinct home buckets hit by `keys` in an index of 4 096 buckets
+    /// (the low 12 bits of the hash).
     fn buckets_hit(keys: impl Iterator<Item = u64>) -> usize {
-        keys.map(|k| hash_of(k) & 0xFFF).collect::<std::collections::BTreeSet<u64>>().len()
+        keys.map(|k| hash_of(&k) & 0xFFF).collect::<std::collections::BTreeSet<u64>>().len()
     }
 
     #[test]

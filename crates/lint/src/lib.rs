@@ -67,9 +67,9 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Crates whose behavior must be bit-reproducible across processes. `rpc` and
-/// `bench` sit outside the sim boundary (they may time real wall-clock work);
-/// `det` wraps a `HashMap` internally by design (its index is never iterated).
+/// `bench` sit outside the sim boundary (they may time real wall-clock work).
 pub const DET_CRATES: &[&str] = &[
+    "det",
     "netsim",
     "memproto",
     "discovery",

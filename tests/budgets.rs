@@ -16,6 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rdv_det::DetSet;
 use rdv_load::{Blip, LoadFabricSpec, LoadRun, OpenLoopSpec, ReplogSpec};
 use rendezvous::core::runtime::{GasHostConfig, GasHostNode, ScriptStep};
 use rendezvous::core::scenarios::{build_star_fabric, host_link_rack};
@@ -125,13 +126,24 @@ const GOSSIP_TIMERS_PER_OP: f64 = 14.5;
 const BYTES_PER_SCHEDULED_TIMER: f64 = 44.0;
 
 /// What building and running [`unobserved_fixture`] allocates, in calls
-/// and bytes: exactly what the code read before observers were armed
-/// through one `Observe` value (34 allocations, 3 648 B, debug and
-/// release alike). An unobserved run pays nothing for the observer seam —
-/// no boxed or cloned spec, no ring — and every figure and every rdvperf
-/// run takes that path.
+/// and bytes, debug and release alike: 34 allocations, 3 532 B (3 648 B
+/// while `DetMap`'s index was a std `HashMap`). An unobserved run pays
+/// nothing for the observer seam — no boxed or cloned spec, no ring — and
+/// every figure and every rdvperf run takes that path, so any byte more
+/// here is a cost every run pays.
 const UNOBSERVED_FIXTURE_ALLOCS: u64 = 34;
-const UNOBSERVED_FIXTURE_BYTES: u64 = 3648;
+const UNOBSERVED_FIXTURE_BYTES: u64 = 3532;
+
+/// Members in each switch's flood-dedup set at the end of rdvperf's
+/// `discovery_stale` run.
+const FLOOD_SET_MEMBERS: u64 = 39_505;
+
+/// Bytes requested, every growth step told, while building a
+/// [`FLOOD_SET_MEMBERS`]-member `DetSet<(u128, u64)>` from empty: the slot
+/// vectors and a bucket index that stores no key. It reads 5 373 752 B in
+/// 43 allocations (10 747 812 B in 44 when the index was a std `HashMap`
+/// holding a second copy of every key).
+const FLOOD_SET_BYTES: u64 = 5_373_752;
 
 #[test]
 fn one_fetch_costs_two_image_copies_and_one_serve_timer() {
@@ -312,6 +324,22 @@ fn a_scheduled_timer_costs_a_bounded_number_of_bytes() {
     );
 }
 
+#[test]
+fn a_flood_dedup_set_requests_a_bounded_number_of_bytes() {
+    let before = snapshot();
+    let mut seen = DetSet::new();
+    for n in 0..FLOOD_SET_MEMBERS {
+        assert!(seen.insert((u128::from(n) << 64 | 0x1111, n)));
+    }
+    let (allocs, bytes) = (snapshot().0 - before.0, snapshot().1 - before.1);
+    assert_eq!(seen.len() as u64, FLOOD_SET_MEMBERS);
+    assert!(
+        bytes <= FLOOD_SET_BYTES,
+        "building a {FLOOD_SET_MEMBERS}-member DetSet<(u128, u64)> requested {bytes} B in \
+         {allocs} allocations (budget {FLOOD_SET_BYTES} B)"
+    );
+}
+
 /// Two nodes on one link bounce a packet `hops` times, started by one
 /// external timer, with `Observe::default()` armed.
 fn unobserved_fixture(hops: u64) -> u64 {
@@ -347,6 +375,6 @@ fn an_unobserved_run_allocates_nothing_for_observers() {
     assert_eq!(
         (allocs, bytes),
         (UNOBSERVED_FIXTURE_ALLOCS, UNOBSERVED_FIXTURE_BYTES),
-        "an unobserved build-and-run must allocate exactly what it did before the observer seam"
+        "an unobserved build-and-run must allocate exactly its pinned count: nothing for observers"
     );
 }
