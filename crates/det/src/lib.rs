@@ -377,7 +377,7 @@ impl<K: Eq + Hash, V> DetMap<K, V> {
         self.index.erase(i);
         let value = self.vals[pos].take();
         self.live -= 1;
-        self.reclaim(true);
+        self.reclaim();
         value
     }
 
@@ -393,22 +393,21 @@ impl<K: Eq + Hash, V> DetMap<K, V> {
                 }
             }
         }
-        if self.live == live {
-            return;
-        }
-        self.reclaim(false);
-        self.index.clear();
-        for (pos, key) in self.keys.iter().enumerate() {
-            if self.vals[pos].is_some() {
-                self.index.place(bucket(hash_of(key), pos));
+        if self.live < live {
+            self.index.clear();
+            for (pos, key) in self.keys.iter().enumerate() {
+                if self.vals[pos].is_some() {
+                    self.index.place(bucket(hash_of(key), pos));
+                }
             }
+            self.reclaim();
         }
     }
 
     /// Give back dead slots after a removal: pop trailing tombstones, and
     /// once dead slots outnumber live ones, pack the live entries down (in
-    /// order), re-slotting their index buckets when `reslot` is set.
-    fn reclaim(&mut self, reslot: bool) {
+    /// order) and re-slot their index buckets.
+    fn reclaim(&mut self) {
         while let Some(None) = self.vals.last() {
             self.vals.pop();
             self.keys.pop();
@@ -424,9 +423,7 @@ impl<K: Eq + Hash, V> DetMap<K, V> {
             if from != to {
                 self.keys.swap(to, from);
                 self.vals.swap(to, from);
-                if reslot {
-                    self.index.reslot(hash_of(&self.keys[to]), from, to);
-                }
+                self.index.reslot(hash_of(&self.keys[to]), from, to);
             }
             to += 1;
         }
